@@ -25,6 +25,7 @@ from rv32mc import (
     estimate_energy,
     instr,
 )
+from rv32mc.memory import DEFAULT_MEM_SIZE
 
 # name -> instruction template counts per repetition
 MIXES = {
@@ -85,13 +86,13 @@ def analytic_cpi(mix: dict[str, int]) -> Fraction:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=50, help="mix repetitions per workload")
-    ap.add_argument("--pj-per-cycle", type=float, default=17.18)
-    ap.add_argument("--freq-hz", type=float, default=50e6)
+    ap.add_argument("--pj-per-cycle", type=float, default=EnergyModel.pj_per_cycle)
+    ap.add_argument("--freq-hz", type=float, default=EnergyModel.freq_hz)
     ap.add_argument("--mem-size", type=int, default=16384,
                     help="power of two; larger than default so long workloads fit")
     args = ap.parse_args()
-    if args.mem_size & (args.mem_size - 1) or args.mem_size < 4096:
-        ap.error("--mem-size must be a power of two >= 4096")
+    if args.mem_size & (args.mem_size - 1) or args.mem_size < DEFAULT_MEM_SIZE:
+        ap.error(f"--mem-size must be a power of two >= {DEFAULT_MEM_SIZE}")
 
     model = EnergyModel(args.pj_per_cycle, args.freq_hz)
     print(f"{'mix':<14} {'retired':>7} {'cycles':>7} {'cpi':>7} {'analytic':>9} "
@@ -100,7 +101,7 @@ def main() -> None:
         image = build_workload(mix, args.reps, args.mem_size)
         sim = Simulator(args.mem_size)
         sim.program_and_start(image)
-        report = sim.run(max_cycles=10_000_000)
+        report = sim.core.run(sim.bus, max_cycles=10_000_000)
         cpi = compute_cpi(report)
         energy_pj, _ = estimate_energy(report, model)
         # analytic value ignores the prologue and halt; report both

@@ -35,7 +35,6 @@ from .isa import (
     CYCLE_COST,
     DecodedInstruction,
     InstrClass,
-    cycle_cost,
     decode,
     encode,
     instr,
@@ -61,7 +60,7 @@ __all__ = [
     "self_loop_halt", "SimError", "BringUpScript", "ObserveResult",
     "Peripheral", "PeripheralMap", "Simulator", "SystemBus", "execute_script",
     "parse_script", "CYCLE_COST", "DecodedInstruction", "InstrClass",
-    "cycle_cost", "decode", "encode", "instr", "MemoryImage", "UnifiedMemory",
+    "decode", "encode", "instr", "MemoryImage", "UnifiedMemory",
     "EnergyModel", "HaltReason", "RunReport", "attach_metrics", "compute_cpi",
     "estimate_energy", "render_kv", "render_text",
 ]

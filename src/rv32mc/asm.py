@@ -29,18 +29,10 @@ from .errors import (
     ImmediateOutOfRange,
     MisalignedImmediate,
     OperandCount,
-    SimError,
     UndefinedLabel,
     UnknownMnemonic,
 )
-from .isa import (
-    DecodedInstruction,
-    InstrClass,
-    MNEMONIC_CLASS,
-    decode,
-    encode,
-    instr,
-)
+from .isa import MNEMONIC_CLASS, InstrClass, encode, format_word, instr
 from .memory import MemoryImage
 
 _COMMENT_RE = re.compile(r"#.*|//.*")
@@ -205,31 +197,9 @@ def _branch_offset(tok: str, st: _Statement, labels: dict[str, int]) -> int:
     raise BadOperand(f"{tok!r} is not a label or offset", line=st.line)
 
 
-def format_instruction(ins: DecodedInstruction) -> str:
-    """Canonical text for one instruction; assembles back to the same word."""
-    m = ins.mnemonic
-    if ins.cls is InstrClass.R_ALU:
-        return f"{m} x{ins.rd}, x{ins.rs1}, x{ins.rs2}"
-    if ins.cls is InstrClass.I_ALU:
-        return f"{m} x{ins.rd}, x{ins.rs1}, {ins.imm}"
-    if ins.cls is InstrClass.LOAD:
-        return f"{m} x{ins.rd}, {ins.imm}(x{ins.rs1})"
-    if ins.cls is InstrClass.STORE:
-        return f"{m} x{ins.rs2}, {ins.imm}(x{ins.rs1})"
-    if ins.cls is InstrClass.BRANCH:
-        return f"{m} x{ins.rs1}, x{ins.rs2}, {ins.imm}"
-    return f"{m} x{ins.rd}, {ins.imm}"
-
-
 def disassemble(image: MemoryImage) -> str:
     """Canonical source for an image; undecodable words become `.word`."""
-    lines = []
-    for word in image.words:
-        try:
-            lines.append(format_instruction(decode(word)))
-        except SimError:
-            lines.append(f".word 0x{word:08X}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(format_word(word) + "\n" for word in image.words)
 
 
 # --- hex image files ---

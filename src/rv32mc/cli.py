@@ -7,20 +7,26 @@ Subcommands:
     script   execute a bring-up script
     selftest frozen-encoding and engine consistency checks
 
-Exit codes: 0 success, 2 input/assembly errors, 3 runtime faults,
-4 cycle-budget exhaustion.  All configuration is via flags.
+Exit codes: 0 success, 2 input errors (source, image, script, device map
+or flag value), 3 runtime faults, 4 cycle-budget exhaustion.  All
+configuration is via flags.  Each flag is checked once: by its argparse
+type, or by the object it configures (UnifiedMemory, EnergyModel,
+Core.run), and all of those checks run before the first instruction is
+fetched.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 from .asm import assemble, disassemble, load_hex_file, save_hex_file
-from .errors import AsmError, ScriptError, SimError
+from .core import DEFAULT_MAX_CYCLES
+from .errors import SimError
 from .harness import PeripheralMap, Simulator, execute_script, parse_script
+from .memory import DEFAULT_MEM_SIZE
 from .metrics import EnergyModel, HaltReason, attach_metrics, render_kv, render_text
 from .selfcheck import run_selftest
 
@@ -30,31 +36,20 @@ EXIT_FAULT = 3
 EXIT_BUDGET = 4
 
 
-@dataclass
-class CliConfig:
-    mem_size_bytes: int = 4096
-    pj_per_cycle: float = 17.18
-    freq_hz: float = 50e6
-    max_cycles: int = 1_000_000
-    trace_enabled: bool = False
-    peripheral_map_file: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("mem_size_bytes", "pj_per_cycle", "freq_hz", "max_cycles"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 def _error(kind: str, exc: object) -> None:
     print(f"error[{kind}]: {exc}", file=sys.stderr)
 
 
-def _peripherals(cfg: CliConfig) -> PeripheralMap:
-    if cfg.peripheral_map_file is None:
-        return PeripheralMap.default(cfg.mem_size_bytes)
-    with open(cfg.peripheral_map_file, "r", encoding="utf-8") as f:
-        config = json.load(f)
-    return PeripheralMap.from_config(config["devices"] if isinstance(config, dict) else config)
+def integer(text: str) -> int:
+    """Decimal or 0x-prefixed integer flag value."""
+    return int(text, 0)
+
+
+def _peripherals(args: argparse.Namespace) -> PeripheralMap:
+    if args.peripheral_map is None:
+        return PeripheralMap.default(args.mem_size)
+    with open(args.peripheral_map, "r", encoding="utf-8") as f:
+        return PeripheralMap.from_config(json.load(f))
 
 
 def _cmd_asm(args: argparse.Namespace) -> int:
@@ -62,7 +57,7 @@ def _cmd_asm(args: argparse.Namespace) -> int:
         with open(args.source, "r", encoding="utf-8") as f:
             image = assemble(f.read(), base=args.base)
         save_hex_file(args.output, image)
-    except (OSError, SimError) as e:
+    except (OSError, ValueError, SimError) as e:
         _error("asm", e)
         return EXIT_INPUT
     return EXIT_OK
@@ -71,7 +66,7 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 def _cmd_dis(args: argparse.Namespace) -> int:
     try:
         sys.stdout.write(disassemble(load_hex_file(args.image)))
-    except (OSError, SimError) as e:
+    except (OSError, ValueError, SimError) as e:
         _error("dis", e)
         return EXIT_INPUT
     return EXIT_OK
@@ -79,32 +74,28 @@ def _cmd_dis(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        cfg = CliConfig(
-            mem_size_bytes=args.mem_size,
-            pj_per_cycle=args.pj_per_cycle,
-            freq_hz=args.freq_hz,
-            max_cycles=args.max_cycles,
-            trace_enabled=args.trace,
-            peripheral_map_file=args.peripheral_map,
-        )
+        energy = EnergyModel(args.pj_per_cycle, args.freq_hz)
         image = load_hex_file(args.image)
-        sim = Simulator(cfg.mem_size_bytes, peripherals=_peripherals(cfg))
-    except (OSError, ValueError, SimError, KeyError) as e:
+        sim = Simulator(args.mem_size, _peripherals(args))
+    except (OSError, ValueError, RecursionError, SimError) as e:  # RecursionError: deep JSON
         _error("input", e)
         return EXIT_INPUT
 
     trace = None
-    if cfg.trace_enabled:
+    if args.trace:
         trace = lambda rec: print(rec.as_csv())
 
     try:
         sim.program_and_start(image)
-        report = sim.run(max_cycles=cfg.max_cycles, trace=trace)
+        report = sim.core.run(sim.bus, max_cycles=args.max_cycles, trace=trace)
+    except ValueError as e:  # --max-cycles, refused by Core.run before the first fetch
+        _error("input", e)
+        return EXIT_INPUT
     except SimError as e:
         _error("fault", e)
         return EXIT_FAULT
 
-    attach_metrics(report, EnergyModel(cfg.pj_per_cycle, cfg.freq_hz))
+    attach_metrics(report, energy)
     rendered = render_kv(report) if args.format == "kv" else render_text(report)
     print(rendered)
     if args.report:
@@ -114,14 +105,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         save_hex_file(args.dump_mem, sim.mem.dump_image())
 
     if report.halt_reason is HaltReason.CYCLE_BUDGET_EXHAUSTED:
-        _error("budget", f"no halt within {cfg.max_cycles} cycles")
+        _error("budget", f"no halt within {args.max_cycles} cycles")
         return EXIT_BUDGET
     return EXIT_OK
 
 
 def _cmd_script(args: argparse.Namespace) -> int:
-    import os
-
+    try:
+        sim = Simulator(args.mem_size, PeripheralMap.default(args.mem_size))
+    except ValueError as e:
+        _error("input", e)
+        return EXIT_INPUT
     base_dir = os.path.dirname(os.path.abspath(args.script))
     try:
         with open(args.script, "r", encoding="utf-8") as f:
@@ -129,11 +123,10 @@ def _cmd_script(args: argparse.Namespace) -> int:
                 f.read(),
                 resolve=lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p),
             )
-    except (OSError, ScriptError, AsmError) as e:
+    except (OSError, ValueError, SimError) as e:
         _error("script", e)
         return EXIT_INPUT
     try:
-        sim = Simulator(args.mem_size, peripherals=PeripheralMap.default(args.mem_size))
         execute_script(sim, script, write=print)
     except SimError as e:
         _error("fault", e)
@@ -155,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asm", help="assemble source to a hex image")
     p.add_argument("source")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--base", type=lambda s: int(s, 0), default=0)
+    p.add_argument("--base", type=integer, default=0)
     p.set_defaults(func=_cmd_asm)
 
     p = sub.add_parser("dis", help="disassemble a hex image")
@@ -165,10 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="program, execute, and report")
     p.add_argument("image")
     p.add_argument("--trace", action="store_true", help="print one CSV line per cycle")
-    p.add_argument("--max-cycles", type=int, default=1_000_000)
-    p.add_argument("--mem-size", type=lambda s: int(s, 0), default=4096)
-    p.add_argument("--pj-per-cycle", type=float, default=17.18)
-    p.add_argument("--freq-hz", type=float, default=50e6)
+    p.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
+    p.add_argument("--mem-size", type=integer, default=DEFAULT_MEM_SIZE)
+    p.add_argument("--pj-per-cycle", type=float, default=EnergyModel.pj_per_cycle)
+    p.add_argument("--freq-hz", type=float, default=EnergyModel.freq_hz)
     p.add_argument("--peripheral-map", default=None, help="JSON device map")
     p.add_argument("--format", choices=("text", "kv"), default="text")
     p.add_argument("--report", default=None, help="also write the report to a file")
@@ -177,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("script", help="execute a bring-up script")
     p.add_argument("script")
-    p.add_argument("--mem-size", type=lambda s: int(s, 0), default=4096)
+    p.add_argument("--mem-size", type=integer, default=DEFAULT_MEM_SIZE)
     p.set_defaults(func=_cmd_script)
 
     p = sub.add_parser("selftest", help="frozen-encoding and engine checks")

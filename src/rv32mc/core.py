@@ -27,9 +27,12 @@ from typing import Callable, Protocol
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
-from .isa import MASK32, DecodedInstruction, InstrClass, decode, s32, u32
-from .memory import MemoryImage
+from .isa import MASK32, DecodedInstruction, InstrClass, decode, format_word, s32, u32
+from .memory import DEFAULT_MEM_SIZE, MemoryImage
 from .metrics import HaltReason, RunReport
+
+# Cycles `Core.run` may spend before it reports budget exhaustion.
+DEFAULT_MAX_CYCLES = 1_000_000
 
 
 class Bus(Protocol):
@@ -111,7 +114,7 @@ class TraceRecord:
 
     @property
     def disasm(self) -> str:
-        return _disasm_word(self.ir)
+        return format_word(self.ir)
 
     def as_csv(self) -> str:
         return (
@@ -291,7 +294,7 @@ class Core:
     def run(
         self,
         bus: Bus,
-        max_cycles: int = 1_000_000,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
         halt: HaltPolicy = self_loop_halt,
         trace: Callable[[TraceRecord], None] | None = None,
     ) -> RunReport:
@@ -330,17 +333,6 @@ class Core:
         )
 
 
-def _disasm_word(word: int) -> str:
-    # Local import: asm renders canonical text but depends on this module's
-    # consumers being importable first.
-    from .asm import format_instruction
-
-    try:
-        return format_instruction(decode(word))
-    except SimError:
-        return f".word 0x{word:08X}"
-
-
 # --- functional reference oracle ---
 
 @dataclass
@@ -356,7 +348,7 @@ def reference_execute(
     image: MemoryImage,
     entry: int = 0,
     max_instrs: int = 1_000_000,
-    mem_size: int = 4096,
+    mem_size: int = DEFAULT_MEM_SIZE,
 ) -> OracleResult:
     """One-instruction-per-step functional model over a fresh flat memory.
 

@@ -7,14 +7,15 @@ telemetry, battery).  Each stub exposes three live registers - CONTROL at
 offset 0x0, STATUS at 0x4, DATA at 0x8 - inside a 16-byte span, and logs
 every access with a cycle stamp.
 
-Bring-up scripts are line-oriented:
+Bring-up is built from six Simulator primitives, and bring-up scripts
+are line-oriented, one primitive per command:
 
-    load <hexfile>
-    reset
-    start
-    stop
-    run <cycles>
-    observe <addr> <len>
+    load <hexfile>          Simulator.load
+    reset                   Simulator.pulse_reset
+    start                   Simulator.start
+    stop                    Simulator.stop
+    run <cycles>            Simulator.run_cycles
+    observe <addr> <len>    Simulator.observe
 
 Observation output is emitted in the hex image format, so it can be fed
 straight back to `load`.
@@ -23,21 +24,19 @@ straight back to `load`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .asm import image_to_hex, load_hex_file
 from .control import WRITE_MODES, ControlMode
-from .core import Core, HaltPolicy, TraceRecord, self_loop_halt
+from .core import Core
 from .errors import (
     MisalignedAccess,
     OutOfRange,
     ScriptError,
-    SimError,
     UnmappedAddress,
     WriteForbiddenInMode,
 )
-from .memory import MemoryImage, UnifiedMemory
-from .metrics import RunReport
+from .memory import DEFAULT_MEM_SIZE, MemoryImage, UnifiedMemory
 
 DEVICE_NAMES = ("pacing", "sensing", "egm", "telemetry", "battery")
 DEVICE_SPAN = 16
@@ -60,16 +59,17 @@ class Peripheral:
     name: str
     base: int
     span: int = DEVICE_SPAN
-    regs: list[int] = field(default_factory=list)
+    regs: dict[int, int] = field(default_factory=dict)  # word index -> value; unwritten read 0
     event_log: list[AccessRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.name not in DEVICE_NAMES:
             raise ValueError(f"unknown device {self.name!r}; expected one of {DEVICE_NAMES}")
         if self.base % 4 or self.span % 4 or self.span <= 0:
-            raise ValueError(f"{self.name}: base/span must be positive multiples of 4")
-        if not self.regs:
-            self.regs = [0] * (self.span // 4)
+            raise ValueError(
+                f"{self.name}: base {self.base:#x} and span {self.span} must be"
+                " multiples of 4, span positive"
+            )
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.base + self.span
@@ -87,7 +87,7 @@ class PeripheralMap:
                 raise ValueError(f"devices {name_a!r} and {name_b!r} overlap")
 
     @classmethod
-    def default(cls, mem_size_bytes: int = 4096) -> "PeripheralMap":
+    def default(cls, mem_size_bytes: int = DEFAULT_MEM_SIZE) -> "PeripheralMap":
         """One device per block, packed immediately above memory."""
         return cls(
             Peripheral(name, mem_size_bytes + i * DEVICE_SPAN)
@@ -95,11 +95,27 @@ class PeripheralMap:
         )
 
     @classmethod
-    def from_config(cls, config: list[dict]) -> "PeripheralMap":
-        return cls(
-            Peripheral(d["name"], int(d["base"]), int(d.get("span", DEVICE_SPAN)))
-            for d in config
-        )
+    def from_config(cls, config: object) -> "PeripheralMap":
+        """Devices from parsed device-map JSON: a list of objects with a
+        string `name`, an integer `base` and an optional integer `span`,
+        bare or under a top-level `devices` key."""
+        if isinstance(config, dict):
+            config = config.get("devices")
+        if not isinstance(config, list):
+            raise ValueError('device map must be a list of devices or {"devices": [...]}')
+        devices = []
+        for i, entry in enumerate(config):
+            if not isinstance(entry, dict):
+                raise ValueError(f"device {i}: expected an object, got {type(entry).__name__}")
+            name = entry.get("name")
+            if not isinstance(name, str):
+                raise ValueError(f"device {i}: 'name' must be a string")
+            base, span = entry.get("base"), entry.get("span", DEVICE_SPAN)
+            for key, value in (("base", base), ("span", span)):
+                if type(value) is not int:  # bool and float are rejected too
+                    raise ValueError(f"device {i} ({name}): {key!r} must be an integer")
+            devices.append(Peripheral(name, base, span))
+        return cls(devices)
 
     def find(self, addr: int) -> Peripheral | None:
         for d in self.devices:
@@ -122,7 +138,7 @@ class PeripheralMap:
             raise UnmappedAddress("no device at address", addr=addr)
         idx = (addr - dev.base) >> 2
         if access == "read":
-            value = dev.regs[idx]
+            value = dev.regs.get(idx, 0)
         elif access == "write":
             dev.regs[idx] = value & 0xFFFFFFFF
         else:
@@ -184,9 +200,16 @@ _MODE_LINES = {
 
 
 class Simulator:
-    """One core + one unified memory (+ optional peripherals)."""
+    """One core + one unified memory (+ optional peripherals).
 
-    def __init__(self, mem_size_bytes: int = 4096, peripherals: PeripheralMap | None = None):
+    Bring-up goes through six primitives - load, pulse_reset, start, stop,
+    run_cycles and observe - that each drive the control lines themselves.
+    `program_and_start` and bring-up scripts are both built from them.
+    """
+
+    def __init__(
+        self, mem_size_bytes: int = DEFAULT_MEM_SIZE, peripherals: PeripheralMap | None = None
+    ):
         self.mem = UnifiedMemory(mem_size_bytes)
         self.core = Core()
         self.peripherals = peripherals
@@ -196,47 +219,45 @@ class Simulator:
                     raise ValueError(f"device {d.name!r} overlaps memory")
         self.bus = SystemBus(self.mem, peripherals, clock=lambda: self.core.cycle_count)
 
-    @property
-    def mode(self) -> ControlMode:
-        return self.core.mode
+    def load(self, image: MemoryImage) -> int:
+        """Write an image in programming mode; returns the words written.
 
-    def apply_control(self, ie: int, reset: int, write_enable: int = 0) -> ControlMode:
-        return self.core.apply_control(ie, reset, write_enable)
-
-    def step_cycle(self) -> TraceRecord:
-        return self.core.step_cycle(self.bus)
-
-    def step_instruction(self):
-        return self.core.step_instruction(self.bus)
-
-    def run(
-        self,
-        max_cycles: int = 1_000_000,
-        halt: HaltPolicy = self_loop_halt,
-        trace: Callable[[TraceRecord], None] | None = None,
-    ) -> RunReport:
-        return self.core.run(self.bus, max_cycles=max_cycles, halt=halt, trace=trace)
+        Ends in observation mode even when the load fails, so memory is
+        never left writable from outside.
+        """
+        self.core.apply_control(ie=0, reset=0, write_enable=1)
+        try:
+            return self.mem.load_image(image, self.core.mode)
+        finally:
+            self.stop()
 
     def pulse_reset(self) -> None:
-        """Assert reset for one cycle, then release into observation."""
-        self.apply_control(ie=0, reset=1)
-        self.step_cycle()
-        self.apply_control(ie=0, reset=0, write_enable=0)
+        """Assert reset across one clock edge, then release into observation."""
+        self.core.apply_control(ie=0, reset=1)
+        self.core.step_cycle(self.bus)
+        self.stop()
+
+    def start(self) -> None:
+        """Raise instruction-enable; the core executes from its current pc."""
+        self.core.apply_control(ie=1, reset=0)
+
+    def stop(self) -> None:
+        """Drop all control lines: observation mode, memory read-only."""
+        self.core.apply_control(ie=0, reset=0, write_enable=0)
+
+    def run_cycles(self, cycles: int) -> tuple[int, int]:
+        """Clock `cycles` times in the current mode; (executing, held) counts."""
+        core = self.core
+        c0, h0 = core.cycle_count, core.held_cycles
+        for _ in range(cycles):
+            core.step_cycle(self.bus)
+        return core.cycle_count - c0, core.held_cycles - h0
 
     def program_and_start(self, image: MemoryImage) -> None:
-        """Canonical bring-up: program, reset to pc=0, then enable execution.
-
-        On any load error the simulator is left parked in observation mode.
-        """
-        try:
-            self.apply_control(ie=0, reset=0, write_enable=1)
-            self.mem.load_image(image, self.core.mode)
-            self.apply_control(ie=0, reset=1)
-            self.step_cycle()  # hold reset across a clock edge
-            self.apply_control(ie=1, reset=0)
-        except SimError:
-            self.apply_control(ie=0, reset=0, write_enable=0)
-            raise
+        """Canonical bring-up: load, reset to pc=0, then enable execution."""
+        self.load(image)
+        self.pulse_reset()
+        self.start()
 
     def observe(self, addr: int, length: int) -> ObserveResult:
         """Read [addr, addr+length) under observation mode.
@@ -253,141 +274,92 @@ class Simulator:
                 f"observe range beyond {self.mem.size_bytes}-byte memory", addr=addr
             )
         prior = self.core.mode
-        self.apply_control(ie=0, reset=0, write_enable=0)
+        self.stop()
         words = tuple(self.mem.read_word(a) for a in range(addr, addr + length, 4))
         if prior is not ControlMode.EXECUTING:
-            self.apply_control(*_MODE_LINES[prior])
+            self.core.apply_control(*_MODE_LINES[prior])
         return ObserveResult(addr, words, execution_stopped=prior is ControlMode.EXECUTING)
 
 
 # --- bring-up scripts ---
 
 @dataclass(frozen=True)
-class LoadImage:
-    image: MemoryImage
-    source: str = "<image>"
+class Step:
+    """One script command with its parsed arguments."""
 
-
-@dataclass(frozen=True)
-class PulseReset:
-    pass
-
-
-@dataclass(frozen=True)
-class StartExecution:
-    pass
-
-
-@dataclass(frozen=True)
-class StopExecution:
-    pass
-
-
-@dataclass(frozen=True)
-class Observe:
-    addr: int
-    length: int
-
-
-@dataclass(frozen=True)
-class RunCycles:
-    cycles: int
-
-
-Step = LoadImage | PulseReset | StartExecution | StopExecution | Observe | RunCycles
+    command: str
+    args: tuple
+    text: str  # the command as written, echoed by `load`
 
 
 @dataclass
 class BringUpScript:
     steps: list[Step]
 
-    def validate(self) -> None:
-        reset_seen = False
-        for i, step in enumerate(self.steps, start=1):
-            if isinstance(step, PulseReset):
-                reset_seen = True
-            elif isinstance(step, StartExecution) and not reset_seen:
-                raise ScriptError("start before any reset", line=i)
+
+def _echo_observe(step: Step, result: ObserveResult) -> str:
+    lines = [f"# observe 0x{step.args[0]:08x} +{step.args[1]}"]
+    if result.execution_stopped:
+        lines.append("# execution stopped by observation; issue 'start' to resume")
+    return "\n".join(lines + image_to_hex(result.as_image()).splitlines())
+
+
+# Script command -> (argument count, Simulator primitive, echo of its result).
+_COMMANDS: dict[str, tuple[int, str, Callable[[Step, Any], str]]] = {
+    "load": (1, "load", lambda s, n: f"# {s.text}: {n} words at 0x{s.args[0].base_address:08x}"),
+    "reset": (0, "pulse_reset", lambda s, _: "# reset: pc=0"),
+    "start": (0, "start", lambda s, _: "# start: executing"),
+    "stop": (0, "stop", lambda s, _: "# stop: observation"),
+    "run": (1, "run_cycles", lambda s, r: f"# run {s.args[0]}: {r[0]} executing, {r[1]} held"),
+    "observe": (2, "observe", _echo_observe),
+}
 
 
 def _script_int(tok: str, lineno: int) -> int:
     try:
-        return int(tok, 0)
+        value = int(tok, 0)
     except ValueError:
         raise ScriptError(f"bad number {tok!r}", line=lineno) from None
+    if value < 0:
+        raise ScriptError(f"negative number {tok!r}", line=lineno)
+    return value
 
 
 def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> BringUpScript:
-    """Parse script text; `resolve` maps hex file names to paths."""
+    """Parse and check script text; `resolve` maps hex file names to paths.
+
+    Every input error is raised here as ScriptError (or the image's own
+    AsmError), so a script that parses fails at run time only by faulting.
+    """
     steps: list[Step] = []
+    reset_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         cmd, args = tokens[0].lower(), tokens[1:]
-
-        def need(n: int) -> None:
-            if len(args) != n:
-                raise ScriptError(f"{cmd} takes {n} argument(s), got {len(args)}", line=lineno)
-
-        if cmd == "load":
-            need(1)
-            steps.append(LoadImage(load_hex_file(resolve(args[0])), source=args[0]))
-        elif cmd == "reset":
-            need(0)
-            steps.append(PulseReset())
-        elif cmd == "start":
-            need(0)
-            steps.append(StartExecution())
-        elif cmd == "stop":
-            need(0)
-            steps.append(StopExecution())
-        elif cmd == "run":
-            need(1)
-            steps.append(RunCycles(_script_int(args[0], lineno)))
-        elif cmd == "observe":
-            need(2)
-            steps.append(Observe(_script_int(args[0], lineno), _script_int(args[1], lineno)))
-        else:
+        if cmd not in _COMMANDS:
             raise ScriptError(f"unknown command {cmd!r}", line=lineno)
-    script = BringUpScript(steps)
-    script.validate()
-    return script
+        nargs = _COMMANDS[cmd][0]
+        if len(args) != nargs:
+            raise ScriptError(f"{cmd} takes {nargs} argument(s), got {len(args)}", line=lineno)
+        if cmd == "load":
+            values: tuple = (load_hex_file(resolve(args[0])),)
+        else:
+            values = tuple(_script_int(tok, lineno) for tok in args)
+        if cmd == "observe" and any(v % 4 for v in values):
+            raise ScriptError("observe address and length must be word-aligned", line=lineno)
+        if cmd == "start" and not reset_seen:
+            raise ScriptError("start before any reset", line=lineno)
+        reset_seen = reset_seen or cmd == "reset"
+        steps.append(Step(cmd, values, " ".join([cmd, *args])))
+    return BringUpScript(steps)
 
 
 def execute_script(
     sim: Simulator, script: BringUpScript, write: Callable[[str], None] = print
 ) -> None:
-    """Run a validated script; observation output is reloadable hex."""
+    """Run a parsed script; observation output is reloadable hex."""
     for step in script.steps:
-        if isinstance(step, LoadImage):
-            sim.apply_control(ie=0, reset=0, write_enable=1)
-            n = sim.mem.load_image(step.image, sim.core.mode)
-            sim.apply_control(ie=0, reset=0, write_enable=0)
-            write(f"# load {step.source}: {n} words at 0x{step.image.base_address:08x}")
-        elif isinstance(step, PulseReset):
-            sim.pulse_reset()
-            write("# reset: pc=0")
-        elif isinstance(step, StartExecution):
-            sim.apply_control(ie=1, reset=0)
-            write("# start: executing")
-        elif isinstance(step, StopExecution):
-            sim.apply_control(ie=0, reset=0, write_enable=0)
-            write("# stop: observation")
-        elif isinstance(step, RunCycles):
-            c0, h0 = sim.core.cycle_count, sim.core.held_cycles
-            for _ in range(step.cycles):
-                sim.step_cycle()
-            write(
-                f"# run {step.cycles}: {sim.core.cycle_count - c0} executing, "
-                f"{sim.core.held_cycles - h0} held"
-            )
-        else:  # Observe
-            result = sim.observe(step.addr, step.length)
-            write(f"# observe 0x{step.addr:08x} +{step.length}")
-            if result.execution_stopped:
-                write("# execution stopped by observation; issue 'start' to resume")
-            out = image_to_hex(result.as_image())
-            if out:
-                write(out.rstrip("\n"))
+        _, primitive, echo = _COMMANDS[step.command]
+        write(echo(step, getattr(sim, primitive)(*step.args)))

@@ -45,10 +45,6 @@ CYCLE_COST = {
 }
 
 
-def cycle_cost(cls: InstrClass) -> int:
-    return CYCLE_COST[cls]
-
-
 @dataclass(frozen=True)
 class DecodedInstruction:
     cls: InstrClass
@@ -187,6 +183,30 @@ def decode(word: int) -> DecodedInstruction:
         return DecodedInstruction(InstrClass.JUMP, "jal", rd=rd, imm=imm)
 
     raise UnsupportedInstruction(f"opcode {opcode:#09b} in 0x{word:08X}")
+
+
+def format_instruction(ins: DecodedInstruction) -> str:
+    """Canonical text for one instruction; assembles back to the same word."""
+    m = ins.mnemonic
+    if ins.cls is InstrClass.R_ALU:
+        return f"{m} x{ins.rd}, x{ins.rs1}, x{ins.rs2}"
+    if ins.cls is InstrClass.I_ALU:
+        return f"{m} x{ins.rd}, x{ins.rs1}, {ins.imm}"
+    if ins.cls is InstrClass.LOAD:
+        return f"{m} x{ins.rd}, {ins.imm}(x{ins.rs1})"
+    if ins.cls is InstrClass.STORE:
+        return f"{m} x{ins.rs2}, {ins.imm}(x{ins.rs1})"
+    if ins.cls is InstrClass.BRANCH:
+        return f"{m} x{ins.rs1}, x{ins.rs2}, {ins.imm}"
+    return f"{m} x{ins.rd}, {ins.imm}"
+
+
+def format_word(word: int) -> str:
+    """Canonical text for any word; one outside the subset becomes `.word`."""
+    try:
+        return format_instruction(decode(word))
+    except UnsupportedInstruction:
+        return f".word 0x{word:08X}"
 
 
 def _check_reg(name: str, value: int) -> None:

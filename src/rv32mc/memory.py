@@ -19,6 +19,8 @@ from .errors import (
 )
 from .isa import u32
 
+DEFAULT_MEM_SIZE = 4096  # bytes
+
 
 @dataclass
 class MemoryImage:
@@ -33,7 +35,7 @@ class MemoryImage:
 
 
 class UnifiedMemory:
-    def __init__(self, size_bytes: int = 4096):
+    def __init__(self, size_bytes: int = DEFAULT_MEM_SIZE):
         if size_bytes <= 0 or size_bytes % 4:
             raise ValueError(f"size_bytes={size_bytes} must be a positive multiple of 4")
         self.size_bytes = size_bytes

@@ -10,6 +10,7 @@ separately and only enter the energy total under the opt-in always-on flag.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -32,8 +33,8 @@ class EnergyModel:
     freq_hz: float = 50e6
 
     def __post_init__(self) -> None:
-        if self.pj_per_cycle <= 0 or self.freq_hz <= 0:
-            raise ValueError("energy model constants must be strictly positive")
+        if not (0 < self.pj_per_cycle < math.inf and 0 < self.freq_hz < math.inf):
+            raise ValueError("energy model constants must be positive and finite")
 
 
 @dataclass

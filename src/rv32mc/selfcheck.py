@@ -139,9 +139,9 @@ def _check_codec(write: Callable[[str], None]) -> bool:
 
 def _check_program(name: str, write: Callable[[str], None]) -> bool:
     image = assemble(PROGRAMS[name])
-    sim = Simulator(peripherals=PeripheralMap.default(4096))
+    sim = Simulator(peripherals=PeripheralMap.default())
     sim.program_and_start(image)
-    report = sim.run(max_cycles=100_000)
+    report = sim.core.run(sim.bus, max_cycles=100_000)
     ok = report.halt_reason is HaltReason.SELF_LOOP
 
     if name == "pacer":

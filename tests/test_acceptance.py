@@ -56,7 +56,7 @@ def test_criterion_1_cycle_count_conformance():
     taken = []
     for want_m, want_c in expected:
         pc_before = sim.core.pc
-        ins, cycles = sim.step_instruction()
+        ins, cycles = sim.core.step_instruction(sim.bus)
         assert (ins.mnemonic, cycles) == (want_m, want_c)
         if ins.mnemonic == "beq":
             taken.append(sim.core.pc != pc_before + 4)
@@ -68,7 +68,7 @@ def test_criterion_2_power_reproduction():
     """Default constants reproduce the reference average power figure."""
     sim = Simulator()
     sim.program_and_start(assemble("addi x1, x0, 5\njal x0, 0\n"))
-    report = sim.run()
+    report = sim.core.run(sim.bus)
     _, power_uw = estimate_energy(report, EnergyModel())
     assert math.isclose(power_uw, 859.0, rel_tol=1e-3)
     assert power_uw == 859.0
@@ -81,7 +81,7 @@ def test_criterion_3_cpi_envelope():
     for _ in range(200):
         sim = Simulator()
         sim.program_and_start(random_program(rng))
-        report = sim.run(max_cycles=200_000)
+        report = sim.core.run(sim.bus, max_cycles=200_000)
         assert report.halt_reason is HaltReason.SELF_LOOP
         cpi = compute_cpi(report)
         assert 3 <= cpi <= 5
@@ -99,7 +99,7 @@ def test_criterion_3_all_loads_cpi_is_five():
     sim.program_and_start(assemble(body + "\njal x0, 0\n"))
     start = sim.core.cycle_count
     for _ in range(100):
-        ins, cycles = sim.step_instruction()
+        ins, cycles = sim.core.step_instruction(sim.bus)
         assert ins.mnemonic == "lw" and cycles == 5
     assert Fraction(sim.core.cycle_count - start, 100) == 5
     _pass(3, "all-loads workload measures CPI = 5 exactly")
@@ -112,7 +112,7 @@ def test_criterion_4_oracle_equivalence():
         image = random_program(rng)
         sim = Simulator()
         sim.program_and_start(image)
-        report = sim.run(max_cycles=200_000)
+        report = sim.core.run(sim.bus, max_cycles=200_000)
         assert report.halt_reason is HaltReason.SELF_LOOP, f"program {i} did not halt"
         oracle = reference_execute(image, max_instrs=200_000)
         assert oracle.regs == report.final_state.regs, f"program {i}: regfile"
@@ -144,19 +144,19 @@ def test_criterion_6_protocol_safety():
     sim = Simulator()
     sim.program_and_start(image)
     with pytest.raises(WriteForbiddenInMode):
-        sim.mem.load_image(MemoryImage(0, [0]), sim.mode)
+        sim.mem.load_image(MemoryImage(0, [0]), sim.core.mode)
     with pytest.raises(WriteForbiddenInMode):
         sim.mem.schedule_write(0, 0, ControlMode.OBSERVATION)
 
     # (b) no instruction retires outside executing mode
     for lines in [(0, 0, 1), (0, 0, 0), (0, 1, 0)]:
         sim2 = Simulator()
-        sim2.apply_control(ie=0, reset=0, write_enable=1)
-        sim2.mem.load_image(image, sim2.mode)
-        sim2.apply_control(*lines)
+        sim2.core.apply_control(ie=0, reset=0, write_enable=1)
+        sim2.mem.load_image(image, sim2.core.mode)
+        sim2.core.apply_control(*lines)
         before = sim2.core.retired_count
         for _ in range(20):
-            rec = sim2.step_cycle()
+            rec = sim2.core.step_cycle(sim2.bus)
             assert rec.held and not rec.retired
         assert sim2.core.retired_count == before
 
@@ -164,7 +164,7 @@ def test_criterion_6_protocol_safety():
     sim3 = Simulator()
     sim3.program_and_start(image)
     assert sim3.core.pc == 0
-    first, _ = sim3.step_instruction()
+    first, _ = sim3.core.step_instruction(sim3.bus)
     assert first == decode(image.words[0])
     assert sim3.core.instr_pc == 0
 
@@ -174,9 +174,9 @@ def test_criterion_6_protocol_safety():
     before_words = list(sim4.mem.words)
     sim4.observe(0, 256)
     for _ in range(10):
-        sim4.step_cycle()
+        sim4.core.step_cycle(sim4.bus)
     with pytest.raises(WriteForbiddenInMode):
-        sim4.mem.schedule_write(0, 0xFFFFFFFF, sim4.mode)
+        sim4.mem.schedule_write(0, 0xFFFFFFFF, sim4.core.mode)
     assert sim4.mem.words == before_words
 
     _pass(6, "write gating, held-mode non-retirement, bring-up pc=0, observation purity")

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rv32mc import parse_hex
 from rv32mc.cli import dispatch
+from rv32mc.harness import DEVICE_NAMES
 from rv32mc.programs import DEMO, PACER
 
 GOLDEN_DEMO_TRACE = [
@@ -166,3 +172,120 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "selftest: golden encodings: PASS" in out
     assert out.strip().endswith("selftest: PASS")
+
+
+def assert_input_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error[") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("size", ["4097", "0", "-4"])
+def test_script_bad_mem_size_exit_code(tmp_path, capsys, size):
+    script = tmp_path / "s.txt"
+    script.write_text("reset\n")
+    assert_input_error(dispatch(["script", str(script), "--mem-size", size]), capsys)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--mem-size", "4097"], ["--max-cycles", "0"], ["--pj-per-cycle", "nan"],
+             ["--freq-hz", "inf"]],
+)
+def test_run_bad_flag_exit_code(demo_hex, capsys, flag):
+    assert_input_error(dispatch(["run", str(demo_hex), *flag]), capsys)
+
+
+@pytest.mark.parametrize(
+    "devices",
+    ["[1]", '[{"base": 8192}]', '[{"name": "pacing", "base": 1e999}]',
+     '[{"name": "pacing", "base": 8192, "span": true}]', '{"device": []}', "[{",
+     "[" * 100_000 + "]" * 100_000],
+    ids=["int", "no-name", "inf-base", "bool-span", "no-devices-key", "bad-json", "deep"],
+)
+def test_bad_device_map_exit_code(demo_hex, tmp_path, capsys, devices):
+    pmap = tmp_path / "devices.json"
+    pmap.write_text(devices)
+    assert_input_error(dispatch(["run", str(demo_hex), "--peripheral-map", str(pmap)]), capsys)
+
+
+# --- generated inputs: every one ends in a documented exit code ---
+
+def dispatch_quietly(argv):
+    """Exit code of one CLI call, argparse's usage exit included."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return dispatch(argv)
+        except SystemExit as e:
+            return e.code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, src in (("demo", DEMO), ("pacer", PACER)):
+        (d / f"{name}.s").write_text(src)
+        assert dispatch_quietly(["asm", str(d / f"{name}.s"), "-o", str(d / f"{name}.hex")]) == 0
+    (d / "big.hex").write_text("00000000\n" * 2000)
+    return d
+
+
+_number = st.one_of(
+    st.integers(-8, 5000).map(str), st.sampled_from(["0x10", "-0x4", "0b100", "1_0", "many"])
+)
+_command = st.one_of(
+    st.sampled_from(["demo.hex", "pacer.hex", "big.hex", "missing.hex"]).map("load ".__add__),
+    st.sampled_from(["reset", "start", "stop", "RESET", "start # go"]),
+    st.integers(-10, 10**4).map(lambda n: f"run {n}"),
+    st.tuples(st.integers(0, 1100), st.integers(0, 64)).map(
+        lambda a: f"observe {4 * a[0]} {4 * a[1]}"
+    ),
+)
+_any_line = st.one_of(
+    _command,
+    st.tuples(_number, _number).map(lambda a: f"observe {a[0]} {a[1]}"),
+    st.lists(st.one_of(_number, st.sampled_from(["load", "run", "observe"])), max_size=4)
+    .map(" ".join),
+    st.text(max_size=12),
+)
+_script = st.one_of(st.lists(_command, max_size=8), st.lists(_any_line, max_size=8))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_script)
+def test_generated_scripts_exit_cleanly(fuzz_dir, lines):
+    script = fuzz_dir / "gen.txt"
+    script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert dispatch_quietly(["script", str(script)]) in {0, 2, 3, 4}
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=6)
+)
+_device = st.dictionaries(
+    st.sampled_from(["name", "base", "span", "irq"]),
+    st.one_of(
+        st.sampled_from([*DEVICE_NAMES, "radio"]),
+        st.sampled_from([0, 4, 2048, 4096, 4100, 4112, 8192, 2**40, 2**64]),
+        _json_leaf,
+    ),
+)
+_mappable = st.fixed_dictionaries(
+    {"name": st.sampled_from(DEVICE_NAMES), "base": st.sampled_from([4096, 4112, 8192, 2**40])},
+    optional={"span": st.sampled_from([4, 16, 2**40])},
+)
+_device_map = st.one_of(
+    st.lists(_mappable, max_size=3),
+    st.lists(_device, max_size=5),
+    st.lists(_device, max_size=5).map(lambda ds: {"devices": ds}),
+    st.recursive(_json_leaf, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=8),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=_device_map, program=st.sampled_from(["demo.hex", "pacer.hex"]))
+def test_generated_device_maps_exit_cleanly(fuzz_dir, config, program):
+    pmap = fuzz_dir / "gen.json"
+    pmap.write_text(json.dumps(config))
+    argv = ["run", str(fuzz_dir / program), "--peripheral-map", str(pmap)]
+    assert dispatch_quietly(argv) in {0, 2, 3, 4}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rv32mc import (
@@ -31,9 +33,9 @@ DEMO = "addi x1, x0, 5\njal x0, 0\n"
 def test_program_and_start_end_to_end():
     sim = Simulator()
     sim.program_and_start(assemble(DEMO))
-    assert sim.mode is ControlMode.EXECUTING
+    assert sim.core.mode is ControlMode.EXECUTING
     assert sim.core.pc == 0
-    report = sim.run()
+    report = sim.core.run(sim.bus)
     assert sim.core.regs[1] == 5
     assert report.halt_reason is HaltReason.SELF_LOOP
 
@@ -41,10 +43,10 @@ def test_program_and_start_end_to_end():
 def test_program_and_start_twice_restarts():
     sim = Simulator()
     sim.program_and_start(assemble(DEMO))
-    sim.run()
+    sim.core.run(sim.bus)
     sim.program_and_start(assemble("addi x2, x0, 9\njal x0, 0\n"))
     assert sim.core.pc == 0
-    sim.run()
+    sim.core.run(sim.bus)
     assert sim.core.regs[2] == 9
     # the second image overwrote the words it covers
     assert sim.mem.read_word(0) == assemble("addi x2, x0, 9").words[0]
@@ -54,7 +56,7 @@ def test_program_and_start_empty_image_faults_at_word_zero():
     sim = Simulator()
     sim.program_and_start(MemoryImage(0, []))
     with pytest.raises(UnsupportedInstruction) as exc:
-        sim.run()
+        sim.core.run(sim.bus)
     assert exc.value.pc == 0
 
 
@@ -62,21 +64,21 @@ def test_failed_load_leaves_observation_mode():
     sim = Simulator()
     with pytest.raises(OutOfRange):
         sim.program_and_start(MemoryImage(0, [0] * 2000))
-    assert sim.mode is ControlMode.OBSERVATION
+    assert sim.core.mode is ControlMode.OBSERVATION
 
 
 def test_external_write_rejected_while_executing():
     sim = Simulator()
     sim.program_and_start(assemble(DEMO))
     with pytest.raises(WriteForbiddenInMode):
-        sim.mem.load_image(MemoryImage(0, [0]), sim.mode)
+        sim.mem.load_image(MemoryImage(0, [0]), sim.core.mode)
 
 
 def test_bring_up_reports_are_identical_across_runs():
     def fresh_report():
         sim = Simulator()
         sim.program_and_start(assemble("lw x1, 64(x0)\nsw x1, 68(x0)\njal x0, 0\n"))
-        return sim.run()
+        return sim.core.run(sim.bus)
 
     assert fresh_report() == fresh_report()
 
@@ -86,12 +88,12 @@ def test_bring_up_reports_are_identical_across_runs():
 def test_observe_returns_loaded_image():
     sim = Simulator()
     image = assemble(DEMO)
-    sim.apply_control(ie=0, reset=0, write_enable=1)
-    sim.mem.load_image(image, sim.mode)
+    sim.core.apply_control(ie=0, reset=0, write_enable=1)
+    sim.mem.load_image(image, sim.core.mode)
     result = sim.observe(0, 4 * len(image.words))
     assert list(result.words) == image.words
     assert not result.execution_stopped
-    assert sim.mode is ControlMode.PROGRAMMING  # prior mode restored
+    assert sim.core.mode is ControlMode.PROGRAMMING  # prior mode restored
 
 
 def test_observe_does_not_mutate_memory():
@@ -107,11 +109,11 @@ def test_observe_stops_executing_core_without_resume():
     sim.program_and_start(assemble(DEMO))
     result = sim.observe(0, 8)
     assert result.execution_stopped
-    assert sim.mode is ControlMode.OBSERVATION
-    held = sim.step_cycle()
+    assert sim.core.mode is ControlMode.OBSERVATION
+    held = sim.core.step_cycle(sim.bus)
     assert held.held  # still stopped until an explicit start
-    sim.apply_control(ie=1, reset=0)
-    report = sim.run()
+    sim.core.apply_control(ie=1, reset=0)
+    report = sim.core.run(sim.bus)
     assert report.halt_reason is HaltReason.SELF_LOOP
 
 
@@ -169,7 +171,7 @@ def test_device_map_validation():
 def test_firmware_mmio_pulse_train():
     sim = Simulator(peripherals=PeripheralMap.default(4096))
     sim.program_and_start(assemble(PACER))
-    report = sim.run()
+    report = sim.core.run(sim.bus)
     assert report.halt_reason is HaltReason.SELF_LOOP
     pacing = sim.peripherals.device("pacing")
     writes = pacing.writes()
@@ -185,10 +187,24 @@ def test_peripheral_isolation():
     sim = Simulator(peripherals=PeripheralMap.default(4096))
     sim.program_and_start(assemble(PACER))
     mem_after_load = list(sim.mem.words)
-    sim.run()
+    sim.core.run(sim.bus)
     # pacing stores landed in the device, not in memory
     assert sim.mem.words == mem_after_load
     assert sim.peripherals.device("pacing").writes()
+
+
+def test_device_span_does_not_allocate_registers():
+    tracemalloc.start()
+    try:
+        sim = Simulator(peripherals=PeripheralMap([Peripheral("egm", 0x1000, span=2**40)]))
+        top = 0x1000 + 2**40 - 4
+        assert sim.bus.read_word(top) == 0  # unwritten registers read 0
+        sim.bus.schedule_write(top, 0xABCD, ControlMode.EXECUTING)
+        assert sim.bus.read_word(top) == 0xABCD
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mmio_write_forbidden_in_observation():
@@ -222,7 +238,11 @@ def test_script_requires_reset_before_start():
 
 
 @pytest.mark.parametrize(
-    "line", ["bogus", "load", "run many", "observe 0", "run 1 2"]
+    "line",
+    [
+        "bogus", "load", "run many", "observe 0", "run 1 2",
+        "run -5", "observe 0 -4", "observe -4 4", "observe 2 4", "observe 0 6",
+    ],
 )
 def test_script_parse_errors(line):
     with pytest.raises(ScriptError):
@@ -243,6 +263,15 @@ def test_execute_script_end_to_end(tmp_path):
     # observe output is reloadable hex
     image = parse_hex("\n".join(out))
     assert image.words == [0x00500093, 0x0000006F]
+
+
+def test_failed_script_load_leaves_observation_mode(tmp_path):
+    (tmp_path / "big.hex").write_text("00000000\n" * 2000)  # 8000 bytes > 4 KiB
+    script = parse_script("load big.hex\n", resolve=lambda p: str(tmp_path / p))
+    sim = Simulator()
+    with pytest.raises(OutOfRange):
+        execute_script(sim, script, write=[].append)
+    assert sim.core.mode is ControlMode.OBSERVATION
 
 
 def test_script_run_counts_held_cycles(tmp_path):

@@ -123,7 +123,7 @@ def test_report_totals_match_engine():
 
     sim = Simulator()
     sim.program_and_start(assemble("lw x1, 64(x0)\nsw x1, 64(x0)\njal x0, 0\n"))
-    report = sim.run()
+    report = sim.core.run(sim.bus)
     assert report.total_cycles == sum(
         CYCLE_COST[c] * n for c, n in report.retired.items()
     )

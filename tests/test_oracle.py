@@ -11,7 +11,7 @@ from progen import random_program
 def run_both(image, max_cycles=200_000):
     sim = Simulator()
     sim.program_and_start(image)
-    report = sim.run(max_cycles=max_cycles)
+    report = sim.core.run(sim.bus, max_cycles=max_cycles)
     oracle = reference_execute(image, max_instrs=max_cycles)
     return sim, report, oracle
 

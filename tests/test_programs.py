@@ -18,14 +18,14 @@ def test_every_bundled_program_halts():
     for name, text in PROGRAMS.items():
         sim = Simulator(peripherals=PeripheralMap.default(4096))
         sim.program_and_start(assemble(text))
-        report = sim.run(max_cycles=100_000)
+        report = sim.core.run(sim.bus, max_cycles=100_000)
         assert report.halt_reason is HaltReason.SELF_LOOP, name
 
 
 def test_demo_reference_numbers():
     sim = Simulator()
     sim.program_and_start(assemble(PROGRAMS["demo"]))
-    report = sim.run()
+    report = sim.core.run(sim.bus)
     assert (report.retired_total, report.total_cycles) == (2, 8)
     assert sim.core.regs[1] == 5
 
@@ -33,13 +33,13 @@ def test_demo_reference_numbers():
 def test_timing_reference_numbers():
     sim = Simulator()
     sim.program_and_start(assemble(PROGRAMS["timing"]))
-    report = sim.run()
+    report = sim.core.run(sim.bus)
     assert (report.retired_total, report.total_cycles) == (8, 31)
 
 
 def test_pacer_reference_numbers():
     sim = Simulator(peripherals=PeripheralMap.default(4096))
     sim.program_and_start(assemble(PROGRAMS["pacer"]))
-    report = sim.run()
+    report = sim.core.run(sim.bus)
     assert (report.retired_total, report.total_cycles) == (53, 212)
     assert len(sim.peripherals.device("pacing").writes()) == 8
