@@ -32,7 +32,7 @@ from .errors import (
     UndefinedLabel,
     UnknownMnemonic,
 )
-from .isa import MNEMONIC_CLASS, InstrClass, encode, format_word, instr
+from .isa import MASK32, MNEMONIC_CLASS, InstrClass, encode, format_word, instr
 from .memory import MemoryImage
 
 _COMMENT_RE = re.compile(r"#.*|//.*")
@@ -41,6 +41,9 @@ _IDENT_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
 _REG_RE = re.compile(r"^x(3[01]|[12]?[0-9])$")
 _IMM_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|[0-9]+)$")
 _MEM_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+))\s*\(\s*(x\d+)\s*\)$")
+# Hex image lines: a word, or `@` and a word address, unsigned hex only.
+_HEX_WORD_RE = re.compile(r"[0-9a-fA-F]{1,8}")
+_HEX_ADDR_RE = re.compile(r"@[0-9a-fA-F]{1,8}")
 
 
 def _parse_reg(tok: str, line: int) -> int:
@@ -72,8 +75,8 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
     Pass 1 places statements and collects labels; pass 2 encodes.  The
     image starts at the first emitted word; `.org` gaps are zero-filled.
     """
-    if base % 4:
-        raise BadOperand(f"base address {base:#x} is not word-aligned")
+    if base % 4 or not 0 <= base <= MASK32:
+        raise BadOperand(f"base address {base:#x} is not a word-aligned 32-bit address")
 
     labels: dict[str, int] = {}
     stmts: list[_Statement] = []
@@ -221,12 +224,11 @@ def parse_hex(text: str) -> MemoryImage:
         if not line:
             continue
         if line.startswith("@"):
-            try:
-                word_addr = int(line[1:], 16)
-            except ValueError:
-                raise AsmError(f"bad address record {line!r}", line=lineno) from None
+            if not _HEX_ADDR_RE.fullmatch(line):
+                raise AsmError(f"bad address record {line!r}", line=lineno)
+            word_addr = int(line[1:], 16)
             continue
-        if not re.fullmatch(r"[0-9a-fA-F]{1,8}", line):
+        if not _HEX_WORD_RE.fullmatch(line):
             raise AsmError(f"bad hex word {line!r}", line=lineno)
         words[word_addr] = int(line, 16)
         word_addr += 1

@@ -14,6 +14,13 @@ contract.  Multi-cycle temporaries (ir, a, b, alu_out, mdr, and the
 in-flight instruction's pc) change only at cycle boundaries, and memory
 writes scheduled during a cycle commit at its end.
 
+Each Core builds a table with one handler per FSM state; a handler does
+that state's work and returns the next state, and returning to Fetch
+retires the instruction.  One private clock advances a cycle through the
+table.  A TraceRecord is built around it only when someone reads one:
+`step_cycle` and a traced `Core.run`.  An untraced run, instruction
+stepping and the bring-up harness clock the core without records.
+
 reference_execute is a deliberately separate functional model - one
 instruction per step, no FSM, no cycle accounting, its own operator
 semantics - used to cross-check the engine's architectural effects.
@@ -27,7 +34,7 @@ from typing import Callable, Protocol
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
-from .isa import MASK32, DecodedInstruction, InstrClass, decode, format_word, s32, u32
+from .isa import MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass, decode, format_word, s32, u32
 from .memory import DEFAULT_MEM_SIZE, MemoryImage
 from .metrics import HaltReason, RunReport
 
@@ -55,33 +62,59 @@ class FsmState(enum.Enum):
     BRANCH_COMPLETION = "branch_completion"
     JUMP_LINK = "jump_link"
 
+    # Members are singletons compared by identity, so identity is a valid
+    # hash.  Enum's own hashes the name in Python, and the clock looks a
+    # state up in the handler table on every cycle.
+    __hash__ = object.__hash__
 
+
+# Members read on every cycle, bound once: an enum member read through
+# its class costs a Python-level lookup.
+_FETCH = FsmState.FETCH
+_DECODE = FsmState.DECODE
+_EXECUTE = FsmState.EXECUTE
+_ALU_WRITEBACK = FsmState.ALU_WRITEBACK
+_MEM_ADDR = FsmState.MEM_ADDR
+_MEM_READ = FsmState.MEM_READ
+_LOAD_WRITEBACK = FsmState.LOAD_WRITEBACK
+_MEM_WRITE = FsmState.MEM_WRITE
+_BRANCH_COMPLETION = FsmState.BRANCH_COMPLETION
+_JUMP_LINK = FsmState.JUMP_LINK
+_EXECUTING = ControlMode.EXECUTING
+_R_ALU = InstrClass.R_ALU
+_LOAD = InstrClass.LOAD
+_CONTROL_CLASSES = (InstrClass.JUMP, InstrClass.BRANCH)
+
+# State after Decode, by mnemonic (string keys hash in C).
 _AFTER_DECODE = {
-    InstrClass.R_ALU: FsmState.EXECUTE,
-    InstrClass.I_ALU: FsmState.EXECUTE,
-    InstrClass.LOAD: FsmState.MEM_ADDR,
-    InstrClass.STORE: FsmState.MEM_ADDR,
-    InstrClass.BRANCH: FsmState.BRANCH_COMPLETION,
-    InstrClass.JUMP: FsmState.JUMP_LINK,
+    m: {
+        InstrClass.R_ALU: _EXECUTE,
+        InstrClass.I_ALU: _EXECUTE,
+        InstrClass.LOAD: _MEM_ADDR,
+        InstrClass.STORE: _MEM_ADDR,
+        InstrClass.BRANCH: _BRANCH_COMPLETION,
+        InstrClass.JUMP: _JUMP_LINK,
+    }[cls]
+    for m, cls in MNEMONIC_CLASS.items()
 }
 
-# I-type ALU ops reuse the R-type operator with the immediate as operand b.
-_I_TO_R = {
-    "addi": "add", "slti": "slt", "sltiu": "sltu", "xori": "xor",
-    "ori": "or", "andi": "and", "slli": "sll", "srli": "srl", "srai": "sra",
-}
-
+# ALU operator by mnemonic; an I-type op takes its immediate as operand b.
+# Operands are 32-bit unsigned register values.
 _ALU_OPS: dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: u32(a + b),
-    "sub": lambda a, b: u32(a - b),
-    "sll": lambda a, b: u32(a << (b & 31)),
-    "slt": lambda a, b: int(s32(a) < s32(b)),
-    "sltu": lambda a, b: int(u32(a) < u32(b)),
-    "xor": lambda a, b: u32(a ^ b),
-    "srl": lambda a, b: u32(a) >> (b & 31),
-    "sra": lambda a, b: u32(s32(a) >> (b & 31)),
-    "or": lambda a, b: u32(a | b),
-    "and": lambda a, b: u32(a & b),
+    m: op
+    for names, op in (
+        ("add addi", lambda a, b: (a + b) & MASK32),
+        ("sub", lambda a, b: (a - b) & MASK32),
+        ("sll slli", lambda a, b: (a << (b & 31)) & MASK32),
+        ("slt slti", lambda a, b: int(s32(a) < s32(b))),
+        ("sltu sltiu", lambda a, b: int(a < b)),
+        ("xor xori", lambda a, b: a ^ b),
+        ("srl srli", lambda a, b: a >> (b & 31)),
+        ("sra srai", lambda a, b: (s32(a) >> (b & 31)) & MASK32),
+        ("or ori", lambda a, b: a | b),
+        ("and andi", lambda a, b: a & b),
+    )
+    for m in names.split()
 }
 
 
@@ -139,14 +172,13 @@ HaltPolicy = Callable[["Core", DecodedInstruction], bool]
 
 def self_loop_halt(core: "Core", ins: DecodedInstruction) -> bool:
     """A retired jump or taken branch that lands on itself parks the core."""
-    if ins.cls not in (InstrClass.JUMP, InstrClass.BRANCH):
-        return False
-    return core.pc == core.instr_pc
+    return core.pc == core.instr_pc and ins.cls in _CONTROL_CLASSES
 
 
 class Core:
     def __init__(self) -> None:
         self.regs = RegisterFile()
+        self._regs = self.regs._regs  # the engine's direct view; it guards x0 itself
         self.pc = 0
         self.fsm = FsmState.FETCH
         self.mode = ControlMode.OBSERVATION  # power-on: IE low, writes disabled
@@ -160,6 +192,20 @@ class Core:
         self.cycle_count = 0
         self.retired_count = 0
         self.held_cycles = 0
+        # One handler per FSM state: it does that state's work for one
+        # cycle and returns the next state.
+        self._handlers: dict[FsmState, Callable[[Bus], FsmState]] = {
+            _FETCH: self._fetch,
+            _DECODE: self._decode,
+            _EXECUTE: self._execute,
+            _ALU_WRITEBACK: self._alu_writeback,
+            _MEM_ADDR: self._mem_addr,
+            _MEM_READ: self._mem_read,
+            _LOAD_WRITEBACK: self._load_writeback,
+            _MEM_WRITE: self._mem_write,
+            _BRANCH_COMPLETION: self._branch_completion,
+            _JUMP_LINK: self._jump_link,
+        }
 
     def apply_control(self, ie: int, reset: int, write_enable: int = 0) -> ControlMode:
         """Drive the control lines; reset clears pc, the FSM, and temporaries."""
@@ -185,109 +231,111 @@ class Core:
 
     # --- cycle-level stepping ---
 
-    def step_cycle(self, bus: Bus) -> TraceRecord:
-        """Advance one clock.  Outside executing mode the clock is held:
-        no architectural or microarchitectural state changes."""
-        if self.mode is not ControlMode.EXECUTING:
-            self.held_cycles += 1
-            pc = self.pc if self.fsm is FsmState.FETCH else self.instr_pc
-            return TraceRecord(
-                cycle=self.cycle_count,
-                mode=self.mode.value,
-                state=self.fsm.value,
-                pc=pc,
-                ir=self.ir,
-                retired=False,
-                held=True,
-            )
+    def _clock(self, bus: Bus) -> bool:
+        """Advance one clock without a record; True if an instruction retired.
 
+        Outside executing mode the clock is held: no architectural or
+        microarchitectural state changes.
+        """
+        if self.mode is not _EXECUTING:
+            self.held_cycles += 1
+            return False
         state = self.fsm
         try:
-            next_state, retired = self._exec_state(state, bus)
+            next_state = self._handlers[state](bus)
         except SimError as e:
             if e.pc is None:
-                e.pc = self.pc if state is FsmState.FETCH else self.instr_pc
+                e.pc = self.pc if state is _FETCH else self.instr_pc
             if e.state is None:
                 e.state = state.value
             raise
         self.cycle_count += 1
         bus.commit_cycle()
         self.fsm = next_state
-        if retired:
+        if next_state is _FETCH:
             self.retired_count += 1
+            return True
+        return False
+
+    def step_cycle(self, bus: Bus) -> TraceRecord:
+        """Advance one clock and describe it; a held cycle changes nothing."""
+        state, mode = self.fsm, self.mode
+        retired = self._clock(bus)
+        held = mode is not _EXECUTING
         return TraceRecord(
             cycle=self.cycle_count,
-            mode=self.mode.value,
+            mode=mode.value,
             state=state.value,
-            pc=self.instr_pc,
+            pc=self.pc if held and state is _FETCH else self.instr_pc,
             ir=self.ir,
             retired=retired,
+            held=held,
         )
 
-    def _exec_state(self, state: FsmState, bus: Bus) -> tuple[FsmState, bool]:
-        if state is FsmState.FETCH:
-            self.instr_pc = self.pc
-            self.ir = bus.read_word(self.pc)
-            self.pc = u32(self.pc + 4)
-            return FsmState.DECODE, False
+    def _fetch(self, bus: Bus) -> FsmState:
+        self.instr_pc = pc = self.pc
+        self.ir = bus.read_word(pc)
+        self.pc = (pc + 4) & MASK32
+        return _DECODE
 
-        if state is FsmState.DECODE:
-            self.decoded = decode(self.ir)
-            self.a = self.regs[self.decoded.rs1]
-            self.b = self.regs[self.decoded.rs2]
-            return _AFTER_DECODE[self.decoded.cls], False
+    def _decode(self, bus: Bus) -> FsmState:
+        d = self.decoded = decode(self.ir)
+        regs = self._regs
+        self.a = regs[d.rs1]
+        self.b = regs[d.rs2]
+        return _AFTER_DECODE[d.mnemonic]
 
+    def _execute(self, bus: Bus) -> FsmState:
         d = self.decoded
-        assert d is not None
+        rhs = self.b if d.cls is _R_ALU else d.imm & MASK32
+        self.alu_out = _ALU_OPS[d.mnemonic](self.a, rhs)
+        return _ALU_WRITEBACK
 
-        if state is FsmState.EXECUTE:
-            op = _ALU_OPS[_I_TO_R.get(d.mnemonic, d.mnemonic)]
-            rhs = self.b if d.cls is InstrClass.R_ALU else u32(d.imm)
-            self.alu_out = op(self.a, rhs)
-            return FsmState.ALU_WRITEBACK, False
+    def _alu_writeback(self, bus: Bus) -> FsmState:
+        rd = self.decoded.rd
+        if rd:
+            self._regs[rd] = self.alu_out
+        return _FETCH
 
-        if state is FsmState.ALU_WRITEBACK:
-            self.regs[d.rd] = self.alu_out
-            return FsmState.FETCH, True
+    def _mem_addr(self, bus: Bus) -> FsmState:
+        d = self.decoded
+        self.alu_out = (self.a + d.imm) & MASK32
+        return _MEM_READ if d.cls is _LOAD else _MEM_WRITE
 
-        if state is FsmState.MEM_ADDR:
-            self.alu_out = u32(self.a + d.imm)
-            return (
-                FsmState.MEM_READ if d.cls is InstrClass.LOAD else FsmState.MEM_WRITE
-            ), False
+    def _mem_read(self, bus: Bus) -> FsmState:
+        self.mdr = bus.read_word(self.alu_out)
+        return _LOAD_WRITEBACK
 
-        if state is FsmState.MEM_READ:
-            self.mdr = bus.read_word(self.alu_out)
-            return FsmState.LOAD_WRITEBACK, False
+    def _load_writeback(self, bus: Bus) -> FsmState:
+        rd = self.decoded.rd
+        if rd:
+            self._regs[rd] = self.mdr
+        return _FETCH
 
-        if state is FsmState.LOAD_WRITEBACK:
-            self.regs[d.rd] = self.mdr
-            return FsmState.FETCH, True
+    def _mem_write(self, bus: Bus) -> FsmState:
+        bus.schedule_write(self.alu_out, self.b, _EXECUTING)
+        return _FETCH
 
-        if state is FsmState.MEM_WRITE:
-            bus.schedule_write(self.alu_out, self.b, ControlMode.EXECUTING)
-            return FsmState.FETCH, True
+    def _branch_completion(self, bus: Bus) -> FsmState:
+        if self.a == self.b:
+            self.pc = (self.instr_pc + self.decoded.imm) & MASK32
+        return _FETCH
 
-        if state is FsmState.BRANCH_COMPLETION:
-            if self.a == self.b:
-                self.pc = u32(self.instr_pc + d.imm)
-            return FsmState.FETCH, True
-
-        # JUMP_LINK
-        self.alu_out = u32(self.instr_pc + 4)
-        self.pc = u32(self.instr_pc + d.imm)
-        return FsmState.ALU_WRITEBACK, False
+    def _jump_link(self, bus: Bus) -> FsmState:
+        pc = self.instr_pc
+        self.alu_out = (pc + 4) & MASK32
+        self.pc = (pc + self.decoded.imm) & MASK32
+        return _ALU_WRITEBACK
 
     # --- instruction-level stepping ---
 
     def step_instruction(self, bus: Bus) -> tuple[DecodedInstruction, int]:
         """Run cycles until one instruction retires; (instruction, cycles)."""
-        if self.mode is not ControlMode.EXECUTING:
+        if self.mode is not _EXECUTING:
             raise NotExecuting(f"core is in {self.mode.value} mode")
-        start_retired = self.retired_count
         start_cycles = self.cycle_count
-        while self.retired_count == start_retired:
-            self.step_cycle(bus)
+        while not self._clock(bus):
+            pass
         assert self.decoded is not None
         return self.decoded, self.cycle_count - start_cycles
 
@@ -302,28 +350,34 @@ class Core:
 
         Faults (unsupported instructions, memory errors) propagate with the
         pc and FSM state attached; budget exhaustion is a report outcome.
+        Records are built only for a trace sink.
         """
         if max_cycles <= 0:
             raise ValueError(f"max_cycles={max_cycles} must be positive")
-        if self.mode is not ControlMode.EXECUTING:
+        if self.mode is not _EXECUTING:
             raise NotExecuting(f"core is in {self.mode.value} mode")
+        if trace is None:
+            step = self._clock
+        else:
+            def step(bus: Bus) -> bool:
+                rec = self.step_cycle(bus)
+                trace(rec)
+                return rec.retired
         start_cycles = self.cycle_count
         start_held = self.held_cycles
-        retired: dict[InstrClass, int] = {cls: 0 for cls in InstrClass}
-        reason = None
-        while True:
-            if self.cycle_count - start_cycles >= max_cycles:
-                reason = HaltReason.CYCLE_BUDGET_EXHAUSTED
-                break
-            rec = self.step_cycle(bus)
-            if trace is not None:
-                trace(rec)
-            if rec.retired:
-                assert self.decoded is not None
-                retired[self.decoded.cls] += 1
-                if halt(self, self.decoded):
+        limit = start_cycles + max_cycles
+        by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)
+        reason = HaltReason.CYCLE_BUDGET_EXHAUSTED
+        while self.cycle_count < limit:
+            if step(bus):
+                d = self.decoded
+                by_mnemonic[d.mnemonic] += 1
+                if halt(self, d):
                     reason = HaltReason.SELF_LOOP
                     break
+        retired = {cls: 0 for cls in InstrClass}
+        for m, n in by_mnemonic.items():
+            retired[MNEMONIC_CLASS[m]] += n
         return RunReport(
             total_cycles=self.cycle_count - start_cycles,
             held_cycles=self.held_cycles - start_held,

@@ -234,7 +234,7 @@ class Simulator:
     def pulse_reset(self) -> None:
         """Assert reset across one clock edge, then release into observation."""
         self.core.apply_control(ie=0, reset=1)
-        self.core.step_cycle(self.bus)
+        self.core._clock(self.bus)
         self.stop()
 
     def start(self) -> None:
@@ -249,8 +249,9 @@ class Simulator:
         """Clock `cycles` times in the current mode; (executing, held) counts."""
         core = self.core
         c0, h0 = core.cycle_count, core.held_cycles
+        clock, bus = core._clock, self.bus
         for _ in range(cycles):
-            core.step_cycle(self.bus)
+            clock(bus)
         return core.cycle_count - c0, core.held_cycles - h0
 
     def program_and_start(self, image: MemoryImage) -> None:

@@ -9,6 +9,7 @@ raises UnsupportedInstruction, so decode∘encode round trips are exact.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import ImmediateOutOfRange, MisalignedImmediate, UnsupportedInstruction
@@ -122,8 +123,20 @@ def _sext(value: int, bits: int) -> int:
     return value
 
 
+# Distinct words `decode` remembers, least recently used dropped first.
+# Keyed by word value, so code that rewrites itself decodes the new word;
+# bounded, so an image of many distinct words or a loop that patches its
+# own immediate costs at most this many entries for the whole process.
+DECODE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode(word: int) -> DecodedInstruction:
-    """Decode a 32-bit word; total over the subset, strict outside it."""
+    """Decode a 32-bit word; total over the subset, strict outside it.
+
+    Results are cached by word (DecodedInstruction is frozen); a word
+    outside the subset is not cached and raises on every call.
+    """
     word = u32(word)
     opcode = word & 0x7F
     rd = (word >> 7) & 0x1F

@@ -186,6 +186,27 @@ def test_hex_rejects_garbage():
         parse_hex("123456789\n")
 
 
+@pytest.mark.parametrize("record", ["@-1", "@+10", "@1_0", "@0x10", "@ 10", "@", "@123456789"])
+def test_hex_address_record_is_unsigned_hex(record):
+    from rv32mc.errors import AsmError
+
+    with pytest.raises(AsmError) as exc:
+        parse_hex(f"# image\n{record}\n0000006f\n")
+    assert exc.value.line == 2
+
+
+def test_hex_address_record_takes_up_to_eight_digits():
+    assert parse_hex("@fFfFfFfF\n1\n").base_address == 4 * 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("base", [-4, 1 << 32])
+def test_base_outside_address_space_rejected(base):
+    from rv32mc.errors import BadOperand
+
+    with pytest.raises(BadOperand):
+        assemble("jal x0, 0\n", base=base)
+
+
 def test_hex_empty():
     assert parse_hex("").words == []
     assert image_to_hex(MemoryImage(0, [])) == ""

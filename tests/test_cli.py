@@ -100,6 +100,21 @@ def test_asm_error_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["run", "dis"])
+def test_signed_hex_address_record_exit_code(tmp_path, capsys, command):
+    # `@-1` would place the image at byte address -4.
+    bad = tmp_path / "bad.hex"
+    bad.write_text("@-1\n0000006f\n")
+    assert_input_error(dispatch([command, str(bad)]), capsys)
+
+
+def test_asm_negative_base_exit_code(demo_hex, tmp_path, capsys):
+    src = tmp_path / "demo.s"
+    out = tmp_path / "neg.hex"
+    assert_input_error(dispatch(["asm", str(src), "-o", str(out), "--base", "-4"]), capsys)
+    assert not out.exists()
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     assert dispatch(["dis", str(tmp_path / "nope.hex")]) == 2
     assert capsys.readouterr().err.startswith("error[dis]:")
