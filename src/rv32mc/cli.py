@@ -23,7 +23,7 @@ import os
 import sys
 
 from .asm import assemble, disassemble, load_hex_file, save_hex_file
-from .core import DEFAULT_MAX_CYCLES
+from .core import DEFAULT_MAX_CYCLES, TraceRecord
 from .errors import SimError
 from .harness import PeripheralMap, Simulator, execute_script, parse_script
 from .memory import DEFAULT_MEM_SIZE
@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FAULT = 3
 EXIT_BUDGET = 4
+
+# Trace lines written to stdout per write.  Bounded, so a consumer that
+# keeps its last few writes keeps a bounded amount of text.
+TRACE_BLOCK_LINES = 256
 
 
 def _error(kind: str, exc: object) -> None:
@@ -50,6 +54,13 @@ def _peripherals(args: argparse.Namespace) -> PeripheralMap:
         return PeripheralMap.default(args.mem_size)
     with open(args.peripheral_map, "r", encoding="utf-8") as f:
         return PeripheralMap.from_config(json.load(f))
+
+
+def _write_lines(lines: list[str]) -> None:
+    """Write `lines` to stdout as `print` would, in one call, and clear them."""
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
+        lines.clear()
 
 
 def _cmd_asm(args: argparse.Namespace) -> int:
@@ -77,17 +88,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         energy = EnergyModel(args.pj_per_cycle, args.freq_hz)
         image = load_hex_file(args.image)
         sim = Simulator(args.mem_size, _peripherals(args))
+        sim.program_and_start(image)
     except (OSError, ValueError, RecursionError, SimError) as e:  # RecursionError: deep JSON
         _error("input", e)
         return EXIT_INPUT
 
+    block: list[str] = []
     trace = None
     if args.trace:
-        trace = lambda rec: print(rec.as_csv())
+        def trace(rec: TraceRecord) -> None:
+            block.append(rec.as_csv())
+            if len(block) == TRACE_BLOCK_LINES:
+                _write_lines(block)
 
     try:
-        sim.program_and_start(image)
-        report = sim.core.run(sim.bus, max_cycles=args.max_cycles, trace=trace)
+        try:
+            report = sim.core.run(sim.bus, max_cycles=args.max_cycles, trace=trace)
+        finally:
+            _write_lines(block)  # the lines before a fault, too
     except ValueError as e:  # --max-cycles, refused by Core.run before the first fetch
         _error("input", e)
         return EXIT_INPUT

@@ -11,6 +11,10 @@ class ControlMode(enum.Enum):
     EXECUTING = "executing"        # IE=1, reset=0
     OBSERVATION = "observation"    # IE=0, writes disabled; memory read-only
 
+    # Singletons compared by identity, so identity is a valid hash (Enum's
+    # own hashes the name in Python); a traced cycle looks its mode up.
+    __hash__ = object.__hash__
+
 
 def mode_from_lines(ie: int, reset: int, write_enable: int) -> ControlMode:
     """Reset dominates, then IE, then the external write enable."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
@@ -85,6 +85,10 @@ _R_ALU = InstrClass.R_ALU
 _LOAD = InstrClass.LOAD
 _CONTROL_CLASSES = (InstrClass.JUMP, InstrClass.BRANCH)
 
+# Trace names of states and modes, keyed by member: `.value` is a
+# Python-level descriptor, and a traced run reads two names per cycle.
+_NAME = {m: m.value for m in (*FsmState, *ControlMode)}
+
 # State after Decode, by mnemonic (string keys hash in C).
 _AFTER_DECODE = {
     m: {
@@ -135,8 +139,9 @@ class RegisterFile:
         return tuple(self._regs)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One clock cycle as the trace shows it; a tuple, so it is immutable."""
+
     cycle: int
     mode: str
     state: str
@@ -150,10 +155,8 @@ class TraceRecord:
         return format_word(self.ir)
 
     def as_csv(self) -> str:
-        return (
-            f"{self.cycle},{self.mode},{self.state},"
-            f"{self.pc:08x},{self.ir:08x},{self.disasm},{int(self.retired)}"
-        )
+        cycle, mode, state, pc, ir, retired, _ = self
+        return f"{cycle},{mode},{state},{pc:08x},{ir:08x},{format_word(ir)},{retired:d}"
 
 
 @dataclass(frozen=True)
@@ -263,13 +266,13 @@ class Core:
         retired = self._clock(bus)
         held = mode is not _EXECUTING
         return TraceRecord(
-            cycle=self.cycle_count,
-            mode=mode.value,
-            state=state.value,
-            pc=self.pc if held and state is _FETCH else self.instr_pc,
-            ir=self.ir,
-            retired=retired,
-            held=held,
+            self.cycle_count,
+            _NAME[mode],
+            _NAME[state],
+            self.pc if held and state is _FETCH else self.instr_pc,
+            self.ir,
+            retired,
+            held,
         )
 
     def _fetch(self, bus: Bus) -> FsmState:

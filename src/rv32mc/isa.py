@@ -214,8 +214,14 @@ def format_instruction(ins: DecodedInstruction) -> str:
     return f"{m} x{ins.rd}, {ins.imm}"
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def format_word(word: int) -> str:
-    """Canonical text for any word; one outside the subset becomes `.word`."""
+    """Canonical text for any word; one outside the subset becomes `.word`.
+
+    Cached by word value within the same bound as `decode`: a trace
+    renders the same `ir` on each cycle of its instruction, and code that
+    rewrites itself renders the new word.
+    """
     try:
         return format_instruction(decode(word))
     except UnsupportedInstruction:

@@ -108,6 +108,15 @@ def test_signed_hex_address_record_exit_code(tmp_path, capsys, command):
     assert_input_error(dispatch([command, str(bad)]), capsys)
 
 
+def test_image_beyond_memory_exit_code(tmp_path, capsys):
+    # Parses, but its one word lands at 0x1000, past the default 4 KiB memory.
+    far = tmp_path / "far.hex"
+    far.write_text("@400\n0000006f\n")
+    code = dispatch(["run", str(far)])
+    assert capsys.readouterr().err.startswith("error[input]:")
+    assert code == 2
+
+
 def test_asm_negative_base_exit_code(demo_hex, tmp_path, capsys):
     src = tmp_path / "demo.s"
     out = tmp_path / "neg.hex"

@@ -7,6 +7,7 @@ from rv32mc import (
     FsmState,
     HaltReason,
     MemoryImage,
+    TraceRecord,
     UnifiedMemory,
     assemble,
     encode,
@@ -277,6 +278,15 @@ def test_runs_are_deterministic():
         return lines
 
     assert trace_csv() == trace_csv()
+
+
+def test_trace_record_is_immutable_and_not_held_by_default():
+    rec = TraceRecord(4, "executing", "alu_writeback", 0, 0x00500093, True)
+    assert rec.held is False
+    for field in ("cycle", "mode", "state", "pc", "ir", "retired", "held"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0)
+    assert rec.as_csv() == "4,executing,alu_writeback,00000000,00500093,addi x1, x0, 5,1"
 
 
 # --- invariants ---

@@ -1,11 +1,11 @@
-"""`isa.decode` caches by word value, within a fixed bound."""
+"""`isa.decode` and `isa.format_word` cache by word value, within a fixed bound."""
 
 import pytest
 
 from rv32mc import ControlMode, Core, HaltReason, MemoryImage, UnifiedMemory, assemble, decode
 from rv32mc import encode, instr, reference_execute
 from rv32mc.errors import UnsupportedInstruction
-from rv32mc.isa import DECODE_CACHE_SIZE
+from rv32mc.isa import DECODE_CACHE_SIZE, format_word
 
 # Rewrites the immediate of its own `addi` before every pass: the word at
 # `patch` is fetched as a different word each iteration, in plain memory.
@@ -66,3 +66,21 @@ def test_cache_stays_within_its_bound():
 @pytest.mark.parametrize("word", [0x00500093, 0x0000006F, 0xFE000EE3])
 def test_words_equal_modulo_2_32_decode_equal(word):
     assert decode(word) == decode(word + 2**32)
+
+
+def test_patched_addi_renders_its_new_immediate_each_pass():
+    core, mem = started(assemble(SELF_PATCHING))
+    shown = []
+    core.run(mem, trace=lambda rec: rec.pc == 12 and rec.retired and shown.append(rec.disasm))
+    assert shown == [f"addi x4, x4, {k}" for k in range(10)]
+
+
+def test_unsupported_word_renders_as_data_every_time():
+    for _ in range(3):
+        assert format_word(0xFFFFFFFF) == ".word 0xFFFFFFFF"
+
+
+def test_format_word_cache_stays_within_its_bound():
+    for k in range(DECODE_CACHE_SIZE + 100):
+        format_word(encode(instr("addi", rd=k % 32, rs1=0, imm=k // 32)))
+    assert format_word.cache_info().currsize <= DECODE_CACHE_SIZE
