@@ -18,11 +18,9 @@ from .core import (
     RegisterFile,
     TraceRecord,
     reference_execute,
-    self_loop_halt,
 )
 from .errors import SimError
 from .harness import (
-    BringUpScript,
     ObserveResult,
     Peripheral,
     PeripheralMap,
@@ -57,10 +55,10 @@ __all__ = [
     "assemble", "disassemble", "image_to_hex", "load_hex_file", "parse_hex",
     "save_hex_file", "ControlMode", "Core", "CoreSnapshot", "FsmState",
     "OracleResult", "RegisterFile", "TraceRecord", "reference_execute",
-    "self_loop_halt", "SimError", "BringUpScript", "ObserveResult",
-    "Peripheral", "PeripheralMap", "Simulator", "SystemBus", "execute_script",
-    "parse_script", "CYCLE_COST", "DecodedInstruction", "InstrClass",
-    "decode", "encode", "instr", "MemoryImage", "UnifiedMemory",
+    "SimError", "ObserveResult", "Peripheral", "PeripheralMap", "Simulator",
+    "SystemBus", "execute_script", "parse_script", "CYCLE_COST",
+    "DecodedInstruction", "InstrClass", "decode", "encode", "instr",
+    "MemoryImage", "UnifiedMemory",
     "EnergyModel", "HaltReason", "RunReport", "attach_metrics", "compute_cpi",
     "estimate_energy", "render_kv", "render_text",
 ]

@@ -130,12 +130,7 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
             emitted[st.addr] = value & 0xFFFFFFFF
         else:
             emitted[st.addr] = _encode_statement(st, labels)
-
-    if not emitted:
-        return MemoryImage(base, [])
-    lo = min(emitted)
-    hi = max(emitted)
-    return MemoryImage(lo, [emitted.get(a, 0) for a in range(lo, hi + 4, 4)])
+    return MemoryImage.gather(emitted, base)
 
 
 def _encode_statement(st: _Statement, labels: dict[str, int]) -> int:
@@ -218,7 +213,7 @@ def image_to_hex(image: MemoryImage) -> str:
 def parse_hex(text: str) -> MemoryImage:
     """Inverse of image_to_hex; sparse records are zero-filled between."""
     words: dict[int, int] = {}
-    word_addr = 0
+    addr = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT_RE.sub("", raw).strip()
         if not line:
@@ -226,16 +221,13 @@ def parse_hex(text: str) -> MemoryImage:
         if line.startswith("@"):
             if not _HEX_ADDR_RE.fullmatch(line):
                 raise AsmError(f"bad address record {line!r}", line=lineno)
-            word_addr = int(line[1:], 16)
+            addr = int(line[1:], 16) * 4
             continue
         if not _HEX_WORD_RE.fullmatch(line):
             raise AsmError(f"bad hex word {line!r}", line=lineno)
-        words[word_addr] = int(line, 16)
-        word_addr += 1
-    if not words:
-        return MemoryImage(0, [])
-    lo, hi = min(words), max(words)
-    return MemoryImage(lo * 4, [words.get(a, 0) for a in range(lo, hi + 1)])
+        words[addr] = int(line, 16)
+        addr += 4
+    return MemoryImage.gather(words, 0)
 
 
 def load_hex_file(path: str) -> MemoryImage:

@@ -116,11 +116,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     attach_metrics(report, energy)
     rendered = render_kv(report) if args.format == "kv" else render_text(report)
     print(rendered)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write(rendered + "\n")
-    if args.dump_mem:
-        save_hex_file(args.dump_mem, sim.mem.dump_image())
+    try:
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as f:
+                f.write(rendered + "\n")
+        if args.dump_mem:
+            save_hex_file(args.dump_mem, sim.mem.dump_image())
+    except OSError as e:  # an unwritable --report or --dump-mem path
+        _error("output", e)
+        return EXIT_INPUT
 
     if report.halt_reason is HaltReason.CYCLE_BUDGET_EXHAUSTED:
         _error("budget", f"no halt within {args.max_cycles} cycles")
@@ -141,6 +145,9 @@ def _cmd_script(args: argparse.Namespace) -> int:
                 f.read(),
                 resolve=lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p),
             )
+        for step in script:  # an image that does not fit is input, as for `run`
+            if step.command == "load":
+                sim.mem.check_fits(step.args[0])
     except (OSError, ValueError, SimError) as e:
         _error("script", e)
         return EXIT_INPUT

@@ -170,31 +170,10 @@ class CoreSnapshot:
     held_cycles: int
 
 
-HaltPolicy = Callable[["Core", DecodedInstruction], bool]
-
-
-def self_loop_halt(core: "Core", ins: DecodedInstruction) -> bool:
-    """A retired jump or taken branch that lands on itself parks the core."""
-    return core.pc == core.instr_pc and ins.cls in _CONTROL_CLASSES
-
-
 class Core:
     def __init__(self) -> None:
         self.regs = RegisterFile()
         self._regs = self.regs._regs  # the engine's direct view; it guards x0 itself
-        self.pc = 0
-        self.fsm = FsmState.FETCH
-        self.mode = ControlMode.OBSERVATION  # power-on: IE low, writes disabled
-        self.ir = 0
-        self.decoded: DecodedInstruction | None = None
-        self.a = 0
-        self.b = 0
-        self.alu_out = 0
-        self.mdr = 0
-        self.instr_pc = 0
-        self.cycle_count = 0
-        self.retired_count = 0
-        self.held_cycles = 0
         # One handler per FSM state: it does that state's work for one
         # cycle and returns the next state.
         self._handlers: dict[FsmState, Callable[[Bus], FsmState]] = {
@@ -209,6 +188,9 @@ class Core:
             _BRANCH_COMPLETION: self._branch_completion,
             _JUMP_LINK: self._jump_link,
         }
+        # Power-on: reset, then IE low with writes disabled (observation).
+        self.apply_control(ie=0, reset=1)
+        self.apply_control(ie=0, reset=0)
 
     def apply_control(self, ie: int, reset: int, write_enable: int = 0) -> ControlMode:
         """Drive the control lines; reset clears pc, the FSM, and temporaries."""
@@ -217,7 +199,7 @@ class Core:
             self.pc = 0
             self.fsm = FsmState.FETCH
             self.ir = self.a = self.b = self.alu_out = self.mdr = self.instr_pc = 0
-            self.decoded = None
+            self.decoded: DecodedInstruction | None = None
             self.cycle_count = self.retired_count = self.held_cycles = 0
         return self.mode
 
@@ -346,11 +328,13 @@ class Core:
         self,
         bus: Bus,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        halt: HaltPolicy = self_loop_halt,
         trace: Callable[[TraceRecord], None] | None = None,
     ) -> RunReport:
-        """Step until the halt policy fires or the cycle budget is spent.
+        """Step until the core parks itself or the cycle budget is spent.
 
+        The halt rule: the core parks when a retired jump or taken branch
+        lands on its own address (`jal x0, 0`, `beq x0, x0, 0`).
+        `reference_execute` applies the same rule, written out separately.
         Faults (unsupported instructions, memory errors) propagate with the
         pc and FSM state attached; budget exhaustion is a report outcome.
         Records are built only for a trace sink.
@@ -375,7 +359,7 @@ class Core:
             if step(bus):
                 d = self.decoded
                 by_mnemonic[d.mnemonic] += 1
-                if halt(self, d):
+                if self.pc == self.instr_pc and d.cls in _CONTROL_CLASSES:
                     reason = HaltReason.SELF_LOOP
                     break
         retired = {cls: 0 for cls in InstrClass}
@@ -403,11 +387,11 @@ class OracleResult:
 
 def reference_execute(
     image: MemoryImage,
-    entry: int = 0,
     max_instrs: int = 1_000_000,
     mem_size: int = DEFAULT_MEM_SIZE,
 ) -> OracleResult:
-    """One-instruction-per-step functional model over a fresh flat memory.
+    """One-instruction-per-step functional model over a fresh flat memory,
+    starting at pc 0 as the core does out of reset.
 
     Semantics are written out longhand on purpose: this is the second,
     independent route for every architectural effect the FSM engine
@@ -421,7 +405,7 @@ def reference_execute(
         words[idx] = u32(w)
 
     regs = [0] * 32
-    pc = entry
+    pc = 0
     retired = 0
     halted = False
 

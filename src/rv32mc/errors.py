@@ -91,27 +91,23 @@ class BranchTargetMisaligned(AsmError):
 
 # --- memory and bus ---
 
-class MemoryAccessError(SimError):
+class MisalignedAccess(SimError):
     pass
 
 
-class MisalignedAccess(MemoryAccessError):
+class OutOfRange(SimError):
     pass
 
 
-class OutOfRange(MemoryAccessError):
+class WriteForbiddenInMode(SimError):
     pass
 
 
-class WriteForbiddenInMode(MemoryAccessError):
-    pass
-
-
-class DoubleWritePerCycle(MemoryAccessError):
+class DoubleWritePerCycle(SimError):
     """Second write scheduled before the cycle boundary; single write port."""
 
 
-class UnmappedAddress(MemoryAccessError):
+class UnmappedAddress(SimError):
     """Address beyond memory that falls in no peripheral's range."""
 
 

@@ -41,10 +41,6 @@ from .memory import DEFAULT_MEM_SIZE, MemoryImage, UnifiedMemory
 DEVICE_NAMES = ("pacing", "sensing", "egm", "telemetry", "battery")
 DEVICE_SPAN = 16
 
-REG_CONTROL = 0x0
-REG_STATUS = 0x4
-REG_DATA = 0x8
-
 
 @dataclass(frozen=True)
 class AccessRecord:
@@ -151,10 +147,7 @@ class SystemBus:
     """Routes word accesses to memory or, above it, to the peripheral map."""
 
     def __init__(
-        self,
-        mem: UnifiedMemory,
-        peripherals: PeripheralMap | None = None,
-        clock: Callable[[], int] = lambda: 0,
+        self, mem: UnifiedMemory, peripherals: PeripheralMap | None, clock: Callable[[], int]
     ):
         self.mem = mem
         self.peripherals = peripherals
@@ -293,11 +286,6 @@ class Step:
     text: str  # the command as written, echoed by `load`
 
 
-@dataclass
-class BringUpScript:
-    steps: list[Step]
-
-
 def _echo_observe(step: Step, result: ObserveResult) -> str:
     lines = [f"# observe 0x{step.args[0]:08x} +{step.args[1]}"]
     if result.execution_stopped:
@@ -326,7 +314,7 @@ def _script_int(tok: str, lineno: int) -> int:
     return value
 
 
-def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> BringUpScript:
+def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> list[Step]:
     """Parse and check script text; `resolve` maps hex file names to paths.
 
     Every input error is raised here as ScriptError (or the image's own
@@ -354,13 +342,13 @@ def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> Brin
             raise ScriptError("start before any reset", line=lineno)
         reset_seen = reset_seen or cmd == "reset"
         steps.append(Step(cmd, values, " ".join([cmd, *args])))
-    return BringUpScript(steps)
+    return steps
 
 
 def execute_script(
-    sim: Simulator, script: BringUpScript, write: Callable[[str], None] = print
+    sim: Simulator, script: list[Step], write: Callable[[str], None] = print
 ) -> None:
     """Run a parsed script; observation output is reloadable hex."""
-    for step in script.steps:
+    for step in script:
         _, primitive, echo = _COMMANDS[step.command]
         write(echo(step, getattr(sim, primitive)(*step.args)))

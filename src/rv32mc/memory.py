@@ -4,6 +4,9 @@ Reads are asynchronous: they return the committed contents immediately.
 Writes are synchronous: schedule_write records at most one pending write,
 which commit_cycle applies at the cycle boundary.  Writes are gated by the
 control mode, so observation mode can never mutate memory.
+
+MemoryImage is the one place an image's layout is decided: the assembler
+and the hex reader both hand it their words by address.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import (
     OutOfRange,
     WriteForbiddenInMode,
 )
-from .isa import u32
+from .isa import MASK32, u32
 
 DEFAULT_MEM_SIZE = 4096  # bytes
 
@@ -28,6 +31,15 @@ class MemoryImage:
 
     base_address: int
     words: list[int] = field(default_factory=list)
+
+    @classmethod
+    def gather(cls, words: dict[int, int], base: int) -> MemoryImage:
+        """One block from the lowest to the highest byte address in `words`
+        (address -> word), gaps zero-filled; empty at `base` if none."""
+        if not words:
+            return cls(base, [])
+        lo, hi = min(words), max(words)
+        return cls(lo, [words.get(a, 0) for a in range(lo, hi + 4, 4)])
 
     @property
     def end_address(self) -> int:
@@ -67,10 +79,8 @@ class UnifiedMemory:
             self.words[addr >> 2] = value
             self.pending_write = None
 
-    def load_image(self, image: MemoryImage, mode: ControlMode) -> int:
-        """Write a whole image, one word per clock; programming mode only."""
-        if mode is not ControlMode.PROGRAMMING:
-            raise WriteForbiddenInMode(f"image load while in {mode.value} mode")
+    def check_fits(self, image: MemoryImage) -> None:
+        """Raise unless the image is word-aligned and lies inside memory."""
         if image.base_address % 4:
             raise MisalignedAccess("image base must be word-aligned", addr=image.base_address)
         if image.words and not 0 <= image.base_address <= self.size_bytes - 4 * len(image.words):
@@ -79,9 +89,16 @@ class UnifiedMemory:
                 f"beyond {self.size_bytes}-byte memory",
                 addr=image.base_address,
             )
-        for k, value in enumerate(image.words):
-            self.schedule_write(image.base_address + 4 * k, value, mode)
-            self.commit_cycle()
+
+    def load_image(self, image: MemoryImage, mode: ControlMode) -> int:
+        """Write a whole image through the free write port; programming mode only."""
+        if mode is not ControlMode.PROGRAMMING:
+            raise WriteForbiddenInMode(f"image load while in {mode.value} mode")
+        self.check_fits(image)
+        if image.words and self.pending_write is not None:
+            raise DoubleWritePerCycle("write port already claimed this cycle", addr=image.base_address)
+        start = image.base_address >> 2
+        self.words[start:start + len(image.words)] = [w & MASK32 for w in image.words]
         return len(image.words)
 
     def dump_image(self, start: int = 0, count: int | None = None) -> MemoryImage:

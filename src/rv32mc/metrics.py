@@ -4,7 +4,7 @@ CPI is exact rational arithmetic over retired instructions.  Energy is a
 first-order cycles-times-constant model: the defaults are 17.18 pJ/cycle
 at a 50 MHz clock, which work out to 859 uW of average power under the
 continuous-execution assumption.  Held (non-executing) cycles are reported
-separately and only enter the energy total under the opt-in always-on flag.
+separately and never enter the energy total.
 """
 
 from __future__ import annotations
@@ -61,21 +61,16 @@ def compute_cpi(report: RunReport) -> Fraction:
     return Fraction(report.total_cycles, retired)
 
 
-def estimate_energy(
-    report: RunReport, model: EnergyModel, always_on: bool = False
-) -> tuple[float, float]:
-    """(energy in pJ, average power in uW at the model's frequency)."""
-    cycles = report.total_cycles + (report.held_cycles if always_on else 0)
-    energy_pj = cycles * model.pj_per_cycle
+def estimate_energy(report: RunReport, model: EnergyModel) -> tuple[float, float]:
+    """(energy in pJ over executing cycles, average power in uW at the model's frequency)."""
+    energy_pj = report.total_cycles * model.pj_per_cycle
     avg_power_uw = model.pj_per_cycle * model.freq_hz * 1e-6
     return energy_pj, avg_power_uw
 
 
-def attach_metrics(
-    report: RunReport, model: EnergyModel, always_on: bool = False
-) -> RunReport:
+def attach_metrics(report: RunReport, model: EnergyModel) -> RunReport:
     report.cpi = compute_cpi(report) if report.retired_total else None
-    report.energy_pj, report.avg_power_uw = estimate_energy(report, model, always_on)
+    report.energy_pj, report.avg_power_uw = estimate_energy(report, model)
     return report
 
 

@@ -117,6 +117,29 @@ def test_image_beyond_memory_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--report", "--dump-mem"])
+def test_unwritable_output_path_exit_code(demo_hex, tmp_path, capsys, flag):
+    code = dispatch(["run", str(demo_hex), flag, str(tmp_path / "missing" / "out.txt")])
+    captured = capsys.readouterr()
+    assert "final pc       : 0x00000004" in captured.out  # the report still prints
+    assert captured.err.startswith("error[output]:") and captured.err.count("\n") == 1
+    assert code == 2
+
+
+def test_script_image_beyond_memory_exit_code(tmp_path, capsys):
+    # 2000 words are 8000 bytes, past the default 4 KiB memory; `run` of the
+    # same image is an input error, and so is a script that loads it.
+    (tmp_path / "big.hex").write_text("00000000\n" * 2000)
+    script = tmp_path / "big.txt"
+    script.write_text("run 1\nload big.hex\n")
+    code = dispatch(["script", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == ""  # found before the first step runs
+    assert captured.err.startswith("error[script]:") and captured.err.count("\n") == 1
+    assert code == 2
+    assert dispatch(["run", str(tmp_path / "big.hex")]) == 2
+
+
 def test_asm_negative_base_exit_code(demo_hex, tmp_path, capsys):
     src = tmp_path / "demo.s"
     out = tmp_path / "neg.hex"

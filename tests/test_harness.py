@@ -228,7 +228,7 @@ stop
 observe 0x0 8
 """
     script = parse_script(text, resolve=lambda p: str(tmp_path / p))
-    assert len(script.steps) == 6
+    assert len(script) == 6
 
 
 def test_script_requires_reset_before_start():

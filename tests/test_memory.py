@@ -160,3 +160,39 @@ def test_observation_never_mutates(addrs):
             mem.schedule_write(a * 4, 0, OBS)
         mem.commit_cycle()
     assert mem.words == before
+
+
+def test_load_image_with_pending_write_raises_and_changes_nothing():
+    mem = UnifiedMemory()
+    mem.schedule_write(0x40, 9, PROG)
+    with pytest.raises(DoubleWritePerCycle):
+        mem.load_image(MemoryImage(0, [1, 2, 3]), PROG)
+    assert mem.words == [0] * 1024
+    mem.commit_cycle()
+    assert mem.read_word(0x40) == 9
+
+
+def test_load_image_masks_words_to_32_bits():
+    mem = UnifiedMemory()
+    mem.load_image(MemoryImage(0, [-1, 2**32 + 5]), PROG)
+    assert (mem.read_word(0), mem.read_word(4)) == (0xFFFFFFFF, 5)
+
+
+def test_image_ending_on_last_word_loads():
+    mem = UnifiedMemory(4096)
+    assert mem.load_image(MemoryImage(4088, [7, 8]), PROG) == 2
+    assert (mem.read_word(4088), mem.read_word(4092)) == (7, 8)
+    assert mem.words[:1022] == [0] * 1022
+
+
+@pytest.mark.parametrize("base", [0, 4092, 4096, 0x10000, 2**32 - 4])
+def test_empty_image_loads_at_any_aligned_base(base):
+    mem = UnifiedMemory(4096)
+    assert mem.load_image(MemoryImage(base, []), PROG) == 0
+    assert mem.words == [0] * 1024
+
+
+def test_gather_zero_fills_between_lowest_and_highest_address():
+    image = MemoryImage.gather({0x18: 3, 0x10: 1}, 0)
+    assert (image.base_address, image.words) == (0x10, [1, 0, 3])
+    assert MemoryImage.gather({}, 0x40) == MemoryImage(0x40, [])

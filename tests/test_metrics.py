@@ -91,7 +91,6 @@ def test_held_cycles_energy_opt_in():
     model = EnergyModel(pj_per_cycle=2.0, freq_hz=1e6)
     report = make_report({InstrClass.JUMP: 1}, 4, held=6)
     assert estimate_energy(report, model)[0] == 8.0
-    assert estimate_energy(report, model, always_on=True)[0] == 20.0
 
 
 def test_model_validation():
