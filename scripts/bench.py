@@ -1,0 +1,202 @@
+"""Compare two revisions on the benchmark and write BENCH_<n>.json.
+
+    python3 scripts/bench.py --parent HEAD --change WORKTREE --out BENCH_6.json \\
+        --seeds 6001 6002 6003 6004 6005 6006 6007 6008 6009 6010 --trace-seed 6099
+
+Each revision is exported into its own directory under a temporary
+directory (`git archive`; `WORKTREE` copies the checkout's tracked and
+untracked, not ignored, files as they are now), so both sides run the
+same unmodified `perfbench/` of their own revision.  For each workload,
+pair k runs `perfbench/run.py --trace 0` once per side with the k-th
+seed, the parent first in even pairs and the change first in odd ones,
+then one `--trace 1` run per side gives the per-layer figures.
+
+The JSON holds both revisions, the Python version, `nproc`, the seeds,
+every run's metrics with `correct`/`failed`, and per end-to-end metric
+the medians with quartiles, the pair wins and a verdict against the
+bound in BENCHMARK.json:
+
+    failed          a run of either side was not correct
+    worse           the change's median is worse by more than the bound
+    better          the change wins at least 9/10 of the pairs and the
+                    medians differ by more than the parent's q3 - q1
+    unresolved      the parent's spread (q3 - q1) / median exceeds the
+                    bound and not every change run beats every parent run
+    within bound    none of these
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKTREE = "WORKTREE"
+SIDES = ("parent", "change")
+# Per-layer rates are also given relative to this one, which no change to
+# the toolchain has touched: the ratio cancels the host's drift between runs.
+REFERENCE_RATE = "asm.image_to_hex_words_per_s"
+# Length of the one traced run per side: its figures are medians over the
+# traced pipelines, and it runs for per-layer shares, not for a claim.
+TRACE_SECONDS = 10
+
+Runner = Callable[[Path, str, int, float, int], dict]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def export(rev: str, dest: Path) -> dict:
+    """Put the files of `rev` (or of the working tree) into `dest`."""
+    dest.mkdir(parents=True)
+    if rev == WORKTREE:
+        for name in _git("ls-files", "-z", "-co", "--exclude-standard").split("\0"):
+            if name and (ROOT / name).is_file():  # a deleted tracked file is listed too
+                (dest / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, dest / name)
+        return {"rev": WORKTREE, "head": _git("rev-parse", "HEAD").strip(),
+                "modified": _git("status", "--porcelain").splitlines()}
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return {"rev": rev, "commit": commit}
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One `perfbench/run.py` process; its last stdout line, or why there is none."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+                "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    return result
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median and quartiles as perfbench reports them."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def verdict(spec: dict, parent: list[float], change: list[float], ok: bool) -> dict:
+    """Medians, pair wins and the verdict of one end-to-end metric."""
+    lower = spec["better"] == "lower"
+
+    def beats(a: float, b: float) -> bool:
+        return a < b if lower else a > b
+
+    p, c = quartiles(parent), quartiles(change)
+    wins = sum(beats(b, a) for a, b in zip(parent, change))
+    worse_by = (c["median"] - p["median"]) / p["median"] * (1 if lower else -1)
+    spread = p["q3"] - p["q1"]
+    if not ok:
+        v = "failed"
+    elif worse_by > spec["bound"]:
+        v = "worse"
+    elif wins >= 0.9 * len(parent) and beats(c["median"], p["median"]) \
+            and abs(c["median"] - p["median"]) > spread:
+        v = "better"
+    elif spread / p["median"] > spec["bound"] and not all(
+            beats(b, a) for a in parent for b in change):
+        v = "unresolved"
+    else:
+        v = "within bound"
+    return {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "parent": p, "change": c, "ratio": c["median"] / p["median"],
+            "pair_wins": wins, "pairs": len(parent), "verdict": v}
+
+
+def per_layer(parent: dict[str, float], change: dict[str, float]) -> dict:
+    """Each figure of both traced runs, with change/parent and, for rates,
+    change/parent of the rate over the reference rate of the same run."""
+    out = {}
+    for name in parent:
+        p, c = parent[name], change.get(name, 0.0)
+        row = {"parent": p, "change": c, "ratio": c / p if p else None}
+        refs = parent.get(REFERENCE_RATE), change.get(REFERENCE_RATE)
+        if name.endswith("_per_s") and name != REFERENCE_RATE and p and all(refs):
+            row["ratio_to_reference"] = (c / refs[1]) / (p / refs[0])
+        out[name] = row
+    return out
+
+
+def bench_workload(spec: dict, workload: str, dirs: dict[str, Path], seeds: list[int],
+                   trace_seed: int, seconds: float, trace_seconds: float,
+                   runner: Runner = run_perfbench, log=print) -> dict:
+    """Alternating `--trace 0` pairs, one `--trace 1` run per side, summarised."""
+    runs = []
+    for k, seed in enumerate(seeds):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            result = runner(dirs[side], workload, seed, seconds, 0)
+            runs.append({"pair": k, "seed": seed, "side": side, **result})
+            log(f"{workload} pair {k} seed {seed} {side}: correct={result['correct']} "
+                + " ".join(f"{m}={v:.4g}" for m, v in result["metrics"].items()))
+    traced = {side: runner(dirs[side], workload, trace_seed, trace_seconds, 1) for side in SIDES}
+    ok = all(r["correct"] and not r["failed"] for r in [*runs, *traced.values()])
+    end_to_end = {}
+    for m in spec["end_to_end"]:
+        by_side = {side: [r["metrics"].get(m["name"], float("nan")) for r in runs if r["side"] == side]
+                   for side in SIDES}
+        end_to_end[m["name"]] = verdict(m, by_side["parent"], by_side["change"], ok)
+    return {"seeds": seeds, "trace_seed": trace_seed, "runs": runs, "end_to_end": end_to_end,
+            "traced_runs": traced,
+            "per_layer": per_layer(traced["parent"]["metrics"], traced["change"]["metrics"])}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--change", required=True, help=f"git revision, or {WORKTREE}")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json, written at the repo root")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one per pair")
+    parser.add_argument("--trace-seed", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    with tempfile.TemporaryDirectory(prefix="rv32mc-bench-") as tmp:
+        revisions = {side: export(rev, Path(tmp) / side)
+                     for side, rev in (("parent", args.parent), ("change", args.change))}
+        dirs = {side: Path(tmp) / side for side in SIDES}
+        report = {
+            "revisions": revisions,
+            "python": platform.python_version(), "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "settings": {"seconds": seconds, "trace_seconds": TRACE_SECONDS,
+                         "pairs": len(args.seeds), "order": "parent first in even pairs"},
+            "workloads": {
+                w["name"]: bench_workload(spec, w["name"], dirs, args.seeds, args.trace_seed,
+                                          seconds, TRACE_SECONDS,
+                                          log=lambda s: print(s, file=sys.stderr))
+                for w in spec["workloads"]
+            },
+        }
+    (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n")
+    for w, r in report["workloads"].items():
+        for name, m in r["end_to_end"].items():
+            print(f"{w:16s} {name:16s} {m['parent']['median']:10.4g} -> {m['change']['median']:10.4g}"
+                  f"  wins {m['pair_wins']}/{m['pairs']}  {m['verdict']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

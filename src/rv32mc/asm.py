@@ -32,41 +32,32 @@ from .errors import (
     UndefinedLabel,
     UnknownMnemonic,
 )
-from .isa import MASK32, MNEMONIC_CLASS, InstrClass, encode, format_word, instr
+from .isa import ENCODING, MASK32, encode_fields, format_word
 from .memory import MemoryImage
 
 _COMMENT_RE = re.compile(r"#.*|//.*")
 _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.]*)\s*:\s*(.*)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
-_REG_RE = re.compile(r"^x(3[01]|[12]?[0-9])$")
+_REGS = {f"x{n}": n for n in range(32)}
 _IMM_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|[0-9]+)$")
 _MEM_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+))\s*\(\s*(x\d+)\s*\)$")
 # Hex image lines: a word, or `@` and a word address, unsigned hex only.
 _HEX_WORD_RE = re.compile(r"[0-9a-fA-F]{1,8}")
 _HEX_ADDR_RE = re.compile(r"@[0-9a-fA-F]{1,8}")
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 def _parse_reg(tok: str, line: int) -> int:
-    if not _REG_RE.match(tok):
+    reg = _REGS.get(tok)
+    if reg is None:
         raise BadOperand(f"{tok!r} is not a register (x0..x31)", line=line)
-    return int(tok[1:])
+    return reg
 
 
 def _parse_imm(tok: str, line: int) -> int:
     if not _IMM_RE.match(tok):
         raise BadOperand(f"{tok!r} is not a decimal or 0x immediate", line=line)
     return int(tok, 0)
-
-
-class _Statement:
-    __slots__ = ("line", "addr", "kind", "mnemonic", "operands")
-
-    def __init__(self, line: int, kind: str, mnemonic: str, operands: list[str]):
-        self.line = line
-        self.addr = 0
-        self.kind = kind  # "instr" | "word"
-        self.mnemonic = mnemonic
-        self.operands = operands
 
 
 def assemble(source: str, base: int = 0) -> MemoryImage:
@@ -79,12 +70,14 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
         raise BadOperand(f"base address {base:#x} is not a word-aligned 32-bit address")
 
     labels: dict[str, int] = {}
-    stmts: list[_Statement] = []
+    stmts: list[tuple[int, int, str, str]] = []  # (line, address, mnemonic, operands)
     addr = base
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = _COMMENT_RE.sub("", raw).strip()
-        while text:
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        if "#" in text or "//" in text:
+            text = _COMMENT_RE.sub("", text)
+        text = text.strip()
+        while ":" in text:
             m = _LABEL_RE.match(text)
             if not m:
                 break
@@ -110,69 +103,54 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
             addr = target
             continue
 
-        if mnemonic == ".word":
-            if not rest.strip():
-                raise OperandCount(".word needs a value", line=lineno)
-            st = _Statement(lineno, "word", ".word", [rest.strip()])
-        else:
-            operands = [o.strip() for o in rest.split(",")] if rest.strip() else []
-            st = _Statement(lineno, "instr", mnemonic, operands)
-        st.addr = addr
-        stmts.append(st)
+        if mnemonic == ".word" and not rest:
+            raise OperandCount(".word needs a value", line=lineno)
+        stmts.append((lineno, addr, mnemonic, rest))
         addr += 4
 
     emitted: dict[int, int] = {}
-    for st in stmts:
-        if st.kind == "word":
-            value = _parse_imm(st.operands[0], st.line)
+    for lineno, addr, mnemonic, rest in stmts:
+        if mnemonic == ".word":
+            value = _parse_imm(rest, lineno)
             if not -(1 << 31) <= value < (1 << 32):
-                raise ImmediateOutOfRange(f".word value {value} needs more than 32 bits", line=st.line)
-            emitted[st.addr] = value & 0xFFFFFFFF
+                raise ImmediateOutOfRange(f".word value {value} needs more than 32 bits", line=lineno)
+            emitted[addr] = value & 0xFFFFFFFF
         else:
-            emitted[st.addr] = _encode_statement(st, labels)
+            emitted[addr] = _encode_statement(lineno, addr, mnemonic, rest, labels)
     return MemoryImage.gather(emitted, base)
 
 
-def _encode_statement(st: _Statement, labels: dict[str, int]) -> int:
-    m = st.mnemonic
-    if m not in MNEMONIC_CLASS:
-        raise UnknownMnemonic(f"unknown mnemonic {m!r}", line=st.line)
-    cls = MNEMONIC_CLASS[m]
-    ops = st.operands
+def _encode_statement(line: int, addr: int, m: str, rest: str, labels: dict[str, int]) -> int:
+    """Parse the operands of `m` as its operand shape writes them, then pack."""
+    if m not in ENCODING:
+        raise UnknownMnemonic(f"unknown mnemonic {m!r}", line=line)
+    shape = ENCODING[m][0]
+    ops = [o.strip() for o in rest.split(",")] if rest else []
+    n = 2 if shape in ("load", "store", "jump") else 3
+    if len(ops) != n:
+        raise OperandCount(f"{m} takes {n} operands, got {len(ops)}", line=line)
 
-    def need(n: int) -> None:
-        if len(ops) != n:
-            raise OperandCount(f"{m} takes {n} operands, got {len(ops)}", line=st.line)
-
+    rd = rs1 = rs2 = imm = 0
+    if shape == "r":
+        rd, rs1, rs2 = _parse_reg(ops[0], line), _parse_reg(ops[1], line), _parse_reg(ops[2], line)
+    elif shape == "i" or shape == "shift":
+        rd, rs1, imm = _parse_reg(ops[0], line), _parse_reg(ops[1], line), _parse_imm(ops[2], line)
+    elif shape == "load":
+        imm, rs1 = _parse_mem_operand(ops[1], line)
+        rd = _parse_reg(ops[0], line)
+    elif shape == "store":
+        imm, rs1 = _parse_mem_operand(ops[1], line)
+        rs2 = _parse_reg(ops[0], line)
+    elif shape == "branch":
+        imm = _branch_offset(ops[2], line, addr, labels)
+        rs1, rs2 = _parse_reg(ops[0], line), _parse_reg(ops[1], line)
+    else:  # jump
+        imm = _branch_offset(ops[1], line, addr, labels)
+        rd = _parse_reg(ops[0], line)
     try:
-        if cls is InstrClass.R_ALU:
-            need(3)
-            ins = instr(m, rd=_parse_reg(ops[0], st.line),
-                        rs1=_parse_reg(ops[1], st.line), rs2=_parse_reg(ops[2], st.line))
-        elif cls is InstrClass.I_ALU:
-            need(3)
-            ins = instr(m, rd=_parse_reg(ops[0], st.line),
-                        rs1=_parse_reg(ops[1], st.line), imm=_parse_imm(ops[2], st.line))
-        elif cls is InstrClass.LOAD:
-            need(2)
-            imm, rs1 = _parse_mem_operand(ops[1], st.line)
-            ins = instr(m, rd=_parse_reg(ops[0], st.line), rs1=rs1, imm=imm)
-        elif cls is InstrClass.STORE:
-            need(2)
-            imm, rs1 = _parse_mem_operand(ops[1], st.line)
-            ins = instr(m, rs2=_parse_reg(ops[0], st.line), rs1=rs1, imm=imm)
-        elif cls is InstrClass.BRANCH:
-            need(3)
-            offset = _branch_offset(ops[2], st, labels)
-            ins = instr(m, rs1=_parse_reg(ops[0], st.line),
-                        rs2=_parse_reg(ops[1], st.line), imm=offset)
-        else:  # JUMP
-            need(2)
-            offset = _branch_offset(ops[1], st, labels)
-            ins = instr(m, rd=_parse_reg(ops[0], st.line), imm=offset)
-        return encode(ins)
+        return encode_fields(m, rd, rs1, rs2, imm)
     except EncodeError as e:
-        raise type(e)(e.message, line=st.line) from e
+        raise type(e)(e.message, line=line) from e
 
 
 def _parse_mem_operand(tok: str, line: int) -> tuple[int, int]:
@@ -182,22 +160,22 @@ def _parse_mem_operand(tok: str, line: int) -> tuple[int, int]:
     return int(m.group(1), 0), _parse_reg(m.group(2), line)
 
 
-def _branch_offset(tok: str, st: _Statement, labels: dict[str, int]) -> int:
+def _branch_offset(tok: str, line: int, addr: int, labels: dict[str, int]) -> int:
     if _IMM_RE.match(tok):
         offset = int(tok, 0)
         if offset % 2:
-            raise BranchTargetMisaligned(f"odd target offset {offset}", line=st.line)
+            raise BranchTargetMisaligned(f"odd target offset {offset}", line=line)
         return offset
-    if _IDENT_RE.match(tok) and not _REG_RE.match(tok):
+    if _IDENT_RE.match(tok) and tok not in _REGS:
         if tok not in labels:
-            raise UndefinedLabel(f"label {tok!r} is not defined", line=st.line)
-        return labels[tok] - st.addr
-    raise BadOperand(f"{tok!r} is not a label or offset", line=st.line)
+            raise UndefinedLabel(f"label {tok!r} is not defined", line=line)
+        return labels[tok] - addr
+    raise BadOperand(f"{tok!r} is not a label or offset", line=line)
 
 
 def disassemble(image: MemoryImage) -> str:
     """Canonical source for an image; undecodable words become `.word`."""
-    return "".join(format_word(word) + "\n" for word in image.words)
+    return "\n".join([*map(format_word, image.words), ""])
 
 
 # --- hex image files ---
@@ -215,6 +193,10 @@ def parse_hex(text: str) -> MemoryImage:
     words: dict[int, int] = {}
     addr = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if len(raw) == 8 and not raw.strip(_HEX_DIGITS):  # a bare word, as image_to_hex writes it
+            words[addr] = int(raw, 16)
+            addr += 4
+            continue
         line = _COMMENT_RE.sub("", raw).strip()
         if not line:
             continue

@@ -145,9 +145,15 @@ def _cmd_script(args: argparse.Namespace) -> int:
                 f.read(),
                 resolve=lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p),
             )
-        for step in script:  # an image that does not fit is input, as for `run`
-            if step.command == "load":
-                sim.mem.check_fits(step.args[0])
+        for step in script:  # what does not fit memory is input, as for `run`
+            try:
+                if step.command == "load":
+                    sim.mem.check_fits(step.args[0])
+                elif step.command == "observe":
+                    sim.check_observe(*step.args)
+            except SimError as e:
+                e.line = step.line
+                raise
     except (OSError, ValueError, SimError) as e:
         _error("script", e)
         return EXIT_INPUT

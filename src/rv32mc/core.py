@@ -398,11 +398,12 @@ def reference_execute(
     produces, so it shares no ALU or state-sequencing code with it.
     """
     words = [0] * (mem_size // 4)
-    for k, w in enumerate(image.words):
-        idx = (image.base_address + 4 * k) >> 2
-        if image.base_address % 4 or not 0 <= idx < len(words):
-            raise OutOfRange("image does not fit oracle memory", addr=image.base_address + 4 * k)
-        words[idx] = u32(w)
+    base, end = image.base_address, 4 * len(words)
+    if image.words and (base % 4 or not 0 <= base <= end - 4 * len(image.words)):
+        # The first word that does not fit: the base, or the end of memory.
+        raise OutOfRange("image does not fit oracle memory",
+                         addr=base if base % 4 or not 0 <= base < end else end)
+    words[base >> 2:(base >> 2) + len(image.words)] = [u32(w) for w in image.words]
 
     regs = [0] * 32
     pc = 0
@@ -416,19 +417,24 @@ def reference_execute(
             raise OutOfRange(f"beyond {mem_size}-byte memory", addr=addr, pc=pc)
         return addr >> 2
 
+    # Classes bound once: an enum member read through its class is a
+    # Python-level lookup, and the loop tests the class of every instruction.
+    r_alu, i_alu, load, store, branch = (
+        InstrClass.R_ALU, InstrClass.I_ALU, InstrClass.LOAD, InstrClass.STORE, InstrClass.BRANCH
+    )
     while retired < max_instrs and not halted:
         word = words[mem_index(pc)]
         try:
-            d = decode(word)
+            cls, m, rd, rs1, rs2, imm = decode(word)
         except SimError as e:
             e.pc = pc
             raise
         next_pc = (pc + 4) & MASK32
-        m, a, b = d.mnemonic, regs[d.rs1], regs[d.rs2]
+        a, b = regs[rs1], regs[rs2]
 
-        if d.cls is InstrClass.R_ALU or d.cls is InstrClass.I_ALU:
-            if d.cls is InstrClass.I_ALU:
-                b = d.imm & MASK32
+        if cls is r_alu or cls is i_alu:
+            if cls is i_alu:
+                b = imm & MASK32
             if m in ("add", "addi"):
                 val = (a + b) & MASK32
             elif m == "sub":
@@ -452,22 +458,22 @@ def reference_execute(
                 val = 1 if sa < sb else 0
             else:  # sltu / sltiu
                 val = 1 if a < b else 0
-            if d.rd:
-                regs[d.rd] = val
-        elif d.cls is InstrClass.LOAD:
-            if d.rd:
-                regs[d.rd] = words[mem_index((a + d.imm) & MASK32)]
-        elif d.cls is InstrClass.STORE:
-            words[mem_index((a + d.imm) & MASK32)] = b
-        elif d.cls is InstrClass.BRANCH:
+            if rd:
+                regs[rd] = val
+        elif cls is load:
+            if rd:
+                regs[rd] = words[mem_index((a + imm) & MASK32)]
+        elif cls is store:
+            words[mem_index((a + imm) & MASK32)] = b
+        elif cls is branch:
             if a == b:
-                next_pc = (pc + d.imm) & MASK32
+                next_pc = (pc + imm) & MASK32
                 if next_pc == pc:
                     halted = True
         else:  # JUMP
-            if d.rd:
-                regs[d.rd] = (pc + 4) & MASK32
-            next_pc = (pc + d.imm) & MASK32
+            if rd:
+                regs[rd] = (pc + 4) & MASK32
+            next_pc = (pc + imm) & MASK32
             if next_pc == pc:
                 halted = True
 

@@ -253,12 +253,8 @@ class Simulator:
         self.pulse_reset()
         self.start()
 
-    def observe(self, addr: int, length: int) -> ObserveResult:
-        """Read [addr, addr+length) under observation mode.
-
-        A running core is stopped first (observation deasserts IE) and is
-        not silently resumed; any other prior mode is restored.
-        """
+    def check_observe(self, addr: int, length: int) -> None:
+        """Raise unless [addr, addr+length) is word-aligned and inside memory."""
         if addr % 4 or length % 4 or length < 0:
             raise MisalignedAccess(
                 f"observe range [{addr:#x}, +{length}) must be word-aligned", addr=addr
@@ -267,6 +263,14 @@ class Simulator:
             raise OutOfRange(
                 f"observe range beyond {self.mem.size_bytes}-byte memory", addr=addr
             )
+
+    def observe(self, addr: int, length: int) -> ObserveResult:
+        """Read [addr, addr+length) under observation mode.
+
+        A running core is stopped first (observation deasserts IE) and is
+        not silently resumed; any other prior mode is restored.
+        """
+        self.check_observe(addr, length)
         prior = self.core.mode
         self.stop()
         words = tuple(self.mem.read_word(a) for a in range(addr, addr + length, 4))
@@ -284,6 +288,7 @@ class Step:
     command: str
     args: tuple
     text: str  # the command as written, echoed by `load`
+    line: int  # its line in the script, for errors found after parsing
 
 
 def _echo_observe(step: Step, result: ObserveResult) -> str:
@@ -341,7 +346,7 @@ def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> list
         if cmd == "start" and not reset_seen:
             raise ScriptError("start before any reset", line=lineno)
         reset_seen = reset_seen or cmd == "reset"
-        steps.append(Step(cmd, values, " ".join([cmd, *args])))
+        steps.append(Step(cmd, values, " ".join([cmd, *args]), lineno))
     return steps
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ImmediateOutOfRange, MisalignedImmediate, UnsupportedInstruction
 
@@ -46,8 +46,7 @@ CYCLE_COST = {
 }
 
 
-@dataclass(frozen=True)
-class DecodedInstruction:
+class DecodedInstruction(NamedTuple):
     cls: InstrClass
     mnemonic: str
     rd: int = 0
@@ -76,7 +75,6 @@ _R_DECODE = {
     (0b110, 0b0000000): "or",
     (0b111, 0b0000000): "and",
 }
-_R_ENCODE = {m: f for f, m in _R_DECODE.items()}
 
 # funct3 -> mnemonic, immediate is the full 12-bit I field
 _I_DECODE = {
@@ -87,7 +85,6 @@ _I_DECODE = {
     0b110: "ori",
     0b111: "andi",
 }
-_I_ENCODE = {m: f for f, m in _I_DECODE.items()}
 
 # (funct3, funct7) -> mnemonic, immediate is the 5-bit shamt field
 _SHIFT_DECODE = {
@@ -95,19 +92,36 @@ _SHIFT_DECODE = {
     (0b101, 0b0000000): "srli",
     (0b101, 0b0100000): "srai",
 }
-_SHIFT_ENCODE = {m: f for f, m in _SHIFT_DECODE.items()}
 
-MNEMONIC_CLASS: dict[str, InstrClass] = {
-    **{m: InstrClass.R_ALU for m in _R_ENCODE},
-    **{m: InstrClass.I_ALU for m in _I_ENCODE},
-    **{m: InstrClass.I_ALU for m in _SHIFT_ENCODE},
-    "lw": InstrClass.LOAD,
-    "sw": InstrClass.STORE,
-    "beq": InstrClass.BRANCH,
-    "jal": InstrClass.JUMP,
+# Operand shape -> (class, fields the shape does not encode).  The shape
+# says which fields an instruction has, where its immediate goes in the
+# word, and how the assembler writes its operands.
+_SHAPES: dict[str, tuple[InstrClass, tuple[str, ...]]] = {
+    "r": (InstrClass.R_ALU, ("imm",)),       # rd, rs1, rs2
+    "i": (InstrClass.I_ALU, ("rs2",)),       # rd, rs1, 12-bit imm
+    "shift": (InstrClass.I_ALU, ("rs2",)),   # rd, rs1, 5-bit shamt
+    "load": (InstrClass.LOAD, ("rs2",)),     # rd, imm(rs1), I layout
+    "store": (InstrClass.STORE, ("rd",)),    # rs2, imm(rs1)
+    "branch": (InstrClass.BRANCH, ("rd",)),  # rs1, rs2, even 13-bit offset
+    "jump": (InstrClass.JUMP, ("rs1", "rs2")),  # rd, even 21-bit offset
 }
 
-SHIFT_MNEMONICS = frozenset(_SHIFT_ENCODE)
+# Mnemonic -> (operand shape, the bits every encoding of it shares:
+# opcode, funct3 and, for "r" and "shift", funct7).  `encode_fields` packs
+# from it and `decode` looks up its inverse.
+ENCODING: dict[str, tuple[str, int]] = {
+    **{m: ("r", f7 << 25 | f3 << 12 | _OP_RTYPE) for (f3, f7), m in _R_DECODE.items()},
+    **{m: ("i", f3 << 12 | _OP_IALU) for f3, m in _I_DECODE.items()},
+    **{m: ("shift", f7 << 25 | f3 << 12 | _OP_IALU) for (f3, f7), m in _SHIFT_DECODE.items()},
+    "lw": ("load", 0b010 << 12 | _OP_LOAD),
+    "sw": ("store", 0b010 << 12 | _OP_STORE),
+    "beq": ("branch", _OP_BRANCH),
+    "jal": ("jump", _OP_JAL),
+}
+
+MNEMONIC_CLASS: dict[str, InstrClass] = {m: _SHAPES[shape][0] for m, (shape, _) in ENCODING.items()}
+
+SHIFT_MNEMONICS = frozenset(_SHIFT_DECODE.values())
 
 
 def instr(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> DecodedInstruction:
@@ -117,10 +131,41 @@ def instr(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) 
     return DecodedInstruction(MNEMONIC_CLASS[mnemonic], mnemonic, rd, rs1, rs2, imm)
 
 
-def _sext(value: int, bits: int) -> int:
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
+def _decode_table() -> dict[int, tuple[InstrClass, str, str | dict[int, str]]]:
+    """opcode | funct3 << 12 -> (class, shape, mnemonic), or for the
+    shapes that funct7 selects within, (class, shape, {funct7: mnemonic}).
+    jal has no funct3, so it sits under all eight."""
+    table: dict = {}
+    for m, (shape, fixed) in ENCODING.items():
+        cls = _SHAPES[shape][0]
+        for f3 in range(8) if shape == "jump" else [(fixed >> 12) & 0x7]:
+            key = (f3 << 12) | (fixed & 0x7F)
+            if shape in ("r", "shift"):
+                table.setdefault(key, (cls, shape, {}))[2][fixed >> 25] = m
+            else:
+                table[key] = (cls, shape, m)
+    return table
+
+
+_DECODE = _decode_table()
+
+# Opcode -> (shape, mnemonic) where the subset has one funct3 of it.
+_ONLY = {fixed & 0x7F: (shape, m) for m, (shape, fixed) in ENCODING.items()
+         if shape in ("load", "store", "branch")}
+
+
+def _unsupported(word: int) -> UnsupportedInstruction:
+    opcode, funct3, funct7 = word & 0x7F, (word >> 12) & 0x7, word >> 25
+    if opcode == _OP_RTYPE:
+        why = f"R-type funct3={funct3:#05b} funct7={funct7:#09b} in 0x{word:08X}"
+    elif opcode == _OP_IALU:  # every funct3 is used; only a shift's funct7 can miss
+        why = f"shift funct7={funct7:#09b} in 0x{word:08X}"
+    elif opcode in _ONLY:
+        shape, m = _ONLY[opcode]
+        why = f"{shape} funct3={funct3:#05b} in 0x{word:08X} (only {m})"
+    else:
+        why = f"opcode {opcode:#09b} in 0x{word:08X}"
+    return UnsupportedInstruction(why)
 
 
 # Distinct words `decode` remembers, least recently used dropped first.
@@ -130,72 +175,53 @@ def _sext(value: int, bits: int) -> int:
 DECODE_CACHE_SIZE = 1024
 
 
+# `decode` gives every field, so it builds its result directly: the
+# NamedTuple's own __new__ is a Python-level call.
+_new = functools.partial(tuple.__new__, DecodedInstruction)
+
+
 @functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode(word: int) -> DecodedInstruction:
     """Decode a 32-bit word; total over the subset, strict outside it.
 
-    Results are cached by word (DecodedInstruction is frozen); a word
+    Results are cached by word (DecodedInstruction is immutable); a word
     outside the subset is not cached and raises on every call.
     """
-    word = u32(word)
-    opcode = word & 0x7F
+    word &= MASK32
+    cls, shape, m = _DECODE.get(word & 0x707F, (None, None, None))
+    if isinstance(m, dict):
+        m = m.get(word >> 25)
+    if m is None:
+        raise _unsupported(word)
     rd = (word >> 7) & 0x1F
-    funct3 = (word >> 12) & 0x7
     rs1 = (word >> 15) & 0x1F
     rs2 = (word >> 20) & 0x1F
-    funct7 = (word >> 25) & 0x7F
-
-    if opcode == _OP_RTYPE:
-        m = _R_DECODE.get((funct3, funct7))
-        if m is None:
-            raise UnsupportedInstruction(f"R-type funct3={funct3:#05b} funct7={funct7:#09b} in 0x{word:08X}")
-        return DecodedInstruction(InstrClass.R_ALU, m, rd=rd, rs1=rs1, rs2=rs2)
-
-    if opcode == _OP_IALU:
-        shift = _SHIFT_DECODE.get((funct3, funct7))
-        if shift is not None:
-            return DecodedInstruction(InstrClass.I_ALU, shift, rd=rd, rs1=rs1, imm=rs2)
-        if funct3 in (0b001, 0b101):
-            raise UnsupportedInstruction(f"shift funct7={funct7:#09b} in 0x{word:08X}")
-        m = _I_DECODE.get(funct3)
-        if m is None:
-            raise UnsupportedInstruction(f"I-type funct3={funct3:#05b} in 0x{word:08X}")
-        return DecodedInstruction(InstrClass.I_ALU, m, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12))
-
-    if opcode == _OP_LOAD:
-        if funct3 != 0b010:
-            raise UnsupportedInstruction(f"load funct3={funct3:#05b} in 0x{word:08X} (only lw)")
-        return DecodedInstruction(InstrClass.LOAD, "lw", rd=rd, rs1=rs1, imm=_sext(word >> 20, 12))
-
-    if opcode == _OP_STORE:
-        if funct3 != 0b010:
-            raise UnsupportedInstruction(f"store funct3={funct3:#05b} in 0x{word:08X} (only sw)")
-        imm = _sext((funct7 << 5) | rd, 12)
-        return DecodedInstruction(InstrClass.STORE, "sw", rs1=rs1, rs2=rs2, imm=imm)
-
-    if opcode == _OP_BRANCH:
-        if funct3 != 0b000:
-            raise UnsupportedInstruction(f"branch funct3={funct3:#05b} in 0x{word:08X} (only beq)")
-        imm = _sext(
-            ((word >> 31) << 12)
+    if shape == "r":
+        return _new((cls, m, rd, rs1, rs2, 0))
+    if shape == "shift":
+        return _new((cls, m, rd, rs1, 0, rs2))
+    # Every immediate's sign is bit 31: shifting the signed word right
+    # sign-extends the top field, and the other fields are OR'd below it.
+    sword = (word ^ 0x80000000) - 0x80000000
+    if shape == "i" or shape == "load":
+        return _new((cls, m, rd, rs1, 0, sword >> 20))
+    if shape == "store":
+        return _new((cls, m, 0, rs1, rs2, ((sword >> 25) << 5) | rd))
+    if shape == "branch":
+        imm = (
+            ((sword >> 31) << 12)
             | (((word >> 7) & 0x1) << 11)
             | (((word >> 25) & 0x3F) << 5)
-            | (((word >> 8) & 0xF) << 1),
-            13,
+            | (((word >> 8) & 0xF) << 1)
         )
-        return DecodedInstruction(InstrClass.BRANCH, "beq", rs1=rs1, rs2=rs2, imm=imm)
-
-    if opcode == _OP_JAL:
-        imm = _sext(
-            ((word >> 31) << 20)
-            | (((word >> 12) & 0xFF) << 12)
-            | (((word >> 20) & 0x1) << 11)
-            | (((word >> 21) & 0x3FF) << 1),
-            21,
-        )
-        return DecodedInstruction(InstrClass.JUMP, "jal", rd=rd, imm=imm)
-
-    raise UnsupportedInstruction(f"opcode {opcode:#09b} in 0x{word:08X}")
+        return _new((cls, m, 0, rs1, rs2, imm))
+    imm = (
+        ((sword >> 31) << 20)
+        | (((word >> 12) & 0xFF) << 12)
+        | (((word >> 20) & 0x1) << 11)
+        | (((word >> 21) & 0x3FF) << 1)
+    )
+    return _new((cls, m, rd, 0, 0, imm))
 
 
 def format_instruction(ins: DecodedInstruction) -> str:
@@ -228,96 +254,61 @@ def format_word(word: int) -> str:
         return f".word 0x{word:08X}"
 
 
-def _check_reg(name: str, value: int) -> None:
-    if not 0 <= value <= 31:
-        raise ValueError(f"{name}={value} is not a register index")
+def encode_fields(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:
+    """The word of `mnemonic` with these fields: the one bit packer.
 
-
-def _check_zero(mnemonic: str, **fields: int) -> None:
-    for name, value in fields.items():
-        if value != 0:
-            raise ValueError(f"{mnemonic} does not encode {name} (got {value})")
-
-
-def _check_signed(imm: int, bits: int) -> None:
+    Registers must be 0..31 and a field the operand shape does not encode
+    must be 0; `encode` checks both, the assembler parses nothing else.
+    The immediate is range-checked here, then laid out as the shape says.
+    """
+    shape, word = ENCODING[mnemonic]
+    word |= (rs2 << 20) | (rs1 << 15) | (rd << 7)
+    if shape == "r":
+        return word
+    if shape == "shift":
+        if not 0 <= imm <= 31:
+            raise ImmediateOutOfRange(f"shift amount {imm} outside [0, 31]")
+        return word | (imm << 20)
+    bits = 21 if shape == "jump" else 13 if shape == "branch" else 12
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     if not lo <= imm <= hi:
         raise ImmediateOutOfRange(f"immediate {imm} outside [{lo}, {hi}]")
+    if bits > 12 and imm % 2:
+        raise MisalignedImmediate(f"odd {shape} offset {imm}")
+    imm &= (1 << bits) - 1
+    if shape == "store":
+        return word | ((imm >> 5) << 25) | ((imm & 0x1F) << 7)
+    if shape == "branch":
+        return (
+            word
+            | ((imm >> 12) << 31)
+            | (((imm >> 5) & 0x3F) << 25)
+            | (((imm >> 1) & 0xF) << 8)
+            | (((imm >> 11) & 0x1) << 7)
+        )
+    if shape == "jump":
+        return (
+            word
+            | ((imm >> 20) << 31)
+            | (((imm >> 1) & 0x3FF) << 21)
+            | (((imm >> 11) & 0x1) << 20)
+            | (((imm >> 12) & 0xFF) << 12)
+        )
+    return word | (imm << 20)  # "i" and "load"
 
 
 def encode(ins: DecodedInstruction) -> int:
     """Inverse of decode; rejects fields the format cannot represent."""
     m = ins.mnemonic
-    if m not in MNEMONIC_CLASS:
+    if m not in ENCODING:
         raise UnsupportedInstruction(f"unknown mnemonic {m!r}")
-    if MNEMONIC_CLASS[m] is not ins.cls:
-        raise ValueError(f"{m} is {MNEMONIC_CLASS[m].value}, not {ins.cls.value}")
-    _check_reg("rd", ins.rd)
-    _check_reg("rs1", ins.rs1)
-    _check_reg("rs2", ins.rs2)
-
-    if m in _R_ENCODE:
-        _check_zero(m, imm=ins.imm)
-        f3, f7 = _R_ENCODE[m]
-        return (f7 << 25) | (ins.rs2 << 20) | (ins.rs1 << 15) | (f3 << 12) | (ins.rd << 7) | _OP_RTYPE
-
-    if m in _SHIFT_ENCODE:
-        _check_zero(m, rs2=ins.rs2)
-        if not 0 <= ins.imm <= 31:
-            raise ImmediateOutOfRange(f"shift amount {ins.imm} outside [0, 31]")
-        f3, f7 = _SHIFT_ENCODE[m]
-        return (f7 << 25) | (ins.imm << 20) | (ins.rs1 << 15) | (f3 << 12) | (ins.rd << 7) | _OP_IALU
-
-    if m in _I_ENCODE:
-        _check_zero(m, rs2=ins.rs2)
-        _check_signed(ins.imm, 12)
-        return ((ins.imm & 0xFFF) << 20) | (ins.rs1 << 15) | (_I_ENCODE[m] << 12) | (ins.rd << 7) | _OP_IALU
-
-    if m == "lw":
-        _check_zero(m, rs2=ins.rs2)
-        _check_signed(ins.imm, 12)
-        return ((ins.imm & 0xFFF) << 20) | (ins.rs1 << 15) | (0b010 << 12) | (ins.rd << 7) | _OP_LOAD
-
-    if m == "sw":
-        _check_zero(m, rd=ins.rd)
-        _check_signed(ins.imm, 12)
-        imm = ins.imm & 0xFFF
-        return (
-            ((imm >> 5) << 25)
-            | (ins.rs2 << 20)
-            | (ins.rs1 << 15)
-            | (0b010 << 12)
-            | ((imm & 0x1F) << 7)
-            | _OP_STORE
-        )
-
-    if m == "beq":
-        _check_zero(m, rd=ins.rd)
-        _check_signed(ins.imm, 13)
-        if ins.imm % 2:
-            raise MisalignedImmediate(f"odd branch offset {ins.imm}")
-        imm = ins.imm & 0x1FFF
-        return (
-            ((imm >> 12) << 31)
-            | (((imm >> 5) & 0x3F) << 25)
-            | (ins.rs2 << 20)
-            | (ins.rs1 << 15)
-            | (((imm >> 1) & 0xF) << 8)
-            | (((imm >> 11) & 0x1) << 7)
-            | _OP_BRANCH
-        )
-
-    # jal
-    _check_zero(m, rs1=ins.rs1, rs2=ins.rs2)
-    _check_signed(ins.imm, 21)
-    if ins.imm % 2:
-        raise MisalignedImmediate(f"odd jump offset {ins.imm}")
-    imm = ins.imm & 0x1FFFFF
-    return (
-        ((imm >> 20) << 31)
-        | (((imm >> 1) & 0x3FF) << 21)
-        | (((imm >> 11) & 0x1) << 20)
-        | (((imm >> 12) & 0xFF) << 12)
-        | (ins.rd << 7)
-        | _OP_JAL
-    )
+    cls, unused = _SHAPES[ENCODING[m][0]]
+    if cls is not ins.cls:
+        raise ValueError(f"{m} is {cls.value}, not {ins.cls.value}")
+    for name in ("rd", "rs1", "rs2"):
+        if not 0 <= getattr(ins, name) <= 31:
+            raise ValueError(f"{name}={getattr(ins, name)} is not a register index")
+    for name in unused:
+        if getattr(ins, name) != 0:
+            raise ValueError(f"{m} does not encode {name} (got {getattr(ins, name)})")
+    return encode_fields(m, ins.rd, ins.rs1, ins.rs2, ins.imm)

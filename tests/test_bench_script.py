@@ -1,0 +1,98 @@
+"""scripts/bench.py: the BENCH_<n>.json it assembles, with a stubbed runner
+that starts no benchmark process."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class StubRunner:
+    """Canned perfbench results: the change halves `wall_s`, raises
+    `setup_s` by half, and leaves `peak_rss_mb` alone."""
+
+    def __init__(self, fail_side=None):
+        self.calls = []
+        self.fail_side = fail_side
+
+    def __call__(self, checkout, workload, seed, seconds, trace):
+        side = checkout.name
+        self.calls.append((side, seed, trace))
+        if trace:
+            rate = {"parent": 100.0, "change": 300.0}[side]
+            ref = {"parent": 1000.0, "change": 1500.0}[side]  # host drift between the runs
+            metrics = {"asm.assemble_lines_per_s": rate, "asm.image_to_hex_words_per_s": ref,
+                       "isa.decode_calls": 7.0}
+        else:
+            wall = (0.8 if side == "parent" else 0.4) + seed * 1e-3
+            metrics = {"wall_s": wall, "sim_instr_per_s": 1 / wall, "peak_rss_mb": 50.0,
+                       "setup_s": 0.2 if side == "parent" else 0.3}
+        failed = int(side == self.fail_side)
+        return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
+
+
+def run(bench, runner, seeds=range(1, 11)):
+    dirs = {side: Path("/unused") / side for side in ("parent", "change")}
+    return bench.bench_workload(SPEC, "toolchain_image", dirs, list(seeds), 99, 30, 10,
+                                runner=runner, log=lambda s: None)
+
+
+def test_pairs_alternate_which_side_runs_first(bench):
+    runner = StubRunner()
+    run(bench, runner, seeds=[1, 2, 3])
+    assert runner.calls == [
+        ("parent", 1, 0), ("change", 1, 0),
+        ("change", 2, 0), ("parent", 2, 0),
+        ("parent", 3, 0), ("change", 3, 0),
+        ("parent", 99, 1), ("change", 99, 1),
+    ]
+
+
+def test_medians_wins_and_verdicts(bench):
+    result = run(bench, StubRunner())
+    e2e = result["end_to_end"]
+    assert set(e2e) == {m["name"] for m in SPEC["end_to_end"]}
+    wall = e2e["wall_s"]
+    assert wall["parent"]["median"] == pytest.approx(0.8055)
+    assert wall["change"]["median"] == pytest.approx(0.4055)
+    assert (wall["pair_wins"], wall["pairs"], wall["verdict"]) == (10, 10, "better")
+    assert e2e["sim_instr_per_s"]["verdict"] == "better"
+    assert e2e["peak_rss_mb"]["verdict"] == "within bound"
+    assert e2e["peak_rss_mb"]["pair_wins"] == 0  # ties count for neither side
+    assert e2e["setup_s"]["verdict"] == "worse"
+    assert len(result["runs"]) == 20 and result["seeds"] == list(range(1, 11))
+
+
+def test_a_failed_run_fails_every_metric(bench):
+    result = run(bench, StubRunner(fail_side="change"))
+    assert {m["verdict"] for m in result["end_to_end"].values()} == {"failed"}
+
+
+def test_wide_parent_spread_is_unresolved(bench):
+    spec = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}
+    parent = [1.0, 1.6, 1.0, 1.6, 1.0, 1.6]
+    change = [1.1, 1.1, 1.1, 1.1, 1.1, 1.1]
+    assert bench.verdict(spec, parent, change, True)["verdict"] == "unresolved"
+    # Every change run beats every parent run: resolved, but the medians
+    # differ by less than the parent's spread, so it is no gain either.
+    assert bench.verdict(spec, parent, [0.9] * 6, True)["verdict"] == "within bound"
+
+
+def test_per_layer_rates_relative_to_the_reference_rate(bench):
+    layer = run(bench, StubRunner())["per_layer"]
+    assert layer["asm.assemble_lines_per_s"]["ratio"] == pytest.approx(3.0)
+    assert layer["asm.assemble_lines_per_s"]["ratio_to_reference"] == pytest.approx(2.0)
+    assert "ratio_to_reference" not in layer["isa.decode_calls"]
+    assert "ratio_to_reference" not in layer["asm.image_to_hex_words_per_s"]

@@ -336,3 +336,29 @@ def test_generated_device_maps_exit_cleanly(fuzz_dir, config, program):
     pmap.write_text(json.dumps(config))
     argv = ["run", str(fuzz_dir / program), "--peripheral-map", str(pmap)]
     assert dispatch_quietly(argv) in {0, 2, 3, 4}
+
+
+def test_script_observe_beyond_memory_exit_code(demo_hex, tmp_path, capsys):
+    # 8192 bytes from 0 pass the 4 KiB memory: found before the first step runs.
+    script = tmp_path / "far.txt"
+    script.write_text("load demo.hex\nreset\nstart\nrun 8\nobserve 0 8192\n")
+    capsys.readouterr()
+    code = dispatch(["script", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[script]: line 5: addr=0x00000000: observe range beyond 4096-byte memory\n"
+    )
+    assert code == 2
+
+
+def test_script_load_fit_error_names_its_line(demo_hex, tmp_path, capsys):
+    (tmp_path / "big.hex").write_text("00000000\n" * 2000)
+    script = tmp_path / "big.txt"
+    script.write_text("load demo.hex\n# the next image is 8000 bytes\nload big.hex\n")
+    capsys.readouterr()
+    code = dispatch(["script", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[script]: line 3: ")
+    assert code == 2

@@ -1,0 +1,87 @@
+"""`parse_hex` reads a bare 8-digit line on a fast path; every other line
+takes the strict path.  Both must read text exactly as a plain per-line
+reading of the format does, errors included."""
+
+import re
+
+from hypothesis import given, strategies as st
+
+from rv32mc import parse_hex
+from rv32mc.errors import AsmError
+
+
+def reference_parse_hex(text: str) -> tuple[int, list[int]]:
+    """The format, one line at a time: comments and blanks skipped, `@`
+    and 1 to 8 hex digits of word address, or 1 to 8 hex digits of word."""
+    words: dict[int, int] = {}
+    addr = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = re.sub(r"#.*|//.*", "", raw).strip()
+        if not line:
+            continue
+        if line.startswith("@"):
+            if not re.fullmatch(r"@[0-9a-fA-F]{1,8}", line):
+                raise AsmError(f"bad address record {line!r}", line=lineno)
+            addr = int(line[1:], 16) * 4
+            continue
+        if not re.fullmatch(r"[0-9a-fA-F]{1,8}", line):
+            raise AsmError(f"bad hex word {line!r}", line=lineno)
+        words[addr] = int(line, 16)
+        addr += 4
+    if not words:
+        return 0, []
+    lo, hi = min(words), max(words)
+    return lo, [words.get(a, 0) for a in range(lo, hi + 4, 4)]
+
+
+def outcome(parse, text: str) -> tuple:
+    try:
+        result = parse(text)
+    except AsmError as e:
+        return type(e), e.message, e.line
+    if isinstance(result, tuple):
+        return result
+    return result.base_address, result.words
+
+
+_word = st.integers(0, 2**32 - 1)
+_line = st.one_of(
+    _word.map("{:08x}".format),
+    _word.map("{:08X}".format),
+    st.tuples(_word, st.integers(1, 7)).map(lambda a: f"{a[0]:x}"[: a[1]]),
+    _word.map("{:08x} # a comment".format),
+    _word.map("{:x}// note".format),
+    # @ records stay at or below word address 0x1000: the image is laid
+    # out as one zero-filled block, so its size follows the address.
+    st.tuples(st.integers(0, 0x1000), st.sampled_from(["{:x}", "{:X}", "{:08x}", "{:03x}"])).map(
+        lambda a: "@" + a[1].format(a[0])
+    ),
+    # Eight characters that int(x, 16) reads but the format forbids, or
+    # that only the strict path may accept (surrounding whitespace).
+    st.sampled_from([
+        "+1234567", "-1234567", "1234_567", " 1234567", "1234567 ", "\t1234567", "0x123456",
+        "0X12345f", "１２３４５６７８", "٠١٢٣٤٥٦٧", "1234 567", "g1234567",
+    ]),
+    st.sampled_from([
+        "", "   ", "# only a comment", "// only a comment", "123456789", "@", "@-1", "@+1", "@0x10",
+        "@ 10", "@123456789", "12345678#", "1234#567", "@10 # comment",
+    ]),
+)
+_hex_text = st.tuples(
+    st.lists(st.tuples(_line, st.sampled_from(["\n", "\r\n"])), max_size=14),
+    st.booleans(),
+).map(lambda a: "".join(line + end for line, end in a[0]).rstrip("\r\n" if a[1] else ""))
+
+
+@given(_hex_text)
+def test_parse_hex_reads_as_the_per_line_format(text):
+    assert outcome(parse_hex, text) == outcome(reference_parse_hex, text)
+
+
+def test_fast_path_lines_are_exactly_eight_hex_digits():
+    assert parse_hex("0000006f\r\nDEADBEEF\n").words == [0x6F, 0xDEADBEEF]
+    for line in ("+1234567", "-1234567", "1234_567", "0x123456", "１２３４５６７８"):
+        assert outcome(parse_hex, f"00000000\n{line}\n") == (
+            AsmError, f"bad hex word {line!r}", 2
+        )
+    assert parse_hex(" 1234567\n").words == [0x1234567]  # strict path: stripped, 7 digits
