@@ -150,7 +150,7 @@ def _cmd_script(args: argparse.Namespace) -> int:
                 if step.command == "load":
                     sim.mem.check_fits(step.args[0])
                 elif step.command == "observe":
-                    sim.check_observe(*step.args)
+                    sim.mem.check_range(*step.args, "observe range")
             except SimError as e:
                 e.line = step.line
                 raise

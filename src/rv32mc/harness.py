@@ -30,8 +30,8 @@ from .asm import image_to_hex, load_hex_file
 from .control import WRITE_MODES, ControlMode
 from .core import Core
 from .errors import (
+    AsmError,
     MisalignedAccess,
-    OutOfRange,
     ScriptError,
     UnmappedAddress,
     WriteForbiddenInMode,
@@ -55,8 +55,9 @@ class Peripheral:
     name: str
     base: int
     span: int = DEVICE_SPAN
-    regs: dict[int, int] = field(default_factory=dict)  # word index -> value; unwritten read 0
-    event_log: list[AccessRecord] = field(default_factory=list)
+    # word index -> value; unwritten registers read 0
+    regs: dict[int, int] = field(init=False, default_factory=dict)
+    event_log: list[AccessRecord] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.name not in DEVICE_NAMES:
@@ -183,15 +184,6 @@ class ObserveResult:
         return MemoryImage(self.addr, list(self.words))
 
 
-# Control-line settings that reproduce each externally reachable mode.
-_MODE_LINES = {
-    ControlMode.PROGRAMMING: (0, 0, 1),
-    ControlMode.RESET_HOLD: (0, 1, 0),
-    ControlMode.OBSERVATION: (0, 0, 0),
-    ControlMode.EXECUTING: (1, 0, 0),
-}
-
-
 class Simulator:
     """One core + one unified memory (+ optional peripherals).
 
@@ -253,30 +245,18 @@ class Simulator:
         self.pulse_reset()
         self.start()
 
-    def check_observe(self, addr: int, length: int) -> None:
-        """Raise unless [addr, addr+length) is word-aligned and inside memory."""
-        if addr % 4 or length % 4 or length < 0:
-            raise MisalignedAccess(
-                f"observe range [{addr:#x}, +{length}) must be word-aligned", addr=addr
-            )
-        if length and not (0 <= addr and addr + length <= self.mem.size_bytes):
-            raise OutOfRange(
-                f"observe range beyond {self.mem.size_bytes}-byte memory", addr=addr
-            )
-
     def observe(self, addr: int, length: int) -> ObserveResult:
-        """Read [addr, addr+length) under observation mode.
+        """Read [addr, addr+length) of memory, checked before anything else.
 
-        A running core is stopped first (observation deasserts IE) and is
-        not silently resumed; any other prior mode is restored.
+        Observation changes nothing, except that a running core is stopped
+        (observation deasserts IE) and is not silently resumed.
         """
-        self.check_observe(addr, length)
-        prior = self.core.mode
-        self.stop()
-        words = tuple(self.mem.read_word(a) for a in range(addr, addr + length, 4))
-        if prior is not ControlMode.EXECUTING:
-            self.core.apply_control(*_MODE_LINES[prior])
-        return ObserveResult(addr, words, execution_stopped=prior is ControlMode.EXECUTING)
+        self.mem.check_range(addr, length, "observe range")
+        running = self.core.mode is ControlMode.EXECUTING
+        if running:
+            self.stop()
+        words = self.mem.dump_image(addr, length // 4).words
+        return ObserveResult(addr, tuple(words), execution_stopped=running)
 
 
 # --- bring-up scripts ---
@@ -322,8 +302,9 @@ def _script_int(tok: str, lineno: int) -> int:
 def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> list[Step]:
     """Parse and check script text; `resolve` maps hex file names to paths.
 
-    Every input error is raised here as ScriptError (or the image's own
-    AsmError), so a script that parses fails at run time only by faulting.
+    Every input error is raised here as a ScriptError naming its script
+    line (a hex file's own error too, after the file's name), so a script
+    that parses fails at run time only by faulting.
     """
     steps: list[Step] = []
     reset_seen = False
@@ -338,7 +319,10 @@ def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> list
         if len(args) != nargs:
             raise ScriptError(f"{cmd} takes {nargs} argument(s), got {len(args)}", line=lineno)
         if cmd == "load":
-            values: tuple = (load_hex_file(resolve(args[0])),)
+            try:
+                values: tuple = (load_hex_file(resolve(args[0])),)
+            except (OSError, UnicodeDecodeError, AsmError) as e:
+                raise ScriptError(f"{args[0]}: {e}", line=lineno) from None
         else:
             values = tuple(_script_int(tok, lineno) for tok in args)
         if cmd == "observe" and any(v % 4 for v in values):

@@ -41,10 +41,6 @@ class MemoryImage:
         lo, hi = min(words), max(words)
         return cls(lo, [words.get(a, 0) for a in range(lo, hi + 4, 4)])
 
-    @property
-    def end_address(self) -> int:
-        return self.base_address + 4 * len(self.words)
-
 
 class UnifiedMemory:
     def __init__(self, size_bytes: int = DEFAULT_MEM_SIZE):
@@ -79,16 +75,19 @@ class UnifiedMemory:
             self.words[addr >> 2] = value
             self.pending_write = None
 
+    def check_range(self, addr: int, nbytes: int, what: str) -> None:
+        """The one rule for a byte range an outside caller may touch: raise
+        unless [addr, addr+nbytes) is word-aligned and lies inside memory.
+        An empty range is valid at any aligned address; `what` names the
+        range in the error."""
+        if addr % 4 or nbytes % 4:
+            raise MisalignedAccess(f"{what} [{addr:#x}, +{nbytes}) must be word-aligned", addr=addr)
+        if nbytes and not 0 <= addr <= addr + nbytes <= self.size_bytes:
+            raise OutOfRange(f"{what} beyond {self.size_bytes}-byte memory", addr=addr)
+
     def check_fits(self, image: MemoryImage) -> None:
-        """Raise unless the image is word-aligned and lies inside memory."""
-        if image.base_address % 4:
-            raise MisalignedAccess("image base must be word-aligned", addr=image.base_address)
-        if image.words and not 0 <= image.base_address <= self.size_bytes - 4 * len(image.words):
-            raise OutOfRange(
-                f"image [{image.base_address:#x}, {image.end_address:#x}) "
-                f"beyond {self.size_bytes}-byte memory",
-                addr=image.base_address,
-            )
+        """check_range over the bytes the image covers."""
+        self.check_range(image.base_address, 4 * len(image.words), "image")
 
     def load_image(self, image: MemoryImage, mode: ControlMode) -> int:
         """Write a whole image through the free write port; programming mode only."""
@@ -105,7 +104,5 @@ class UnifiedMemory:
         """Committed memory contents as a reloadable image."""
         if count is None:
             count = (self.size_bytes - start) // 4
-        self._check_addr(start)
-        if count:
-            self._check_addr(start + 4 * (count - 1))
-        return MemoryImage(start, [self.words[(start >> 2) + k] for k in range(count)])
+        self.check_range(start, 4 * count, "dump range")
+        return MemoryImage(start, self.words[start >> 2:(start >> 2) + count])

@@ -352,6 +352,27 @@ def test_script_observe_beyond_memory_exit_code(demo_hex, tmp_path, capsys):
     assert code == 2
 
 
+def test_script_load_of_bad_hex_names_script_line_and_file(tmp_path, capsys):
+    (tmp_path / "bad.hex").write_text("zz\n")
+    script = tmp_path / "bad.txt"
+    script.write_text("reset\n# x\nload bad.hex\n")
+    code = dispatch(["script", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[script]: line 3: bad.hex: line 1: bad hex word 'zz'\n"
+    assert code == 2
+
+
+def test_script_load_of_missing_file_names_script_line_and_file(tmp_path, capsys):
+    script = tmp_path / "missing.txt"
+    script.write_text("reset\nload nope.hex\n")
+    code = dispatch(["script", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[script]: line 2: nope.hex: ")
+    assert code == 2
+
+
 def test_script_load_fit_error_names_its_line(demo_hex, tmp_path, capsys):
     (tmp_path / "big.hex").write_text("00000000\n" * 2000)
     script = tmp_path / "big.txt"

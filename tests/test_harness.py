@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rv32mc import (
     ControlMode,
@@ -127,6 +128,51 @@ def test_observe_range_errors():
         sim.observe(2, 4)
     with pytest.raises(MisalignedAccess):
         sim.observe(0, 6)
+
+
+def test_observe_under_held_reset_changes_nothing():
+    sim = Simulator()
+    sim.core.apply_control(ie=0, reset=1)
+    assert sim.run_cycles(5) == (0, 5)
+    result = sim.observe(0, 8)
+    assert not result.execution_stopped
+    assert sim.core.held_cycles == 5  # reset was not asserted a second time
+    assert sim.core.mode is ControlMode.RESET_HOLD
+
+
+def _range_outcome(call, *args):
+    try:
+        call(*args)
+    except (MisalignedAccess, OutOfRange) as e:
+        return type(e), e.addr
+    return None
+
+
+# A few bytes either side of memory's start and end, aligned or not.
+_NEAR_START = st.integers(-12, 12)
+_NEAR_END = st.integers(4096 - 12, 4096 + 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(addr=st.one_of(_NEAR_START, _NEAR_END), nbytes=st.one_of(st.integers(0, 12), _NEAR_END))
+@example(addr=4096, nbytes=0)
+@example(addr=8192, nbytes=0)
+def test_observe_dump_and_fit_share_one_range_rule(addr, nbytes):
+    if addr % 4 or nbytes % 4:
+        expected = (MisalignedAccess, addr)
+    elif nbytes and not (0 <= addr and addr + nbytes <= 4096):
+        expected = (OutOfRange, addr)
+    else:
+        expected = None  # inside memory, or empty at an aligned address
+    sim = Simulator()
+    sim.program_and_start(assemble(DEMO))
+    assert _range_outcome(sim.observe, addr, nbytes) == expected
+    # a refused range stops nothing; an accepted one stops the running core
+    assert (sim.core.mode is ControlMode.EXECUTING) == (expected is not None)
+    if nbytes % 4 == 0:
+        count = nbytes // 4
+        assert _range_outcome(sim.mem.dump_image, addr, count) == expected
+        assert _range_outcome(sim.mem.check_fits, MemoryImage(addr, [0] * count)) == expected
 
 
 # --- peripherals ---
