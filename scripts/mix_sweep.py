@@ -103,13 +103,12 @@ def main() -> None:
         sim.program_and_start(image)
         report = sim.core.run(sim.bus, max_cycles=10_000_000)
         cpi = compute_cpi(report)
-        energy_pj, _ = estimate_energy(report, model)
+        energy_pj, power = estimate_energy(report, model)
         # analytic value ignores the prologue and halt; report both
         per_1k = energy_pj / report.retired_total * 1000 / 1e6
         print(f"{name:<14} {report.retired_total:>7} {report.total_cycles:>7} "
               f"{float(cpi):>7.3f} {float(analytic_cpi(mix)):>9.3f} "
               f"{energy_pj:>10.1f} {per_1k:>11.3f}")
-    power = model.pj_per_cycle * model.freq_hz * 1e-6
     print(f"\navg power at {model.freq_hz / 1e6:.0f} MHz: {power:.1f} uW "
           f"({model.pj_per_cycle} pJ/cycle)")
 

@@ -141,19 +141,7 @@ def _cmd_script(args: argparse.Namespace) -> int:
     base_dir = os.path.dirname(os.path.abspath(args.script))
     try:
         with open(args.script, "r", encoding="utf-8") as f:
-            script = parse_script(
-                f.read(),
-                resolve=lambda p: p if os.path.isabs(p) else os.path.join(base_dir, p),
-            )
-        for step in script:  # what does not fit memory is input, as for `run`
-            try:
-                if step.command == "load":
-                    sim.mem.check_fits(step.args[0])
-                elif step.command == "observe":
-                    sim.mem.check_range(*step.args, "observe range")
-            except SimError as e:
-                e.line = step.line
-                raise
+            script = parse_script(sim, f.read(), resolve=lambda p: os.path.join(base_dir, p))
     except (OSError, ValueError, SimError) as e:
         _error("script", e)
         return EXIT_INPUT

@@ -150,10 +150,6 @@ class TraceRecord(NamedTuple):
     retired: bool
     held: bool = False
 
-    @property
-    def disasm(self) -> str:
-        return format_word(self.ir)
-
     def as_csv(self) -> str:
         cycle, mode, state, pc, ir, retired, _ = self
         return f"{cycle},{mode},{state},{pc:08x},{ir:08x},{format_word(ir)},{retired:d}"

@@ -17,8 +17,10 @@ are line-oriented, one primitive per command:
     run <cycles>            Simulator.run_cycles
     observe <addr> <len>    Simulator.observe
 
-Observation output is emitted in the hex image format, so it can be fed
-straight back to `load`.
+`parse_script` checks a script against the Simulator that will run it,
+load fits and observe ranges included, so a script that parses fails
+only by faulting.  Observation output is emitted in the hex image
+format, so it can be fed straight back to `load`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     AsmError,
     MisalignedAccess,
     ScriptError,
+    SimError,
     UnmappedAddress,
     WriteForbiddenInMode,
 )
@@ -147,9 +150,7 @@ class PeripheralMap:
 class SystemBus:
     """Routes word accesses to memory or, above it, to the peripheral map."""
 
-    def __init__(
-        self, mem: UnifiedMemory, peripherals: PeripheralMap | None, clock: Callable[[], int]
-    ):
+    def __init__(self, mem: UnifiedMemory, peripherals: PeripheralMap, clock: Callable[[], int]):
         self.mem = mem
         self.peripherals = peripherals
         self.clock = clock
@@ -158,12 +159,12 @@ class SystemBus:
         return 0 <= addr < self.mem.size_bytes
 
     def read_word(self, addr: int) -> int:
-        if self.peripherals is None or self._in_memory(addr):
+        if self._in_memory(addr):
             return self.mem.read_word(addr)
         return self.peripherals.dispatch(addr, "read", cycle=self.clock())
 
     def schedule_write(self, addr: int, value: int, mode: ControlMode) -> None:
-        if self.peripherals is None or self._in_memory(addr):
+        if self._in_memory(addr):
             self.mem.schedule_write(addr, value, mode)
             return
         if mode not in WRITE_MODES:
@@ -176,16 +177,14 @@ class SystemBus:
 
 @dataclass(frozen=True)
 class ObserveResult:
-    addr: int
-    words: tuple[int, ...]
+    image: MemoryImage
     execution_stopped: bool
-
-    def as_image(self) -> MemoryImage:
-        return MemoryImage(self.addr, list(self.words))
 
 
 class Simulator:
     """One core + one unified memory (+ optional peripherals).
+
+    Without peripherals the core's bus is the memory itself.
 
     Bring-up goes through six primitives - load, pulse_reset, start, stop,
     run_cycles and observe - that each drive the control lines themselves.
@@ -198,11 +197,12 @@ class Simulator:
         self.mem = UnifiedMemory(mem_size_bytes)
         self.core = Core()
         self.peripherals = peripherals
+        self.bus: UnifiedMemory | SystemBus = self.mem
         if peripherals is not None:
             for d in peripherals.devices:
                 if d.base < mem_size_bytes:
                     raise ValueError(f"device {d.name!r} overlaps memory")
-        self.bus = SystemBus(self.mem, peripherals, clock=lambda: self.core.cycle_count)
+            self.bus = SystemBus(self.mem, peripherals, clock=lambda: self.core.cycle_count)
 
     def load(self, image: MemoryImage) -> int:
         """Write an image in programming mode; returns the words written.
@@ -255,8 +255,7 @@ class Simulator:
         running = self.core.mode is ControlMode.EXECUTING
         if running:
             self.stop()
-        words = self.mem.dump_image(addr, length // 4).words
-        return ObserveResult(addr, tuple(words), execution_stopped=running)
+        return ObserveResult(self.mem.dump_image(addr, length // 4), execution_stopped=running)
 
 
 # --- bring-up scripts ---
@@ -268,14 +267,13 @@ class Step:
     command: str
     args: tuple
     text: str  # the command as written, echoed by `load`
-    line: int  # its line in the script, for errors found after parsing
 
 
 def _echo_observe(step: Step, result: ObserveResult) -> str:
     lines = [f"# observe 0x{step.args[0]:08x} +{step.args[1]}"]
     if result.execution_stopped:
         lines.append("# execution stopped by observation; issue 'start' to resume")
-    return "\n".join(lines + image_to_hex(result.as_image()).splitlines())
+    return "\n".join(lines + image_to_hex(result.image).splitlines())
 
 
 # Script command -> (argument count, Simulator primitive, echo of its result).
@@ -299,12 +297,16 @@ def _script_int(tok: str, lineno: int) -> int:
     return value
 
 
-def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> list[Step]:
-    """Parse and check script text; `resolve` maps hex file names to paths.
+def parse_script(
+    sim: Simulator, text: str, resolve: Callable[[str], str] = lambda p: p
+) -> list[Step]:
+    """Parse script text and check it against the Simulator that will run
+    it; `resolve` maps hex file names to paths.
 
     Every input error is raised here as a ScriptError naming its script
     line (a hex file's own error too, after the file's name), so a script
-    that parses fails at run time only by faulting.
+    that parses fails at run time only by faulting.  A `load` image must
+    fit memory and an `observe` range must lie inside it.
     """
     steps: list[Step] = []
     reset_seen = False
@@ -325,12 +327,17 @@ def parse_script(text: str, resolve: Callable[[str], str] = lambda p: p) -> list
                 raise ScriptError(f"{args[0]}: {e}", line=lineno) from None
         else:
             values = tuple(_script_int(tok, lineno) for tok in args)
-        if cmd == "observe" and any(v % 4 for v in values):
-            raise ScriptError("observe address and length must be word-aligned", line=lineno)
+        try:
+            if cmd == "load":
+                sim.mem.check_fits(values[0])
+            elif cmd == "observe":
+                sim.mem.check_range(*values, "observe range")
+        except SimError as e:
+            raise ScriptError(e.message, line=lineno, addr=e.addr) from None
         if cmd == "start" and not reset_seen:
             raise ScriptError("start before any reset", line=lineno)
         reset_seen = reset_seen or cmd == "reset"
-        steps.append(Step(cmd, values, " ".join([cmd, *args]), lineno))
+        steps.append(Step(cmd, values, " ".join([cmd, *args])))
     return steps
 
 

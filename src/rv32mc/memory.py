@@ -78,11 +78,11 @@ class UnifiedMemory:
     def check_range(self, addr: int, nbytes: int, what: str) -> None:
         """The one rule for a byte range an outside caller may touch: raise
         unless [addr, addr+nbytes) is word-aligned and lies inside memory.
-        An empty range is valid at any aligned address; `what` names the
-        range in the error."""
+        An empty range is valid at any aligned address >= 0; `what` names
+        the range in the error."""
         if addr % 4 or nbytes % 4:
             raise MisalignedAccess(f"{what} [{addr:#x}, +{nbytes}) must be word-aligned", addr=addr)
-        if nbytes and not 0 <= addr <= addr + nbytes <= self.size_bytes:
+        if addr < 0 or nbytes and not addr <= addr + nbytes <= self.size_bytes:
             raise OutOfRange(f"{what} beyond {self.size_bytes}-byte memory", addr=addr)
 
     def check_fits(self, image: MemoryImage) -> None:

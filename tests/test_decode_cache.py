@@ -71,7 +71,7 @@ def test_words_equal_modulo_2_32_decode_equal(word):
 def test_patched_addi_renders_its_new_immediate_each_pass():
     core, mem = started(assemble(SELF_PATCHING))
     shown = []
-    core.run(mem, trace=lambda rec: rec.pc == 12 and rec.retired and shown.append(rec.disasm))
+    core.run(mem, trace=lambda rec: rec.pc == 12 and rec.retired and shown.append(format_word(rec.ir)))
     assert shown == [f"addi x4, x4, {k}" for k in range(10)]
 
 

@@ -92,7 +92,7 @@ def test_observe_returns_loaded_image():
     sim.core.apply_control(ie=0, reset=0, write_enable=1)
     sim.mem.load_image(image, sim.core.mode)
     result = sim.observe(0, 4 * len(image.words))
-    assert list(result.words) == image.words
+    assert result.image == image
     assert not result.execution_stopped
     assert sim.core.mode is ControlMode.PROGRAMMING  # prior mode restored
 
@@ -157,13 +157,14 @@ _NEAR_END = st.integers(4096 - 12, 4096 + 12)
 @given(addr=st.one_of(_NEAR_START, _NEAR_END), nbytes=st.one_of(st.integers(0, 12), _NEAR_END))
 @example(addr=4096, nbytes=0)
 @example(addr=8192, nbytes=0)
+@example(addr=-4, nbytes=0)  # an empty image at -4 would print as `@-1`, which does not reload
 def test_observe_dump_and_fit_share_one_range_rule(addr, nbytes):
     if addr % 4 or nbytes % 4:
         expected = (MisalignedAccess, addr)
-    elif nbytes and not (0 <= addr and addr + nbytes <= 4096):
+    elif addr < 0 or nbytes and addr + nbytes > 4096:
         expected = (OutOfRange, addr)
     else:
-        expected = None  # inside memory, or empty at an aligned address
+        expected = None  # inside memory, or empty at an aligned address >= 0
     sim = Simulator()
     sim.program_and_start(assemble(DEMO))
     assert _range_outcome(sim.observe, addr, nbytes) == expected
@@ -273,13 +274,13 @@ run 8
 stop
 observe 0x0 8
 """
-    script = parse_script(text, resolve=lambda p: str(tmp_path / p))
+    script = parse_script(Simulator(), text, resolve=lambda p: str(tmp_path / p))
     assert len(script) == 6
 
 
 def test_script_requires_reset_before_start():
     with pytest.raises(ScriptError) as exc:
-        parse_script("start\n")
+        parse_script(Simulator(), "start\n")
     assert "reset" in str(exc.value)
 
 
@@ -292,17 +293,18 @@ def test_script_requires_reset_before_start():
 )
 def test_script_parse_errors(line):
     with pytest.raises(ScriptError):
-        parse_script(line + "\n")
+        parse_script(Simulator(), line + "\n")
 
 
 def test_execute_script_end_to_end(tmp_path):
     hexfile = tmp_path / "demo.hex"
     hexfile.write_text("00500093\n0000006f\n")
+    sim = Simulator()
     script = parse_script(
+        sim,
         "load demo.hex\nreset\nstart\nrun 8\nstop\nobserve 0 8\n",
         resolve=lambda p: str(tmp_path / p),
     )
-    sim = Simulator()
     out = []
     execute_script(sim, script, write=out.append)
     assert sim.core.regs[1] == 5  # the 8 cycles retired both instructions
@@ -311,18 +313,41 @@ def test_execute_script_end_to_end(tmp_path):
     assert image.words == [0x00500093, 0x0000006F]
 
 
+def _assert_untouched(sim):
+    assert sim.core.mode is ControlMode.OBSERVATION
+    assert sim.core.held_cycles == 0
+    assert not any(sim.mem.words)
+
+
 def test_failed_script_load_leaves_observation_mode(tmp_path):
     (tmp_path / "big.hex").write_text("00000000\n" * 2000)  # 8000 bytes > 4 KiB
-    script = parse_script("load big.hex\n", resolve=lambda p: str(tmp_path / p))
     sim = Simulator()
-    with pytest.raises(OutOfRange):
-        execute_script(sim, script, write=[].append)
-    assert sim.core.mode is ControlMode.OBSERVATION
+    with pytest.raises(ScriptError):
+        parse_script(sim, "load big.hex\n", resolve=lambda p: str(tmp_path / p))
+    _assert_untouched(sim)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("load demo.hex\nreset\nstart\nrun 8\nobserve 0 8192\n", 5),
+        ("load demo.hex\n# the next image is 8000 bytes\nload big.hex\nreset\n", 3),
+    ],
+)
+def test_parse_script_checks_against_the_simulator(tmp_path, text, line):
+    (tmp_path / "demo.hex").write_text("00500093\n0000006f\n")
+    (tmp_path / "big.hex").write_text("00000000\n" * 2000)
+    sim = Simulator()
+    with pytest.raises(ScriptError) as exc:
+        parse_script(sim, text, resolve=lambda p: str(tmp_path / p))
+    assert exc.value.line == line
+    assert exc.value.addr == 0
+    _assert_untouched(sim)
 
 
 def test_script_run_counts_held_cycles(tmp_path):
-    script = parse_script("run 5\n")
     sim = Simulator()
+    script = parse_script(sim, "run 5\n")
     out = []
     execute_script(sim, script, write=out.append)
     assert "# run 5: 0 executing, 5 held" in out
