@@ -7,12 +7,12 @@ Subcommands:
     script   execute a bring-up script
     selftest frozen-encoding and engine consistency checks
 
-Exit codes: 0 success, 2 input errors (source, image, script, device map
-or flag value), 3 runtime faults, 4 cycle-budget exhaustion.  All
-configuration is via flags.  Each flag is checked once: by its argparse
-type, or by the object it configures (UnifiedMemory, EnergyModel,
-Core.run), and all of those checks run before the first instruction is
-fetched.
+Exit codes: 0 success, 1 a failed `selftest` check, 2 input errors
+(source, image, script, device map or flag value), 3 runtime faults,
+4 cycle-budget exhaustion.  All configuration is via flags.  Each flag
+is checked once: by its argparse type, or by the object it configures
+(UnifiedMemory, EnergyModel, Core.run), and all of those checks run
+before the first instruction is fetched.
 """
 
 from __future__ import annotations

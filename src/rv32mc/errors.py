@@ -36,7 +36,8 @@ class SimError(Exception):
         if self.state is not None:
             parts.append(f"state={self.state}")
         if self.addr is not None:
-            parts.append(f"addr=0x{self.addr:08x}")
+            sign = "-" if self.addr < 0 else ""
+            parts.append(f"addr={sign}0x{abs(self.addr):08x}")
         parts.append(self.message)
         return ": ".join(parts)
 

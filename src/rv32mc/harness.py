@@ -3,9 +3,11 @@
 Drives the IE / reset / WriteData sequence that separates programming from
 execution, provides read-only observation of memory, and routes core
 accesses that fall above memory to stub peripherals (pacing, sensing, egm,
-telemetry, battery).  Each stub exposes three live registers - CONTROL at
-offset 0x0, STATUS at 0x4, DATA at 0x8 - inside a 16-byte span, and logs
-every access with a cycle stamp.
+telemetry, battery).  `SystemBus` owns that boundary: memory is [0, size)
+and every device sits above it.  Every word of a device's span (16 bytes
+by default) is a sparse register that reads 0 until written; the first
+three are named CONTROL (0x0), STATUS (0x4) and DATA (0x8).  Every access
+is logged with a cycle stamp.
 
 Bring-up is built from six Simulator primitives, and bring-up scripts
 are line-oriented, one primitive per command:
@@ -71,9 +73,6 @@ class Peripheral:
                 " multiples of 4, span positive"
             )
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.span
-
     def writes(self) -> list[AccessRecord]:
         return [r for r in self.event_log if r.access == "write"]
 
@@ -117,12 +116,6 @@ class PeripheralMap:
             devices.append(Peripheral(name, base, span))
         return cls(devices)
 
-    def find(self, addr: int) -> Peripheral | None:
-        for d in self.devices:
-            if d.contains(addr):
-                return d
-        return None
-
     def device(self, name: str) -> Peripheral:
         for d in self.devices:
             if d.name == name:
@@ -133,8 +126,10 @@ class PeripheralMap:
         """Read or write one device register; every access is logged."""
         if addr % 4:
             raise MisalignedAccess("device registers are word-wide", addr=addr)
-        dev = self.find(addr)
-        if dev is None:
+        for dev in self.devices:
+            if dev.base <= addr < dev.base + dev.span:
+                break
+        else:
             raise UnmappedAddress("no device at address", addr=addr)
         idx = (addr - dev.base) >> 2
         if access == "read":
@@ -148,31 +143,31 @@ class PeripheralMap:
 
 
 class SystemBus:
-    """Routes word accesses to memory or, above it, to the peripheral map."""
+    """The one address decoder: [0, mem.size_bytes) is memory, and every
+    other address goes to a device, stamped with the core's cycle count.
+    Devices have no write port, so a cycle's commit is memory's own."""
 
-    def __init__(self, mem: UnifiedMemory, peripherals: PeripheralMap, clock: Callable[[], int]):
+    def __init__(self, mem: UnifiedMemory, peripherals: PeripheralMap, core: Core):
+        for d in peripherals.devices:
+            if d.base < mem.size_bytes:
+                raise ValueError(f"device {d.name!r} overlaps memory")
         self.mem = mem
         self.peripherals = peripherals
-        self.clock = clock
-
-    def _in_memory(self, addr: int) -> bool:
-        return 0 <= addr < self.mem.size_bytes
+        self.core = core
+        self.commit_cycle = mem.commit_cycle
 
     def read_word(self, addr: int) -> int:
-        if self._in_memory(addr):
+        if 0 <= addr < self.mem.size_bytes:
             return self.mem.read_word(addr)
-        return self.peripherals.dispatch(addr, "read", cycle=self.clock())
+        return self.peripherals.dispatch(addr, "read", cycle=self.core.cycle_count)
 
     def schedule_write(self, addr: int, value: int, mode: ControlMode) -> None:
-        if self._in_memory(addr):
+        if 0 <= addr < self.mem.size_bytes:
             self.mem.schedule_write(addr, value, mode)
             return
         if mode not in WRITE_MODES:
             raise WriteForbiddenInMode(f"write while in {mode.value} mode", addr=addr)
-        self.peripherals.dispatch(addr, "write", value=value, cycle=self.clock())
-
-    def commit_cycle(self) -> None:
-        self.mem.commit_cycle()
+        self.peripherals.dispatch(addr, "write", value=value, cycle=self.core.cycle_count)
 
 
 @dataclass(frozen=True)
@@ -197,12 +192,9 @@ class Simulator:
         self.mem = UnifiedMemory(mem_size_bytes)
         self.core = Core()
         self.peripherals = peripherals
-        self.bus: UnifiedMemory | SystemBus = self.mem
-        if peripherals is not None:
-            for d in peripherals.devices:
-                if d.base < mem_size_bytes:
-                    raise ValueError(f"device {d.name!r} overlaps memory")
-            self.bus = SystemBus(self.mem, peripherals, clock=lambda: self.core.cycle_count)
+        self.bus: UnifiedMemory | SystemBus = (
+            self.mem if peripherals is None else SystemBus(self.mem, peripherals, self.core)
+        )
 
     def load(self, image: MemoryImage) -> int:
         """Write an image in programming mode; returns the words written.

@@ -383,3 +383,43 @@ def test_script_load_fit_error_names_its_line(demo_hex, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error[script]: line 3: ")
     assert code == 2
+
+
+def test_script_fault_exit_code(tmp_path, capsys):
+    (tmp_path / "bad.hex").write_text("00500093\n00000067\n")
+    script = tmp_path / "fault.txt"
+    script.write_text("load bad.hex\nreset\nstart\nrun 12\n")
+    code = dispatch(["script", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "# load bad.hex: 2 words at 0x00000000\n# reset: pc=0\n# start: executing\n"
+    )
+    assert captured.err == (
+        "error[fault]: pc=0x00000004: state=decode: opcode 0b1100111 in 0x00000067\n"
+    )
+    assert code == 3
+
+
+def test_run_misaligned_device_access_exit_code(tmp_path, capsys):
+    src = tmp_path / "mmio.s"
+    # x1 = 0x1000, the first device word; 0x1002 is inside it but not word-aligned
+    src.write_text("addi x1, x0, 1\nslli x1, x1, 12\nlw x2, 2(x1)\n")
+    out = tmp_path / "mmio.hex"
+    dispatch(["asm", str(src), "-o", str(out)])
+    code = dispatch(["run", str(out)])
+    assert capsys.readouterr().err == (
+        "error[fault]: pc=0x00000008: state=mem_read: addr=0x00001002:"
+        " device registers are word-wide\n"
+    )
+    assert code == 3
+
+
+def test_script_observe_stops_a_running_core(demo_hex, tmp_path, capsys):
+    script = tmp_path / "observe.txt"
+    script.write_text("load demo.hex\nreset\nstart\nrun 6\nobserve 0 8\nrun 4\n")
+    capsys.readouterr()
+    assert dispatch(["script", str(script)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("# observe 0x00000000 +8")
+    assert lines[at + 1] == "# execution stopped by observation; issue 'start' to resume"
+    assert lines[-1] == "# run 4: 0 executing, 4 held"

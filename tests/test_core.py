@@ -178,6 +178,11 @@ def test_step_instruction_requires_executing():
         core.step_instruction(UnifiedMemory())
 
 
+def test_run_requires_executing():
+    with pytest.raises(NotExecuting):
+        Core().run(UnifiedMemory())
+
+
 def test_run_demo_program():
     core, mem = make_rig("addi x1, x0, 5\njal x0, 0\n")
     report = core.run(mem)

@@ -1,15 +1,20 @@
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rv32mc import (
     ControlMode,
+    Core,
     HaltReason,
     InstrClass,
     MemoryImage,
     PeripheralMap,
     Simulator,
+    SystemBus,
+    UnifiedMemory,
     assemble,
     execute_script,
     parse_hex,
@@ -213,6 +218,43 @@ def test_device_map_validation():
         Peripheral("radio", 0x1000)
     with pytest.raises(ValueError):
         Simulator(peripherals=PeripheralMap([Peripheral("pacing", 0x800)]))
+
+
+def test_system_bus_owns_the_memory_device_boundary():
+    low = PeripheralMap([Peripheral("pacing", 0xFFC)])
+    with pytest.raises(ValueError, match="^device 'pacing' overlaps memory$"):
+        Simulator(peripherals=low)
+    with pytest.raises(ValueError, match="^device 'pacing' overlaps memory$"):
+        SystemBus(UnifiedMemory(4096), low, Core())
+    core = Core()
+    bus = SystemBus(UnifiedMemory(4096), PeripheralMap.default(4096), core)
+    core.cycle_count = 41
+    assert bus.read_word(0xFFC) == 0  # the last memory word
+    assert bus.read_word(0x1000) == 0  # the first device word, stamped by the core
+    assert [r.cycle for r in bus.peripherals.device("pacing").event_log] == [41]
+
+
+def test_simulator_with_devices_is_freed_without_the_cycle_collector():
+    # Nothing on the bus refers back to the Simulator, so its memory and
+    # device logs are freed when the last reference goes, not at a later
+    # collection.
+    gc.disable()
+    try:
+        sim = Simulator(peripherals=PeripheralMap.default(4096))
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_negative_address_renders_with_its_sign():
+    with pytest.raises(OutOfRange) as exc:
+        Simulator().observe(-4, 0)
+    assert str(exc.value) == "addr=-0x00000004: observe range beyond 4096-byte memory"
+    with pytest.raises(UnmappedAddress) as exc:
+        PeripheralMap.default().dispatch(-4, "read")
+    assert str(exc.value) == "addr=-0x00000004: no device at address"
 
 
 def test_firmware_mmio_pulse_train():

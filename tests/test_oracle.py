@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rv32mc import HaltReason, Simulator, assemble, reference_execute
+from rv32mc import HaltReason, MemoryImage, Simulator, assemble, reference_execute
+from rv32mc.errors import MisalignedAccess, OutOfRange, UnsupportedInstruction
 from progen import random_program
 
 
@@ -64,3 +66,32 @@ def test_seeded_random_programs_match():
 def test_random_programs_match_property(seed):
     # hypothesis-driven seeds give shrinkable counterexamples on regression
     assert_equivalent(random_program(random.Random(seed), max_body=40))
+
+
+def test_oracle_halts_on_taken_self_branch():
+    result = reference_execute(assemble("addi x1, x0, 3\nbeq x0, x0, 0\n"))
+    assert (result.halted, result.retired, result.pc) == (True, 2, 4)
+
+
+@pytest.mark.parametrize("source, error, pc, addr", [
+    ("addi x1, x0, 1\nslli x1, x1, 12\nlw x2, 0(x1)\n", OutOfRange, 8, 0x1000),
+    ("lw x2, 2(x0)\n", MisalignedAccess, 0, 2),
+    ("addi x1, x0, 5\n.word 0x00000067\n", UnsupportedInstruction, 4, None),
+])
+def test_oracle_and_engine_fault_alike(source, error, pc, addr):
+    image = assemble(source)
+    with pytest.raises(error) as oracle:
+        reference_execute(image)
+    sim = Simulator()
+    sim.program_and_start(image)
+    with pytest.raises(error) as engine:
+        sim.core.run(sim.bus)
+    assert oracle.value.pc == engine.value.pc == pc
+    assert oracle.value.addr == engine.value.addr == addr
+
+
+@pytest.mark.parametrize("base, addr", [(4096, 4096), (2, 2)])
+def test_oracle_refuses_images_that_do_not_fit(base, addr):
+    with pytest.raises(OutOfRange) as exc:
+        reference_execute(MemoryImage(base, [0x00000013]))
+    assert exc.value.addr == addr
