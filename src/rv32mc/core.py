@@ -16,10 +16,11 @@ writes scheduled during a cycle commit at its end.
 
 Each Core builds a table with one handler per FSM state; a handler does
 that state's work and returns the next state, and returning to Fetch
-retires the instruction.  One private clock advances a cycle through the
-table.  A TraceRecord is built around it only when someone reads one:
-`step_cycle` and a traced `Core.run`.  An untraced run, instruction
-stepping and the bring-up harness clock the core without records.
+retires the instruction.  One private loop runs executing cycles until an
+instruction retires or a cycle limit is reached; every way of clocking the
+core goes through it, `Core.run` once per instruction.  It builds each
+cycle's TraceRecord in place, only for a trace sink, and the CSV fields an
+instruction repeats on each of its cycles are rendered once per (pc, ir).
 
 reference_execute is a deliberately separate functional model - one
 instruction per step, no FSM, no cycle accounting, its own operator
@@ -29,12 +30,14 @@ semantics - used to cross-check the engine's architectural effects.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
-from .isa import MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass, decode, format_word, s32, u32
+from .isa import (DECODE_CACHE_SIZE, MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass,
+                  decode, format_word, s32, u32)
 from .memory import DEFAULT_MEM_SIZE, MemoryImage
 from .metrics import HaltReason, RunReport
 
@@ -152,7 +155,17 @@ class TraceRecord(NamedTuple):
 
     def as_csv(self) -> str:
         cycle, mode, state, pc, ir, retired, _ = self
-        return f"{cycle},{mode},{state},{pc:08x},{ir:08x},{format_word(ir)},{retired:d}"
+        return f"{cycle},{mode},{state},{_csv_tail(pc, ir)}{('0', '1')[retired]}"
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _csv_tail(pc: int, ir: int) -> str:
+    """The CSV fields an instruction repeats on each of its cycles."""
+    return f"{pc:08x},{ir:08x},{format_word(ir)},"
+
+
+# Records are built directly: NamedTuple's `__new__` is a Python frame.
+_record = functools.partial(tuple.__new__, TraceRecord)
 
 
 @dataclass(frozen=True)
@@ -212,46 +225,56 @@ class Core:
 
     # --- cycle-level stepping ---
 
-    def _clock(self, bus: Bus) -> bool:
-        """Advance one clock without a record; True if an instruction retired.
+    def _cycles(self, bus: Bus, limit: float, trace: Callable[[TraceRecord], None] | None) -> bool:
+        """Run executing cycles until an instruction retires (True) or
+        `cycle_count` reaches `limit` (False); `trace` gets each cycle's record."""
+        handlers, commit, mode = self._handlers, bus.commit_cycle, _NAME[_EXECUTING]
+        state, cycle = self.fsm, self.cycle_count
+        while cycle < limit:
+            try:
+                next_state = handlers[state](bus)
+            except SimError as e:
+                if e.pc is None:
+                    e.pc = self.pc if state is _FETCH else self.instr_pc
+                if e.state is None:
+                    e.state = state.value
+                raise
+            self.cycle_count = cycle = cycle + 1
+            commit()
+            self.fsm = next_state
+            retired = next_state is _FETCH
+            if retired:
+                self.retired_count += 1
+            if trace is not None:
+                trace(_record((cycle, mode, _NAME[state], self.instr_pc, self.ir, retired, False)))
+            if retired:
+                return True
+            state = next_state
+        return False
+
+    def _clock(self, bus: Bus, cycles: int = 1) -> None:
+        """Advance `cycles` clocks without records.
 
         Outside executing mode the clock is held: no architectural or
         microarchitectural state changes.
         """
         if self.mode is not _EXECUTING:
-            self.held_cycles += 1
-            return False
-        state = self.fsm
-        try:
-            next_state = self._handlers[state](bus)
-        except SimError as e:
-            if e.pc is None:
-                e.pc = self.pc if state is _FETCH else self.instr_pc
-            if e.state is None:
-                e.state = state.value
-            raise
-        self.cycle_count += 1
-        bus.commit_cycle()
-        self.fsm = next_state
-        if next_state is _FETCH:
-            self.retired_count += 1
-            return True
-        return False
+            self.held_cycles += max(cycles, 0)
+            return
+        limit = self.cycle_count + cycles
+        while self.cycle_count < limit:
+            self._cycles(bus, limit, None)
 
     def step_cycle(self, bus: Bus) -> TraceRecord:
         """Advance one clock and describe it; a held cycle changes nothing."""
+        if self.mode is _EXECUTING:
+            records: list[TraceRecord] = []
+            self._cycles(bus, self.cycle_count + 1, records.append)
+            return records[0]
+        self.held_cycles += 1
         state, mode = self.fsm, self.mode
-        retired = self._clock(bus)
-        held = mode is not _EXECUTING
-        return TraceRecord(
-            self.cycle_count,
-            _NAME[mode],
-            _NAME[state],
-            self.pc if held and state is _FETCH else self.instr_pc,
-            self.ir,
-            retired,
-            held,
-        )
+        pc = self.pc if state is _FETCH else self.instr_pc
+        return TraceRecord(self.cycle_count, _NAME[mode], _NAME[state], pc, self.ir, False, True)
 
     def _fetch(self, bus: Bus) -> FsmState:
         self.instr_pc = pc = self.pc
@@ -315,8 +338,7 @@ class Core:
         if self.mode is not _EXECUTING:
             raise NotExecuting(f"core is in {self.mode.value} mode")
         start_cycles = self.cycle_count
-        while not self._clock(bus):
-            pass
+        self._cycles(bus, float("inf"), None)  # every instruction retires
         assert self.decoded is not None
         return self.decoded, self.cycle_count - start_cycles
 
@@ -339,25 +361,17 @@ class Core:
             raise ValueError(f"max_cycles={max_cycles} must be positive")
         if self.mode is not _EXECUTING:
             raise NotExecuting(f"core is in {self.mode.value} mode")
-        if trace is None:
-            step = self._clock
-        else:
-            def step(bus: Bus) -> bool:
-                rec = self.step_cycle(bus)
-                trace(rec)
-                return rec.retired
         start_cycles = self.cycle_count
         start_held = self.held_cycles
         limit = start_cycles + max_cycles
         by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)
         reason = HaltReason.CYCLE_BUDGET_EXHAUSTED
-        while self.cycle_count < limit:
-            if step(bus):
-                d = self.decoded
-                by_mnemonic[d.mnemonic] += 1
-                if self.pc == self.instr_pc and d.cls in _CONTROL_CLASSES:
-                    reason = HaltReason.SELF_LOOP
-                    break
+        while self._cycles(bus, limit, trace):
+            d = self.decoded
+            by_mnemonic[d.mnemonic] += 1
+            if self.pc == self.instr_pc and d.cls in _CONTROL_CLASSES:
+                reason = HaltReason.SELF_LOOP
+                break
         retired = {cls: 0 for cls in InstrClass}
         for m, n in by_mnemonic.items():
             retired[MNEMONIC_CLASS[m]] += n

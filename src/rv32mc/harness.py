@@ -67,6 +67,8 @@ class Peripheral:
     def __post_init__(self) -> None:
         if self.name not in DEVICE_NAMES:
             raise ValueError(f"unknown device {self.name!r}; expected one of {DEVICE_NAMES}")
+        if self.base < 0:
+            raise ValueError(f"device {self.name!r}: base {self.base} is below address 0")
         if self.base % 4 or self.span % 4 or self.span <= 0:
             raise ValueError(
                 f"{self.name}: base {self.base:#x} and span {self.span} must be"
@@ -226,9 +228,7 @@ class Simulator:
         """Clock `cycles` times in the current mode; (executing, held) counts."""
         core = self.core
         c0, h0 = core.cycle_count, core.held_cycles
-        clock, bus = core._clock, self.bus
-        for _ in range(cycles):
-            clock(bus)
+        core._clock(self.bus, cycles)
         return core.cycle_count - c0, core.held_cycles - h0
 
     def program_and_start(self, image: MemoryImage) -> None:

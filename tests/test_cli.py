@@ -255,6 +255,14 @@ def test_bad_device_map_exit_code(demo_hex, tmp_path, capsys, devices):
     assert_input_error(dispatch(["run", str(demo_hex), "--peripheral-map", str(pmap)]), capsys)
 
 
+def test_negative_device_base_exit_code(demo_hex, tmp_path, capsys):
+    pmap = tmp_path / "devices.json"
+    pmap.write_text('[{"name": "pacing", "base": -16}]')
+    code = dispatch(["run", str(demo_hex), "--peripheral-map", str(pmap)])
+    assert capsys.readouterr().err == "error[input]: device 'pacing': base -16 is below address 0\n"
+    assert code == 2
+
+
 # --- generated inputs: every one ends in a documented exit code ---
 
 def dispatch_quietly(argv):

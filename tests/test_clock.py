@@ -2,7 +2,9 @@
 
 An untraced `Core.run`, `step_instruction` and `Simulator.run_cycles` clock
 the core without building TraceRecords; a traced run and `step_cycle` build
-one per cycle.  Both must leave the machine in the same state.
+one per cycle.  All of them run the same cycle loop, which returns at a
+retirement or at a cycle limit, so they must leave the machine in the same
+state wherever they stop, in the middle of an instruction or at a fault.
 """
 
 import random
@@ -10,6 +12,7 @@ import random
 import pytest
 
 from rv32mc import ControlMode, PeripheralMap, Simulator, assemble
+from rv32mc.errors import SimError
 from rv32mc.programs import PROGRAMS
 from progen import random_program
 
@@ -61,3 +64,61 @@ def test_run_cycles_matches_step_cycle(name, lines):
         records = [b.core.step_cycle(b.bus) for _ in range(n)]
         assert all(r.held == held for r in records)
         assert machine_state(a) == machine_state(b)
+
+
+def _run(sim, n):
+    return sim.core.run(sim.bus, max_cycles=n).total_cycles
+
+
+def _traced_run(sim, n):
+    records = []
+    try:
+        return sim.core.run(sim.bus, max_cycles=n, trace=records.append).total_cycles
+    finally:
+        assert [r.cycle for r in records] == list(range(1, sim.core.cycle_count + 1))
+
+
+def _step_cycles(sim, n):
+    for _ in range(n):
+        sim.core.step_cycle(sim.bus)
+    return n
+
+
+def _run_cycles(sim, n):
+    return sim.run_cycles(n)[0]
+
+
+PATHS = (_run, _traced_run, _step_cycles, _run_cycles)
+
+
+@pytest.mark.parametrize("name", ["demo", "pacer", "progen-3", "progen-7"])
+def test_every_path_stops_alike_at_every_cycle_offset(name):
+    for max_cycles in range(1, 13):
+        reference = started(IMAGES[name])
+        cycles = _run(reference, max_cycles)  # fewer than max_cycles if it halts first
+        for path in PATHS[1:]:
+            sim = started(IMAGES[name])
+            assert path(sim, cycles) == cycles
+            assert machine_state(sim) == machine_state(reference), (path.__name__, max_cycles)
+
+
+FAULTS = {
+    # x1 = 0x2000: above memory and past the last default device
+    "unmapped-load": ("addi x1, x0, 1\nslli x1, x1, 13\nlw x2, 0(x1)\njal x0, 0\n",
+                      0x8, "mem_read", 11),
+    "unsupported": ("addi x1, x0, 5\nadd x2, x1, x1\n.word 0xFFFFFFFF\njal x0, 0\n",
+                    0x8, "decode", 9),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_every_path_faults_alike_in_the_middle_of_an_instruction(name):
+    source, pc, state, cycle_count = FAULTS[name]
+    states = []
+    for path in PATHS:
+        sim = started(assemble(source))
+        with pytest.raises(SimError) as info:
+            path(sim, 100)
+        assert (info.value.pc, info.value.state, sim.core.cycle_count) == (pc, state, cycle_count)
+        states.append(machine_state(sim))
+    assert all(s == states[0] for s in states)

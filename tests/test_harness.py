@@ -220,6 +220,13 @@ def test_device_map_validation():
         Simulator(peripherals=PeripheralMap([Peripheral("pacing", 0x800)]))
 
 
+def test_device_base_below_zero_is_refused_by_name():
+    for config in ([{"name": "pacing", "base": -16}], [{"name": "egm", "base": -4, "span": 8}]):
+        name, base = config[0]["name"], config[0]["base"]
+        with pytest.raises(ValueError, match=f"^device '{name}': base {base} is below address 0$"):
+            PeripheralMap.from_config(config)
+
+
 def test_system_bus_owns_the_memory_device_boundary():
     low = PeripheralMap([Peripheral("pacing", 0xFFC)])
     with pytest.raises(ValueError, match="^device 'pacing' overlaps memory$"):

@@ -3,17 +3,19 @@
 Whatever ends the run - the halt policy, the cycle budget in the middle
 of an instruction, or a fault - stdout ahead of the report holds one line
 per executed cycle, in order.  The expected lines are rendered here from
-`Core.step_cycle` records field by field, not through `TraceRecord.as_csv`.
+`Core.step_cycle` records field by field, not through `TraceRecord.as_csv`,
+and `as_csv` itself, which caches the fields an instruction repeats, is
+held to that longhand.
 """
 
 import contextlib
 
 import pytest
 
-from rv32mc import PeripheralMap, Simulator, assemble, decode, image_to_hex
+from rv32mc import ControlMode, PeripheralMap, Simulator, assemble, decode, image_to_hex
 from rv32mc.cli import TRACE_BLOCK_LINES, dispatch
 from rv32mc.errors import SimError, UnsupportedInstruction
-from rv32mc.isa import format_instruction
+from rv32mc.isa import DECODE_CACHE_SIZE, format_instruction
 
 # Writes each pass's number to the pacing DATA register, then rewrites the
 # immediate of its own `addi` for the next pass: about 32 cycles a pass.
@@ -58,11 +60,16 @@ def render(rec) -> str:
     return f"{rec.cycle},{rec.mode},{rec.state},{rec.pc:08x},{rec.ir:08x},{text},{int(rec.retired)}\n"
 
 
+def started(source: str) -> Simulator:
+    sim = Simulator(peripherals=PeripheralMap.default())
+    sim.program_and_start(assemble(source))
+    return sim
+
+
 def expected_lines(source: str, max_cycles: int) -> tuple[list[str], bool]:
     """Lines of the cycles before a self-loop halt, the budget or a fault;
     and whether the last of them retired an instruction."""
-    sim = Simulator(peripherals=PeripheralMap.default())
-    sim.program_and_start(assemble(source))
+    sim = started(source)
     lines, retired = [], False
     with contextlib.suppress(SimError):
         while len(lines) < max_cycles:
@@ -107,3 +114,31 @@ def test_trace_lines_cross_blocks_and_survive_every_ending(tmp_path, source, max
     trace_writes = [w for w in sink.writes if "halt_reason=" not in w and w != "\n"]
     assert max(w.count("\n") for w in trace_writes) <= TRACE_BLOCK_LINES
     assert len(trace_writes) == -(-len(expected) // TRACE_BLOCK_LINES)
+
+
+def test_as_csv_matches_longhand_past_the_cache_bound():
+    # Each pass patches its `addi`, so every pass adds a new (pc, ir) pair.
+    passes = DECODE_CACHE_SIZE + 100
+    source = HALTS.replace("addi  x2, x0, 40", f"addi  x2, x0, {passes}")
+    sim, records = started(source), []
+    sim.core.run(sim.bus, trace=records.append)
+    assert len({(r.pc, r.ir) for r in records}) > passes > DECODE_CACHE_SIZE
+    for rec in records:
+        assert rec.as_csv() + "\n" == render(rec)
+
+
+@pytest.mark.parametrize("lines", [(0, 0, 0), (0, 0, 1), (0, 1, 0)],
+                         ids=["observation", "programming", "reset"])
+@pytest.mark.parametrize("cycles", [8, 11], ids=["at-fetch", "mid-instruction"])
+def test_held_records_render_like_longhand(lines, cycles):
+    # After 8 cycles two instructions have retired: the core waits to fetch
+    # pc 8 while instr_pc is still 4.  After 11 it is inside the one at 8.
+    sim = started(HALTS)
+    sim.run_cycles(cycles)
+    sim.core.apply_control(*lines)
+    reset = lines[1]  # clears the pc and the cycle count
+    for _ in range(3):
+        rec = sim.core.step_cycle(sim.bus)
+        assert rec.held and rec.mode == sim.core.mode.value != ControlMode.EXECUTING.value
+        assert (rec.cycle, rec.pc) == ((0, 0) if reset else (cycles, 8))
+        assert rec.as_csv() + "\n" == render(rec)
