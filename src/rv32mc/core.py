@@ -16,11 +16,15 @@ writes scheduled during a cycle commit at its end.
 
 Each Core builds a table with one handler per FSM state; a handler does
 that state's work and returns the next state, and returning to Fetch
-retires the instruction.  One private loop runs executing cycles until an
-instruction retires or a cycle limit is reached; every way of clocking the
-core goes through it, `Core.run` once per instruction.  It builds each
-cycle's TraceRecord in place, only for a trace sink, and the CSV fields an
-instruction repeats on each of its cycles are rendered once per (pc, ir).
+retires the instruction.  Decode still calls `isa.decode` for every
+instruction, and the handlers read what they need of the word from a plan
+cached by word value.  One private loop runs executing cycles until a cycle
+limit or its stop rule (every retirement, the halt rule, or none); every
+way of clocking the core goes through it, `Core.run` once per run.  The
+loop counts each retirement by mnemonic, commits memory only after a cycle
+that can leave a write pending, and builds each cycle's TraceRecord in
+place, only for a trace sink; the CSV fields an instruction repeats on
+each of its cycles are rendered once per (pc, ir).
 
 reference_execute is a deliberately separate functional model - one
 instruction per step, no FSM, no cycle accounting, its own operator
@@ -87,23 +91,16 @@ _EXECUTING = ControlMode.EXECUTING
 _R_ALU = InstrClass.R_ALU
 _LOAD = InstrClass.LOAD
 _CONTROL_CLASSES = (InstrClass.JUMP, InstrClass.BRANCH)
+_NEVER, _RETIRE, _HALT = range(3)  # where `Core._cycles` may stop before its limit
 
 # Trace names of states and modes, keyed by member: `.value` is a
 # Python-level descriptor, and a traced run reads two names per cycle.
 _NAME = {m: m.value for m in (*FsmState, *ControlMode)}
 
 # State after Decode, by mnemonic (string keys hash in C).
-_AFTER_DECODE = {
-    m: {
-        InstrClass.R_ALU: _EXECUTE,
-        InstrClass.I_ALU: _EXECUTE,
-        InstrClass.LOAD: _MEM_ADDR,
-        InstrClass.STORE: _MEM_ADDR,
-        InstrClass.BRANCH: _BRANCH_COMPLETION,
-        InstrClass.JUMP: _JUMP_LINK,
-    }[cls]
-    for m, cls in MNEMONIC_CLASS.items()
-}
+_AFTER_DECODE = {m: {InstrClass.R_ALU: _EXECUTE, InstrClass.I_ALU: _EXECUTE, InstrClass.LOAD: _MEM_ADDR,
+                     InstrClass.STORE: _MEM_ADDR, InstrClass.BRANCH: _BRANCH_COMPLETION,
+                     InstrClass.JUMP: _JUMP_LINK}[cls] for m, cls in MNEMONIC_CLASS.items()}
 
 # ALU operator by mnemonic; an I-type op takes its immediate as operand b.
 # Operands are 32-bit unsigned register values.
@@ -123,6 +120,18 @@ _ALU_OPS: dict[str, Callable[[int, int], int]] = {
     )
     for m in names.split()
 }
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _plan(word: int, decode: Callable[[int], DecodedInstruction] = decode) -> tuple:
+    """What the handlers read of a word, by index: (0 state after Decode, 1 ALU
+    operator, 2 rs1, 3 rs2, 4 operand-b immediate or None for R-type, 5 rd,
+    6 state after MemAddr, 7 immediate, 8 mnemonic, 9 is jump or branch).
+    `decode` is bound here: Decode has just decoded the word, and filling
+    its plan reads that decode back from the cache, it is not another one."""
+    cls, m, rd, rs1, rs2, imm = decode(word)
+    return (_AFTER_DECODE[m], _ALU_OPS.get(m), rs1, rs2, None if cls is _R_ALU else imm & MASK32,
+            rd, _MEM_READ if cls is _LOAD else _MEM_WRITE, imm, m, cls in _CONTROL_CLASSES)
 
 
 class RegisterFile:
@@ -209,7 +218,9 @@ class Core:
             self.fsm = FsmState.FETCH
             self.ir = self.a = self.b = self.alu_out = self.mdr = self.instr_pc = 0
             self.decoded: DecodedInstruction | None = None
+            self._plan: tuple | None = None  # `_plan(ir)` from Decode on
             self.cycle_count = self.retired_count = self.held_cycles = 0
+            self.by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)  # retirements
         return self.mode
 
     def snapshot(self) -> CoreSnapshot:
@@ -225,45 +236,52 @@ class Core:
 
     # --- cycle-level stepping ---
 
-    def _cycles(self, bus: Bus, limit: float, trace: Callable[[TraceRecord], None] | None) -> bool:
-        """Run executing cycles until an instruction retires (True) or
-        `cycle_count` reaches `limit` (False); `trace` gets each cycle's record."""
+    def _cycles(self, bus: Bus, limit: float, trace: Callable[[TraceRecord], None] | None,
+                stop: int = _RETIRE) -> bool:
+        """Run executing cycles until `cycle_count` reaches `limit` (False)
+        or a retirement meets `stop` (True); `trace` gets each cycle's record.
+        Memory commits after a MemWrite cycle, and after the first cycle for
+        a write scheduled from outside before it."""
         handlers, commit, mode = self._handlers, bus.commit_cycle, _NAME[_EXECUTING]
+        by_mnemonic = self.by_mnemonic
         state, cycle = self.fsm, self.cycle_count
-        while cycle < limit:
-            try:
+        first = cycle + 1
+        try:
+            while cycle < limit:
                 next_state = handlers[state](bus)
-            except SimError as e:
-                if e.pc is None:
-                    e.pc = self.pc if state is _FETCH else self.instr_pc
-                if e.state is None:
-                    e.state = state.value
-                raise
-            self.cycle_count = cycle = cycle + 1
-            commit()
-            self.fsm = next_state
-            retired = next_state is _FETCH
-            if retired:
-                self.retired_count += 1
-            if trace is not None:
-                trace(_record((cycle, mode, _NAME[state], self.instr_pc, self.ir, retired, False)))
-            if retired:
-                return True
-            state = next_state
-        return False
+                self.cycle_count = cycle = cycle + 1
+                if state is _MEM_WRITE or cycle == first:
+                    commit()
+                ran, state = state, next_state
+                retired = state is _FETCH
+                if retired:
+                    self.retired_count += 1
+                    plan = self._plan
+                    by_mnemonic[plan[8]] += 1
+                if trace is not None:
+                    trace(_record((cycle, mode, _NAME[ran], self.instr_pc, self.ir, retired, False)))
+                if retired and (stop == _RETIRE or stop == _HALT and plan[9] and self.pc == self.instr_pc):
+                    return True
+            return False
+        except SimError as e:  # raised by the handler of `state`
+            if e.pc is None:
+                e.pc = self.pc if state is _FETCH else self.instr_pc
+            if e.state is None:
+                e.state = state.value
+            raise
+        finally:
+            self.fsm = state
 
     def _clock(self, bus: Bus, cycles: int = 1) -> None:
-        """Advance `cycles` clocks without records.
+        """Advance `cycles` (>= 0) clocks without records.
 
         Outside executing mode the clock is held: no architectural or
         microarchitectural state changes.
         """
         if self.mode is not _EXECUTING:
-            self.held_cycles += max(cycles, 0)
+            self.held_cycles += cycles
             return
-        limit = self.cycle_count + cycles
-        while self.cycle_count < limit:
-            self._cycles(bus, limit, None)
+        self._cycles(bus, self.cycle_count + cycles, None, _NEVER)
 
     def step_cycle(self, bus: Bus) -> TraceRecord:
         """Advance one clock and describe it; a held cycle changes nothing."""
@@ -283,35 +301,37 @@ class Core:
         return _DECODE
 
     def _decode(self, bus: Bus) -> FsmState:
-        d = self.decoded = decode(self.ir)
+        ir = self.ir
+        self.decoded = decode(ir)
+        p = self._plan = _plan(ir)
         regs = self._regs
-        self.a = regs[d.rs1]
-        self.b = regs[d.rs2]
-        return _AFTER_DECODE[d.mnemonic]
+        self.a = regs[p[2]]
+        self.b = regs[p[3]]
+        return p[0]
 
     def _execute(self, bus: Bus) -> FsmState:
-        d = self.decoded
-        rhs = self.b if d.cls is _R_ALU else d.imm & MASK32
-        self.alu_out = _ALU_OPS[d.mnemonic](self.a, rhs)
+        p = self._plan
+        imm = p[4]
+        self.alu_out = p[1](self.a, self.b if imm is None else imm)
         return _ALU_WRITEBACK
 
     def _alu_writeback(self, bus: Bus) -> FsmState:
-        rd = self.decoded.rd
+        rd = self._plan[5]
         if rd:
             self._regs[rd] = self.alu_out
         return _FETCH
 
     def _mem_addr(self, bus: Bus) -> FsmState:
-        d = self.decoded
-        self.alu_out = (self.a + d.imm) & MASK32
-        return _MEM_READ if d.cls is _LOAD else _MEM_WRITE
+        p = self._plan
+        self.alu_out = (self.a + p[7]) & MASK32
+        return p[6]
 
     def _mem_read(self, bus: Bus) -> FsmState:
         self.mdr = bus.read_word(self.alu_out)
         return _LOAD_WRITEBACK
 
     def _load_writeback(self, bus: Bus) -> FsmState:
-        rd = self.decoded.rd
+        rd = self._plan[5]
         if rd:
             self._regs[rd] = self.mdr
         return _FETCH
@@ -322,13 +342,13 @@ class Core:
 
     def _branch_completion(self, bus: Bus) -> FsmState:
         if self.a == self.b:
-            self.pc = (self.instr_pc + self.decoded.imm) & MASK32
+            self.pc = (self.instr_pc + self._plan[7]) & MASK32
         return _FETCH
 
     def _jump_link(self, bus: Bus) -> FsmState:
         pc = self.instr_pc
         self.alu_out = (pc + 4) & MASK32
-        self.pc = (pc + self.decoded.imm) & MASK32
+        self.pc = (pc + self._plan[7]) & MASK32
         return _ALU_WRITEBACK
 
     # --- instruction-level stepping ---
@@ -363,23 +383,16 @@ class Core:
             raise NotExecuting(f"core is in {self.mode.value} mode")
         start_cycles = self.cycle_count
         start_held = self.held_cycles
-        limit = start_cycles + max_cycles
-        by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)
-        reason = HaltReason.CYCLE_BUDGET_EXHAUSTED
-        while self._cycles(bus, limit, trace):
-            d = self.decoded
-            by_mnemonic[d.mnemonic] += 1
-            if self.pc == self.instr_pc and d.cls in _CONTROL_CLASSES:
-                reason = HaltReason.SELF_LOOP
-                break
+        before = dict(self.by_mnemonic)
+        halted = self._cycles(bus, start_cycles + max_cycles, trace, _HALT)
         retired = {cls: 0 for cls in InstrClass}
-        for m, n in by_mnemonic.items():
-            retired[MNEMONIC_CLASS[m]] += n
+        for m, n in self.by_mnemonic.items():
+            retired[MNEMONIC_CLASS[m]] += n - before[m]
         return RunReport(
             total_cycles=self.cycle_count - start_cycles,
             held_cycles=self.held_cycles - start_held,
             retired=retired,
-            halt_reason=reason,
+            halt_reason=HaltReason.SELF_LOOP if halted else HaltReason.CYCLE_BUDGET_EXHAUSTED,
             final_state=self.snapshot(),
         )
 
@@ -433,7 +446,9 @@ def reference_execute(
         InstrClass.R_ALU, InstrClass.I_ALU, InstrClass.LOAD, InstrClass.STORE, InstrClass.BRANCH
     )
     while retired < max_instrs and not halted:
-        word = words[mem_index(pc)]
+        if pc & 3 or pc >= mem_size:
+            mem_index(pc)  # raises
+        word = words[pc >> 2]
         try:
             cls, m, rd, rs1, rs2, imm = decode(word)
         except SimError as e:

@@ -226,6 +226,8 @@ class Simulator:
 
     def run_cycles(self, cycles: int) -> tuple[int, int]:
         """Clock `cycles` times in the current mode; (executing, held) counts."""
+        if cycles < 0:
+            raise ValueError(f"cycles={cycles} must not be negative")
         core = self.core
         c0, h0 = core.cycle_count, core.held_cycles
         core._clock(self.bus, cycles)

@@ -50,16 +50,17 @@ class UnifiedMemory:
         self.words = [0] * (size_bytes // 4)
         self.pending_write: tuple[int, int] | None = None
 
-    def _check_addr(self, addr: int) -> int:
+    def _check_addr(self, addr: int) -> None:
         if addr % 4:
             raise MisalignedAccess("word access must be 4-byte aligned", addr=addr)
         if not 0 <= addr <= self.size_bytes - 4:
             raise OutOfRange(f"beyond {self.size_bytes}-byte memory", addr=addr)
-        return addr >> 2
 
     def read_word(self, addr: int) -> int:
         """Committed contents at addr; a pending write is not yet visible."""
-        return self.words[self._check_addr(addr)]
+        if addr & 3 or not 0 <= addr < self.size_bytes:
+            self._check_addr(addr)  # raises
+        return self.words[addr >> 2]
 
     def schedule_write(self, addr: int, value: int, mode: ControlMode) -> None:
         if mode not in WRITE_MODES:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from rv32mc import ControlMode, PeripheralMap, Simulator, assemble
+from rv32mc import ControlMode, HaltReason, InstrClass, PeripheralMap, Simulator, assemble
 from rv32mc.errors import SimError
 from rv32mc.programs import PROGRAMS
 from progen import random_program
@@ -26,6 +26,11 @@ def started(image):
     sim = Simulator(peripherals=PeripheralMap.default())
     sim.program_and_start(image)
     return sim
+
+
+def counts_agree(core):
+    """The engine's retirements by mnemonic add up to its retired count."""
+    return sum(core.by_mnemonic.values()) == core.retired_count
 
 
 def machine_state(sim):
@@ -100,6 +105,7 @@ def test_every_path_stops_alike_at_every_cycle_offset(name):
             sim = started(IMAGES[name])
             assert path(sim, cycles) == cycles
             assert machine_state(sim) == machine_state(reference), (path.__name__, max_cycles)
+            assert counts_agree(sim.core)
 
 
 FAULTS = {
@@ -120,5 +126,45 @@ def test_every_path_faults_alike_in_the_middle_of_an_instruction(name):
         with pytest.raises(SimError) as info:
             path(sim, 100)
         assert (info.value.pc, info.value.state, sim.core.cycle_count) == (pc, state, cycle_count)
+        assert counts_agree(sim.core)
         states.append(machine_state(sim))
     assert all(s == states[0] for s in states)
+
+
+def test_outside_write_commits_at_the_end_of_the_first_executing_cycle():
+    image = IMAGES["demo"]
+    patched = 0x0000006F  # jal x0, 0
+    assert image.words[0] != patched
+    states = []
+    for path in PATHS:
+        sim = started(image)
+        sim.core.apply_control(ie=0, reset=0, write_enable=1)  # programming
+        sim.bus.schedule_write(0, patched, sim.core.mode)
+        sim.start()
+        assert path(sim, 1) == 1
+        assert sim.core.ir == image.words[0]  # the fetch saw committed memory
+        assert sim.mem.words[0] == patched and sim.mem.pending_write is None
+        states.append(machine_state(sim))
+    assert all(s == states[0] for s in states)
+
+
+def test_reset_clears_the_retirement_counts():
+    sim = started(IMAGES["demo"])
+    sim.run_cycles(40)
+    assert sim.core.retired_count and counts_agree(sim.core)
+    sim.pulse_reset()
+    assert sim.core.retired_count == 0 and not any(sim.core.by_mnemonic.values())
+
+
+@pytest.mark.parametrize("name", ["demo", "pacer", "progen-7"])
+def test_a_run_split_by_its_budget_retires_what_one_run_does(name):
+    reference = started(IMAGES[name])
+    whole = reference.core.run(reference.bus)
+    assert whole.halt_reason is HaltReason.SELF_LOOP
+    sim = started(IMAGES[name])
+    first = sim.core.run(sim.bus, max_cycles=whole.total_cycles // 2)
+    second = sim.core.run(sim.bus, max_cycles=whole.total_cycles)
+    assert first.halt_reason is HaltReason.CYCLE_BUDGET_EXHAUSTED
+    assert second.halt_reason is HaltReason.SELF_LOOP
+    assert {c: first.retired[c] + second.retired[c] for c in InstrClass} == whole.retired
+    assert sim.core.by_mnemonic == reference.core.by_mnemonic and counts_agree(sim.core)

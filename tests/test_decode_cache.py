@@ -5,7 +5,9 @@ import pytest
 from rv32mc import ControlMode, Core, HaltReason, MemoryImage, UnifiedMemory, assemble, decode
 from rv32mc import encode, instr, reference_execute
 from rv32mc.errors import UnsupportedInstruction
+from rv32mc.core import _plan
 from rv32mc.isa import DECODE_CACHE_SIZE, format_word
+from rv32mc.programs import PROGRAMS
 
 # Rewrites the immediate of its own `addi` before every pass: the word at
 # `patch` is fetched as a different word each iteration, in plain memory.
@@ -55,6 +57,43 @@ def test_unsupported_word_raises_every_time_with_its_own_pc():
         with pytest.raises(UnsupportedInstruction) as exc:
             core.run(mem)
         assert (exc.value.pc, exc.value.state) == (pc, "decode")
+
+
+def test_a_word_rewritten_in_place_is_decoded_anew():
+    # The addi runs once; the sw then replaces it with an unsupported word,
+    # whose plan no cached one may stand in for.
+    core, mem = started(assemble("""
+        addi x2, x0, -1
+patch:  addi x4, x4, 1
+        sw   x2, 4(x0)
+        jal  x0, patch
+"""))
+    with pytest.raises(UnsupportedInstruction) as exc:
+        core.run(mem)
+    assert (exc.value.pc, exc.value.state) == (4, "decode")
+    assert core.regs[4] == 1 and mem.words[1] == 0xFFFFFFFF
+
+
+def test_plan_cache_stays_within_its_bound():
+    words = [encode(instr("addi", rd=1, rs1=1, imm=k)) for k in range(DECODE_CACHE_SIZE + 100)]
+    mem = UnifiedMemory(8192)
+    mem.load_image(MemoryImage(0, words + [encode(instr("jal", imm=0))]), ControlMode.PROGRAMMING)
+    core = Core()
+    core.apply_control(ie=0, reset=1)
+    core.apply_control(ie=1, reset=0)
+    assert core.run(mem).halt_reason is HaltReason.SELF_LOOP
+    assert core.regs[1] == sum(range(DECODE_CACHE_SIZE + 100))
+    assert _plan.cache_info().currsize <= DECODE_CACHE_SIZE
+
+
+def test_decoded_follows_ir_after_every_decode():
+    core, mem = started(assemble(PROGRAMS["demo"]))
+    decodes = 0
+    while core.retired_count < 20:
+        if core.step_cycle(mem).state != "fetch":
+            decodes += 1
+            assert core.decoded == decode(core.ir)
+    assert decodes
 
 
 def test_cache_stays_within_its_bound():

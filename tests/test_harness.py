@@ -145,6 +145,19 @@ def test_observe_under_held_reset_changes_nothing():
     assert sim.core.mode is ControlMode.RESET_HOLD
 
 
+@pytest.mark.parametrize("lines", [(1, 0, 0), (0, 0, 0)], ids=["executing", "observation"])
+def test_run_cycles_refuses_a_negative_count(lines):
+    sim = Simulator()
+    sim.program_and_start(assemble(DEMO))
+    sim.core.apply_control(*lines)
+    before = sim.core.snapshot()
+    with pytest.raises(ValueError, match="-3"):
+        sim.run_cycles(-3)
+    assert sim.core.snapshot() == before
+    assert sim.run_cycles(0) == (0, 0)
+    assert sim.core.snapshot() == before
+
+
 def _range_outcome(call, *args):
     try:
         call(*args)

@@ -77,6 +77,9 @@ def test_oracle_halts_on_taken_self_branch():
     ("addi x1, x0, 1\nslli x1, x1, 12\nlw x2, 0(x1)\n", OutOfRange, 8, 0x1000),
     ("lw x2, 2(x0)\n", MisalignedAccess, 0, 2),
     ("addi x1, x0, 5\n.word 0x00000067\n", UnsupportedInstruction, 4, None),
+    # fetch faults: a jump past the 4 KiB memory, and one to an address = 2 mod 4
+    ("addi x1, x0, 5\njal x0, 4092\n", OutOfRange, 4096, 4096),
+    ("jal x0, 6\n", MisalignedAccess, 6, 6),
 ])
 def test_oracle_and_engine_fault_alike(source, error, pc, addr):
     image = assemble(source)
