@@ -8,7 +8,9 @@ Subcommands:
     selftest frozen-encoding and engine consistency checks
 
 Exit codes: 0 success, 1 a failed `selftest` check, 2 input errors
-(source, image, script, device map or flag value), 3 runtime faults,
+(source, image, script, device map or flag value) and output errors (an
+unwritable `--report` or `--dump-mem` path, or a stdout closed by its
+reader, as in `rv32mc run x.hex --trace | head -1`), 3 runtime faults,
 4 cycle-budget exhaustion.  All configuration is via flags.  Each flag
 is checked once: by its argparse type, or by the object it configures
 (UnifiedMemory, EnergyModel, Core.run), and all of those checks run
@@ -76,10 +78,11 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 
 def _cmd_dis(args: argparse.Namespace) -> int:
     try:
-        sys.stdout.write(disassemble(load_hex_file(args.image)))
+        text = disassemble(load_hex_file(args.image))
     except (OSError, ValueError, SimError) as e:
         _error("dis", e)
         return EXIT_INPUT
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -204,7 +207,16 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()  # so a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError as e:
+        # The interpreter flushes stdout once more at exit; give that flush
+        # somewhere to go, so it cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _error("output", e)
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -160,10 +160,14 @@ class TraceRecord(NamedTuple):
     pc: int
     ir: int
     retired: bool
-    held: bool = False
+
+    @property
+    def held(self) -> bool:
+        """A cycle is held exactly when the core is not executing."""
+        return self.mode != _EXECUTING.value
 
     def as_csv(self) -> str:
-        cycle, mode, state, pc, ir, retired, _ = self
+        cycle, mode, state, pc, ir, retired = self
         return f"{cycle},{mode},{state},{_csv_tail(pc, ir)}{('0', '1')[retired]}"
 
 
@@ -219,9 +223,13 @@ class Core:
             self.ir = self.a = self.b = self.alu_out = self.mdr = self.instr_pc = 0
             self.decoded: DecodedInstruction | None = None
             self._plan: tuple | None = None  # `_plan(ir)` from Decode on
-            self.cycle_count = self.retired_count = self.held_cycles = 0
+            self.cycle_count = self.held_cycles = 0
             self.by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)  # retirements
         return self.mode
+
+    @property
+    def retired_count(self) -> int:
+        return sum(self.by_mnemonic.values())
 
     def snapshot(self) -> CoreSnapshot:
         return CoreSnapshot(
@@ -255,11 +263,10 @@ class Core:
                 ran, state = state, next_state
                 retired = state is _FETCH
                 if retired:
-                    self.retired_count += 1
                     plan = self._plan
                     by_mnemonic[plan[8]] += 1
                 if trace is not None:
-                    trace(_record((cycle, mode, _NAME[ran], self.instr_pc, self.ir, retired, False)))
+                    trace(_record((cycle, mode, _NAME[ran], self.instr_pc, self.ir, retired)))
                 if retired and (stop == _RETIRE or stop == _HALT and plan[9] and self.pc == self.instr_pc):
                     return True
             return False
@@ -292,7 +299,7 @@ class Core:
         self.held_cycles += 1
         state, mode = self.fsm, self.mode
         pc = self.pc if state is _FETCH else self.instr_pc
-        return TraceRecord(self.cycle_count, _NAME[mode], _NAME[state], pc, self.ir, False, True)
+        return TraceRecord(self.cycle_count, _NAME[mode], _NAME[state], pc, self.ir, False)
 
     def _fetch(self, bus: Bus) -> FsmState:
         self.instr_pc = pc = self.pc

@@ -224,20 +224,27 @@ def decode(word: int) -> DecodedInstruction:
     return _new((cls, m, rd, 0, 0, imm))
 
 
+# Classes bound once: an enum member read through its class is a
+# Python-level lookup, and formatting tests the class of every word.
+_R_ALU, _I_ALU, _LOAD, _STORE, _BRANCH = (
+    InstrClass.R_ALU, InstrClass.I_ALU, InstrClass.LOAD, InstrClass.STORE, InstrClass.BRANCH
+)
+
+
 def format_instruction(ins: DecodedInstruction) -> str:
     """Canonical text for one instruction; assembles back to the same word."""
-    m = ins.mnemonic
-    if ins.cls is InstrClass.R_ALU:
-        return f"{m} x{ins.rd}, x{ins.rs1}, x{ins.rs2}"
-    if ins.cls is InstrClass.I_ALU:
-        return f"{m} x{ins.rd}, x{ins.rs1}, {ins.imm}"
-    if ins.cls is InstrClass.LOAD:
-        return f"{m} x{ins.rd}, {ins.imm}(x{ins.rs1})"
-    if ins.cls is InstrClass.STORE:
-        return f"{m} x{ins.rs2}, {ins.imm}(x{ins.rs1})"
-    if ins.cls is InstrClass.BRANCH:
-        return f"{m} x{ins.rs1}, x{ins.rs2}, {ins.imm}"
-    return f"{m} x{ins.rd}, {ins.imm}"
+    cls, m, rd, rs1, rs2, imm = ins
+    if cls is _R_ALU:
+        return f"{m} x{rd}, x{rs1}, x{rs2}"
+    if cls is _I_ALU:
+        return f"{m} x{rd}, x{rs1}, {imm}"
+    if cls is _LOAD:
+        return f"{m} x{rd}, {imm}(x{rs1})"
+    if cls is _STORE:
+        return f"{m} x{rs2}, {imm}(x{rs1})"
+    if cls is _BRANCH:
+        return f"{m} x{rs1}, x{rs2}, {imm}"
+    return f"{m} x{rd}, {imm}"
 
 
 @functools.lru_cache(maxsize=DECODE_CACHE_SIZE)

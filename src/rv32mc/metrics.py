@@ -5,6 +5,11 @@ first-order cycles-times-constant model: the defaults are 17.18 pJ/cycle
 at a 50 MHz clock, which work out to 859 uW of average power under the
 continuous-execution assumption.  Held (non-executing) cycles are reported
 separately and never enter the energy total.
+
+The report is one ordered field list (`_fields`): one entry per text line,
+holding the line's label and value and the key=value pairs it stands for.
+`render_text` and `render_kv` are joins over that list, so the two formats
+cannot disagree on which fields appear, in what order, or when.
 """
 
 from __future__ import annotations
@@ -78,46 +83,38 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_text(report: RunReport) -> str:
-    lines = [
-        f"halt reason    : {report.halt_reason.value}",
-        f"cycles         : {report.total_cycles}",
-        f"held cycles    : {report.held_cycles}",
-        f"retired        : {report.retired_total}",
+def _fields(report: RunReport) -> list[tuple[str, object, tuple[tuple[str, object], ...]]]:
+    """The report in order, one entry per text line: its label, its text
+    value, and the key=value pairs the line stands for."""
+    reason, pc = report.halt_reason.value, f"0x{report.final_state.pc:08x}"
+    fields = [
+        ("halt reason", reason, (("halt_reason", reason),)),
+        ("cycles", report.total_cycles, (("total_cycles", report.total_cycles),)),
+        ("held cycles", report.held_cycles, (("held_cycles", report.held_cycles),)),
+        ("retired", report.retired_total, (("retired_total", report.retired_total),)),
     ]
     for cls in InstrClass:
         n = report.retired.get(cls, 0)
-        lines.append(f"  {cls.value:<13}: {n} ({n * CYCLE_COST[cls]} cycles)")
+        fields.append((f"  {cls.value}", f"{n} ({n * CYCLE_COST[cls]} cycles)",
+                       ((f"retired.{cls.value}", n),)))
     if report.cpi is not None:
-        lines.append(
-            f"cpi            : {float(report.cpi):.4f}"
-            f" ({report.cpi.numerator}/{report.cpi.denominator} exact)"
-        )
+        exact = f"{report.cpi.numerator}/{report.cpi.denominator}"
+        fields.append(("cpi", f"{float(report.cpi):.4f} ({exact} exact)",
+                       (("cpi", _fmt(float(report.cpi))), ("cpi_exact", exact))))
     if report.energy_pj is not None:
-        lines.append(f"energy         : {_fmt(report.energy_pj)} pJ")
+        energy = _fmt(report.energy_pj)
+        fields.append(("energy", f"{energy} pJ", (("energy_pj", energy),)))
     if report.avg_power_uw is not None:
-        lines.append(f"avg power      : {_fmt(report.avg_power_uw)} uW")
-    s = report.final_state
-    lines.append(f"final pc       : 0x{s.pc:08x}")
-    return "\n".join(lines)
+        power = _fmt(report.avg_power_uw)
+        fields.append(("avg power", f"{power} uW", (("avg_power_uw", power),)))
+    fields.append(("final pc", pc, (("final_pc", pc),)))
+    return fields
+
+
+def render_text(report: RunReport) -> str:
+    return "\n".join(f"{label:<15}: {value}" for label, value, _ in _fields(report))
 
 
 def render_kv(report: RunReport) -> str:
     """One key=value pair per line, for scripting."""
-    pairs = [
-        ("halt_reason", report.halt_reason.value),
-        ("total_cycles", report.total_cycles),
-        ("held_cycles", report.held_cycles),
-        ("retired_total", report.retired_total),
-    ]
-    for cls in InstrClass:
-        pairs.append((f"retired.{cls.value}", report.retired.get(cls, 0)))
-    if report.cpi is not None:
-        pairs.append(("cpi", _fmt(float(report.cpi))))
-        pairs.append(("cpi_exact", f"{report.cpi.numerator}/{report.cpi.denominator}"))
-    if report.energy_pj is not None:
-        pairs.append(("energy_pj", _fmt(report.energy_pj)))
-    if report.avg_power_uw is not None:
-        pairs.append(("avg_power_uw", _fmt(report.avg_power_uw)))
-    pairs.append(("final_pc", f"0x{report.final_state.pc:08x}"))
-    return "\n".join(f"{k}={v}" for k, v in pairs)
+    return "\n".join(f"{k}={v}" for _, _, pairs in _fields(report) for k, v in pairs)

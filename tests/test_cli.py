@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -431,3 +435,28 @@ def test_script_observe_stops_a_running_core(demo_hex, tmp_path, capsys):
     at = lines.index("# observe 0x00000000 +8")
     assert lines[at + 1] == "# execution stopped by observation; issue 'start' to resume"
     assert lines[-1] == "# run 4: 0 executing, 4 held"
+
+
+def test_closed_stdout_exits_2_with_one_output_error(tmp_path):
+    # About 22k trace lines: far more than a pipe holds, so the run is
+    # still writing when its reader goes away after the first line.
+    src = tmp_path / "loop.s"
+    src.write_text("        addi  x1, x0, 2000\n"
+                   "loop:   addi  x1, x1, -1\n"
+                   "        beq   x1, x0, done\n"
+                   "        jal   x0, loop\n"
+                   "done:   jal   x0, done\n")
+    hex_path = tmp_path / "loop.hex"
+    assert dispatch(["asm", str(src), "-o", str(hex_path)]) == 0
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.Popen([sys.executable, "-m", "rv32mc.cli", "run", str(hex_path), "--trace"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert first.startswith(b"1,executing,fetch,00000000,")
+    assert len(err.splitlines()) == 1 and err.startswith("error[output]: "), err

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from rv32mc import ControlMode, HaltReason, InstrClass, PeripheralMap, Simulator, assemble
+from rv32mc import (ControlMode, HaltReason, InstrClass, PeripheralMap, Simulator, TraceRecord,
+                    assemble)
 from rv32mc.errors import SimError
 from rv32mc.programs import PROGRAMS
 from progen import random_program
@@ -168,3 +169,33 @@ def test_a_run_split_by_its_budget_retires_what_one_run_does(name):
     assert second.halt_reason is HaltReason.SELF_LOOP
     assert {c: first.retired[c] + second.retired[c] for c in InstrClass} == whole.retired
     assert sim.core.by_mnemonic == reference.core.by_mnemonic and counts_agree(sim.core)
+
+
+def test_retired_count_is_derived_and_read_only():
+    sim = started(IMAGES["pacer"])
+    sim.run_cycles(100)
+    assert sim.core.retired_count == sum(sim.core.by_mnemonic.values()) > 0
+    with pytest.raises(AttributeError):
+        sim.core.retired_count = 0
+
+
+def test_trace_record_has_six_fields_and_no_held_argument():
+    assert TraceRecord._fields == ("cycle", "mode", "state", "pc", "ir", "retired")
+    with pytest.raises(TypeError):
+        TraceRecord(1, "executing", "fetch", 0, 0, False, held=True)
+
+
+@pytest.mark.parametrize("path", PATHS, ids=lambda path: path.__name__.strip("_"))
+def test_a_record_is_held_exactly_when_its_mode_is_not_executing(path):
+    sim, records = started(IMAGES["pacer"]), []
+    if path is _traced_run:
+        sim.core.run(sim.bus, max_cycles=7, trace=records.append)
+    else:
+        path(sim, 7)
+    records.append(sim.core.step_cycle(sim.bus))
+    for lines in ((0, 0, 0), (0, 0, 1), (0, 1, 0)):  # observation, programming, reset
+        sim.core.apply_control(*lines)
+        records.append(sim.core.step_cycle(sim.bus))
+    executing = len(records) - 3
+    assert [r.held for r in records] == [False] * executing + [True] * 3
+    assert all(r.held == (r.mode != "executing") for r in records)

@@ -1,0 +1,68 @@
+"""CLI outputs of the bundled firmware, frozen byte for byte.
+
+`tests/golden_outputs/` holds, for demo, timing and pacer, the `asm` hex
+image (`<name>.hex`), `dis` of it (`<name>.dis`), the `run` report in text
+(`<name>.run.txt`) and in kv (`<name>.run.kv`), and the `selftest` stdout
+(`selftest.txt`).  A change that alters any of these bytes on purpose
+regenerates them and names each changed file:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from rv32mc.cli import dispatch
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden_outputs"
+PROGRAMS = ("demo", "timing", "pacer")
+
+
+def _stdout(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert dispatch(argv) == 0, argv
+    return out.getvalue().encode()
+
+
+def render_outputs(work: Path) -> dict[str, bytes]:
+    """Every golden output by file name, rendered through `cli.dispatch`."""
+    outputs = {}
+    for name in PROGRAMS:
+        hex_path = work / f"{name}.hex"
+        _stdout(["asm", str(ROOT / "firmware" / f"{name}.s"), "-o", str(hex_path)])
+        outputs[f"{name}.hex"] = hex_path.read_bytes()
+        outputs[f"{name}.dis"] = _stdout(["dis", str(hex_path)])
+        outputs[f"{name}.run.txt"] = _stdout(["run", str(hex_path)])
+        outputs[f"{name}.run.kv"] = _stdout(["run", str(hex_path), "--format", "kv"])
+    outputs["selftest.txt"] = _stdout(["selftest"])
+    return outputs
+
+
+def test_cli_outputs_match_golden_files(tmp_path):
+    outputs = render_outputs(tmp_path)
+    assert sorted(outputs) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    changed = [name for name, data in outputs.items() if data != (GOLDEN_DIR / name).read_bytes()]
+    assert changed == []
+
+
+def regenerate() -> list[str]:
+    """Rewrite the golden files; the names of those whose bytes changed."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        outputs = render_outputs(Path(work))
+    changed = []
+    for name, data in outputs.items():
+        path = GOLDEN_DIR / name
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+            changed.append(name)
+    return changed
+
+
+if __name__ == "__main__":
+    for name in regenerate():
+        print(f"changed: {GOLDEN_DIR.relative_to(ROOT) / name}")

@@ -128,3 +128,26 @@ def test_report_totals_match_engine():
     )
     assert report.held_cycles == 0
     assert compute_cpi(report) == Fraction(13, 3)
+
+
+def _text_labels(report):
+    return [line.split(":", 1)[0].strip() for line in render_text(report).splitlines()]
+
+
+def _kv_keys(report):
+    return [line.split("=", 1)[0] for line in render_kv(report).splitlines()]
+
+
+def test_no_retirements_means_no_cpi_in_either_format():
+    report = attach_metrics(make_report({}, 0, held=3), EnergyModel())
+    assert report.cpi is None
+    assert "cpi" not in _text_labels(report)
+    assert not {"cpi", "cpi_exact"} & set(_kv_keys(report))
+    assert "energy" in _text_labels(report) and "energy_pj" in _kv_keys(report)
+
+
+def test_no_energy_or_power_without_attach_metrics():
+    report = make_report({InstrClass.JUMP: 1}, 4)
+    assert "energy" not in _text_labels(report) and "avg power" not in _text_labels(report)
+    assert not {"energy_pj", "avg_power_uw"} & set(_kv_keys(report))
+
