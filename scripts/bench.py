@@ -9,7 +9,11 @@ untracked, not ignored, files as they are now), so both sides run the
 same unmodified `perfbench/` of their own revision.  For each workload,
 pair k runs `perfbench/run.py --trace 0` once per side with the k-th
 seed, the parent first in even pairs and the change first in odd ones,
-then one `--trace 1` run per side gives the per-layer figures.
+then one `--trace 1` run per side gives the per-layer figures.  Each
+per-layer rate is also given relative to the host speed of its run: the
+median time of perfbench's calibration kernel over the traced pipelines,
+which is pure Python and imports nothing from rv32mc, so no change to the
+program can move it.
 
 The JSON holds both revisions, the Python version, `nproc`, the seeds,
 every run's metrics with `correct`/`failed`, and per end-to-end metric
@@ -42,9 +46,6 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 SIDES = ("parent", "change")
-# Per-layer rates are also given relative to this one, which no change to
-# the toolchain has touched: the ratio cancels the host's drift between runs.
-REFERENCE_RATE = "asm.image_to_hex_words_per_s"
 # Length of the one traced run per side: its figures are medians over the
 # traced pipelines, and it runs for per-layer shares, not for a claim.
 TRACE_SECONDS = 10
@@ -75,14 +76,19 @@ def export(rev: str, dest: Path) -> dict:
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `perfbench/run.py` process; its last stdout line, or why there is none."""
+    """One `perfbench/run.py` process; its last stdout line, or why there is
+    none, and for a traced run the median calibration kernel time of the
+    traced pipelines, from the detail line before it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        if trace:
+            kernel = json.loads(lines[-2])["detail"]["traced_wall_s"]["calibration_kernel"]
+            result["calibration_kernel_s"] = kernel["median"]
+    except (IndexError, KeyError, json.JSONDecodeError):
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                 "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
@@ -125,16 +131,17 @@ def verdict(spec: dict, parent: list[float], change: list[float], ok: bool) -> d
             "pair_wins": wins, "pairs": len(parent), "verdict": v}
 
 
-def per_layer(parent: dict[str, float], change: dict[str, float]) -> dict:
+def per_layer(parent: dict, change: dict) -> dict:
     """Each figure of both traced runs, with change/parent and, for rates,
-    change/parent of the rate over the reference rate of the same run."""
+    change/parent of the rate times the calibration kernel time of the
+    same run: the rate on a host of one fixed speed."""
     out = {}
-    for name in parent:
-        p, c = parent[name], change.get(name, 0.0)
+    kernels = parent.get("calibration_kernel_s"), change.get("calibration_kernel_s")
+    for name, p in parent["metrics"].items():
+        c = change["metrics"].get(name, 0.0)
         row = {"parent": p, "change": c, "ratio": c / p if p else None}
-        refs = parent.get(REFERENCE_RATE), change.get(REFERENCE_RATE)
-        if name.endswith("_per_s") and name != REFERENCE_RATE and p and all(refs):
-            row["ratio_to_reference"] = (c / refs[1]) / (p / refs[0])
+        if name.endswith("_per_s") and p and all(kernels):
+            row["ratio_to_reference"] = (c * kernels[1]) / (p * kernels[0])
         out[name] = row
     return out
 
@@ -159,7 +166,7 @@ def bench_workload(spec: dict, workload: str, dirs: dict[str, Path], seeds: list
         end_to_end[m["name"]] = verdict(m, by_side["parent"], by_side["change"], ok)
     return {"seeds": seeds, "trace_seed": trace_seed, "runs": runs, "end_to_end": end_to_end,
             "traced_runs": traced,
-            "per_layer": per_layer(traced["parent"]["metrics"], traced["change"]["metrics"])}
+            "per_layer": per_layer(traced["parent"], traced["change"])}
 
 
 def main(argv: list[str] | None = None) -> int:

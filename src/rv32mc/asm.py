@@ -13,12 +13,17 @@ signed byte-offset literals.  Memory operands are written OFFSET(xN).
 Hex image files carry one 8-digit word per line, lowest address first,
 with optional `@HEXADDR` records giving the word address of what follows;
 `#` and `//` comments and blank lines are ignored.  Dumps and observation
-output use the same format, so they are reloadable.
+output use the same format, so they are reloadable.  `image_to_hex` packs
+all words in one call, and `parse_hex` reads text of exactly that form
+(an optional first line of `@` and 1 to 8 hex digits, then only lines of
+8 ASCII hex digits, each ending in `\\n`) as one block; any other text is
+read line by line, with the same result.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 
 from .errors import (
     AsmError,
@@ -44,7 +49,9 @@ _MEM_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+))\s*\(\s*(x\d+)\s*\)$"
 # Hex image lines: a word, or `@` and a word address, unsigned hex only.
 _HEX_WORD_RE = re.compile(r"[0-9a-fA-F]{1,8}")
 _HEX_ADDR_RE = re.compile(r"@[0-9a-fA-F]{1,8}")
-_HEX_DIGITS = "0123456789abcdefABCDEF"
+# The words of image_to_hex's form: one character class, not a repeated
+# 9-character group, so matching keeps no stack entry per line.
+_HEX_BLOCK_RE = re.compile(r"[0-9a-fA-F\n]*")
 
 
 def _parse_reg(tok: str, line: int) -> int:
@@ -181,22 +188,29 @@ def disassemble(image: MemoryImage) -> str:
 # --- hex image files ---
 
 def image_to_hex(image: MemoryImage) -> str:
-    lines = []
-    if image.base_address:
-        lines.append(f"@{image.base_address >> 2:x}")
-    lines.extend(f"{w:08x}" for w in image.words)
-    return "\n".join(lines) + ("\n" if lines else "")
+    words = image.words
+    try:
+        body = struct.pack(f">{len(words)}I", *words).hex("\n", 4)
+    except struct.error:
+        i = next(i for i, w in enumerate(words) if not (isinstance(w, int) and 0 <= w <= MASK32))
+        raise ValueError(f"word at {image.base_address + 4 * i:#x} is {words[i]!r}, "
+                         f"outside 0..0xffffffff") from None
+    head = f"@{image.base_address >> 2:x}\n" if image.base_address else ""
+    return head + body + ("\n" if body else "")
 
 
 def parse_hex(text: str) -> MemoryImage:
     """Inverse of image_to_hex; sparse records are zero-filled between."""
+    head, body = text.partition("\n")[::2] if text.startswith("@") else ("", text)
+    n = len(body) // 9
+    if (len(body) == 9 * n and body[8::9] == "\n" * n and body.count("\n") == n
+            and _HEX_BLOCK_RE.fullmatch(body) and (not head or _HEX_ADDR_RE.fullmatch(head))):
+        # image_to_hex's own form: every other character is a proven hex digit.
+        block = list(struct.unpack(f">{n}I", bytes.fromhex(body)))
+        return MemoryImage(int(head[1:], 16) * 4 if head and block else 0, block)
     words: dict[int, int] = {}
     addr = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if len(raw) == 8 and not raw.strip(_HEX_DIGITS):  # a bare word, as image_to_hex writes it
-            words[addr] = int(raw, 16)
-            addr += 4
-            continue
         line = _COMMENT_RE.sub("", raw).strip()
         if not line:
             continue

@@ -37,8 +37,9 @@ EXIT_INPUT = 2
 EXIT_FAULT = 3
 EXIT_BUDGET = 4
 
-# Trace lines written to stdout per write.  Bounded, so a consumer that
-# keeps its last few writes keeps a bounded amount of text.
+# Trace or listing lines written to stdout per write.  Bounded, so a
+# consumer that keeps its last few writes keeps a bounded amount of text,
+# and a reader that closes stdout ends the next write with BrokenPipeError.
 TRACE_BLOCK_LINES = 256
 
 
@@ -82,7 +83,9 @@ def _cmd_dis(args: argparse.Namespace) -> int:
     except (OSError, ValueError, SimError) as e:
         _error("dis", e)
         return EXIT_INPUT
-    sys.stdout.write(text)
+    lines = text.splitlines()
+    for i in range(0, len(lines), TRACE_BLOCK_LINES):  # bounded, so a closed stdout shows
+        _write_lines(lines[i:i + TRACE_BLOCK_LINES])
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ def bench():
 
 class StubRunner:
     """Canned perfbench results: the change halves `wall_s`, raises
-    `setup_s` by half, and leaves `peak_rss_mb` alone."""
+    `setup_s` by half, and leaves `peak_rss_mb` alone; its traced run
+    triples the assembler rate on a host that runs 1.5x as fast."""
 
     def __init__(self, fail_side=None):
         self.calls = []
@@ -30,17 +31,21 @@ class StubRunner:
     def __call__(self, checkout, workload, seed, seconds, trace):
         side = checkout.name
         self.calls.append((side, seed, trace))
+        extra = {}
         if trace:
             rate = {"parent": 100.0, "change": 300.0}[side]
-            ref = {"parent": 1000.0, "change": 1500.0}[side]  # host drift between the runs
-            metrics = {"asm.assemble_lines_per_s": rate, "asm.image_to_hex_words_per_s": ref,
+            to_hex = {"parent": 1000.0, "change": 1500.0}[side]
+            metrics = {"asm.assemble_lines_per_s": rate, "asm.image_to_hex_words_per_s": to_hex,
                        "isa.decode_calls": 7.0}
+            # Host drift between the runs: the kernel takes 2/3 as long.
+            extra["calibration_kernel_s"] = {"parent": 0.03, "change": 0.02}[side]
         else:
             wall = (0.8 if side == "parent" else 0.4) + seed * 1e-3
             metrics = {"wall_s": wall, "sim_instr_per_s": 1 / wall, "peak_rss_mb": 50.0,
                        "setup_s": 0.2 if side == "parent" else 0.3}
         failed = int(side == self.fail_side)
-        return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics}
+        return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics,
+                **extra}
 
 
 def run(bench, runner, seeds=range(1, 11)):
@@ -91,8 +96,24 @@ def test_wide_parent_spread_is_unresolved(bench):
 
 
 def test_per_layer_rates_relative_to_the_reference_rate(bench):
+    # The reference is the calibration kernel, so every rate of the
+    # program, the hex writer's included, is given against it.
     layer = run(bench, StubRunner())["per_layer"]
     assert layer["asm.assemble_lines_per_s"]["ratio"] == pytest.approx(3.0)
     assert layer["asm.assemble_lines_per_s"]["ratio_to_reference"] == pytest.approx(2.0)
+    assert layer["asm.image_to_hex_words_per_s"]["ratio_to_reference"] == pytest.approx(1.0)
     assert "ratio_to_reference" not in layer["isa.decode_calls"]
-    assert "ratio_to_reference" not in layer["asm.image_to_hex_words_per_s"]
+
+
+def test_traced_run_reads_the_kernel_time_from_the_detail_line(bench, tmp_path):
+    # A stand-in for perfbench/run.py: the detail line, then the result.
+    (tmp_path / "perfbench").mkdir()
+    detail = {"detail": {"traced_wall_s": {"calibration_kernel": {"median": 0.027}}}}
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {"asm.assemble_lines_per_s": {"value": 5.0, "unit": "1/s"}}}
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"print({json.dumps(json.dumps(detail))})\nprint({json.dumps(json.dumps(result))})\n")
+    traced = bench.run_perfbench(tmp_path, "toolchain_image", 1, 1.0, 1)
+    assert traced["calibration_kernel_s"] == 0.027
+    assert traced["metrics"] == {"asm.assemble_lines_per_s": 5.0}
+    assert "calibration_kernel_s" not in bench.run_perfbench(tmp_path, "toolchain_image", 1, 1.0, 0)

@@ -437,6 +437,21 @@ def test_script_observe_stops_a_running_core(demo_hex, tmp_path, capsys):
     assert lines[-1] == "# run 4: 0 executing, 4 held"
 
 
+def _first_line_then_close(*argv: str) -> tuple[int, bytes, str]:
+    """Run the CLI as a process whose stdout reader goes away after one
+    line; its exit code, that line and its stderr."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.Popen([sys.executable, "-m", "rv32mc.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=60), first, err
+
+
 def test_closed_stdout_exits_2_with_one_output_error(tmp_path):
     # About 22k trace lines: far more than a pipe holds, so the run is
     # still writing when its reader goes away after the first line.
@@ -448,15 +463,18 @@ def test_closed_stdout_exits_2_with_one_output_error(tmp_path):
                    "done:   jal   x0, done\n")
     hex_path = tmp_path / "loop.hex"
     assert dispatch(["asm", str(src), "-o", str(hex_path)]) == 0
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.Popen([sys.executable, "-m", "rv32mc.cli", "run", str(hex_path), "--trace"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
+    code, first, err = _first_line_then_close("run", str(hex_path), "--trace")
+    assert code == 2
     assert first.startswith(b"1,executing,fetch,00000000,")
+    assert len(err.splitlines()) == 1 and err.startswith("error[output]: "), err
+
+
+def test_dis_to_closed_stdout_exits_2_with_one_output_error(tmp_path):
+    # A 20k-line listing, about 300 KiB: one write of it all, cut short
+    # when the reader goes, raised nothing and exited 0.
+    hex_path = tmp_path / "big.hex"
+    hex_path.write_text("00500093\n0000006f\n" * 10_000)
+    code, first, err = _first_line_then_close("dis", str(hex_path))
+    assert code == 2
+    assert first == b"addi x1, x0, 5\n"
     assert len(err.splitlines()) == 1 and err.startswith("error[output]: "), err

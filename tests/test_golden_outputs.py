@@ -2,7 +2,10 @@
 
 `tests/golden_outputs/` holds, for demo, timing and pacer, the `asm` hex
 image (`<name>.hex`), `dis` of it (`<name>.dis`), the `run` report in text
-(`<name>.run.txt`) and in kv (`<name>.run.kv`), and the `selftest` stdout
+(`<name>.run.txt`) and in kv (`<name>.run.kv`), the `--report` file
+(`<name>.report.txt`) and the `--dump-mem` image (`<name>.mem.hex`); the
+`asm --base 0x100` image of timing (`timing.base.hex`, whose `@` record
+heads it) and `dis` of it (`timing.base.dis`); and the `selftest` stdout
 (`selftest.txt`).  A change that alters any of these bytes on purpose
 regenerates them and names each changed file:
 
@@ -38,6 +41,13 @@ def render_outputs(work: Path) -> dict[str, bytes]:
         outputs[f"{name}.dis"] = _stdout(["dis", str(hex_path)])
         outputs[f"{name}.run.txt"] = _stdout(["run", str(hex_path)])
         outputs[f"{name}.run.kv"] = _stdout(["run", str(hex_path), "--format", "kv"])
+        report, mem = work / f"{name}.report.txt", work / f"{name}.mem.hex"
+        _stdout(["run", str(hex_path), "--report", str(report), "--dump-mem", str(mem)])
+        outputs[report.name], outputs[mem.name] = report.read_bytes(), mem.read_bytes()
+    base_hex = work / "timing.base.hex"
+    _stdout(["asm", str(ROOT / "firmware" / "timing.s"), "-o", str(base_hex), "--base", "0x100"])
+    outputs[base_hex.name] = base_hex.read_bytes()
+    outputs["timing.base.dis"] = _stdout(["dis", str(base_hex)])
     outputs["selftest.txt"] = _stdout(["selftest"])
     return outputs
 

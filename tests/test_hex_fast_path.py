@@ -1,12 +1,17 @@
-"""`parse_hex` reads a bare 8-digit line on a fast path; every other line
-takes the strict path.  Both must read text exactly as a plain per-line
-reading of the format does, errors included."""
+"""`parse_hex` reads text of exactly the form `image_to_hex` writes (an
+optional `@` head line, then lines of 8 hex digits, each ending in `\n`)
+as one block; any other text takes the per-line path.  Both must read
+text exactly as a plain per-line reading of the format does, errors
+included.  `image_to_hex` packs all words at once and must write what a
+per-word writer does."""
 
 import re
+import tracemalloc
 
+import pytest
 from hypothesis import given, strategies as st
 
-from rv32mc import parse_hex
+from rv32mc import MemoryImage, image_to_hex, parse_hex
 from rv32mc.errors import AsmError
 
 
@@ -85,3 +90,84 @@ def test_fast_path_lines_are_exactly_eight_hex_digits():
             AsmError, f"bad hex word {line!r}", 2
         )
     assert parse_hex(" 1234567\n").words == [0x1234567]  # strict path: stripped, 7 digits
+
+
+def longhand_image_to_hex(image: MemoryImage) -> str:
+    """The format, one word at a time."""
+    lines = [f"@{image.base_address >> 2:x}"] if image.base_address else []
+    lines += [f"{w:08x}" for w in image.words]
+    return "".join(line + "\n" for line in lines)
+
+
+_image = st.builds(
+    MemoryImage,
+    st.one_of(st.just(0), st.integers(1, 0xFFFFFFFF).map(lambda w: 4 * w)),
+    st.lists(_word, max_size=64),
+)
+
+
+def _mutate(line: str, kind: str, at: int) -> str:
+    """`line` (without its newline) with one flaw of `kind` at index `at`."""
+    at %= len(line) + 1
+    return {
+        "digit": line[:at] + "g" + line[at + 1:],
+        "newline": line[:at] + "\n" + line[at + 1:],
+        "space": line[:at] + " " + line[at:],
+        "crlf": line + "\r",
+        "comment": line + " # c",
+        "short": line[:-1],
+        "long": line + "0",
+    }[kind]
+
+
+@st.composite
+def _image_text(draw):
+    """`image_to_hex` of a random image, as written or with one flaw."""
+    text = image_to_hex(draw(_image))
+    kind = draw(st.sampled_from([
+        None, "digit", "newline", "space", "crlf", "comment", "short", "long",
+        "comment line", "no final newline",
+    ]))
+    if kind is None or not text:
+        return text
+    if kind == "no final newline":
+        return text[:-1]
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "comment line":
+        lines.insert(i, "// a comment")
+    else:
+        lines[i] = _mutate(lines[i], kind, draw(st.integers(0, 9)))
+    return "".join(line + "\n" for line in lines)
+
+
+@given(_image_text())
+def test_block_form_reads_as_the_per_line_format(text):
+    assert outcome(parse_hex, text) == outcome(reference_parse_hex, text)
+
+
+@given(_image)
+def test_image_to_hex_writes_the_per_word_form(image):
+    assert image_to_hex(image) == longhand_image_to_hex(image)
+
+
+@pytest.mark.parametrize("word", [-1, 2**32])
+def test_image_to_hex_refuses_a_word_outside_32_bits(word):
+    with pytest.raises(ValueError) as e:
+        image_to_hex(MemoryImage(0x100, [0x13, word, 0x6F]))
+    assert str(e.value) == f"word at 0x104 is {word}, outside 0..0xffffffff"
+
+
+def test_block_read_keeps_no_state_per_line():
+    # A repeated-group regex over the text would keep a stack entry per
+    # line: about 8 MiB more at this size.
+    words = [(i * 0x9E3779B1) & 0xFFFFFFFF for i in range(0x10000)]
+    text = image_to_hex(MemoryImage(0x400, words))
+    tracemalloc.start()
+    try:
+        image = parse_hex(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (image.base_address, image.words) == (0x400, words)
+    assert peak < 4 * 2**20
