@@ -15,7 +15,9 @@ median time of perfbench's calibration kernel over the traced pipelines,
 which is pure Python and imports nothing from rv32mc, so no change to the
 program can move it.
 
-The JSON holds both revisions, the Python version, `nproc`, the seeds,
+The JSON holds both revisions, each with its source size (`src_loc`,
+the newlines in `src/rv32mc/*.py`, as `wc -l` counts them), the Python
+version, `nproc`, the seeds,
 every run's metrics with `correct`/`failed`, and per end-to-end metric
 the medians with quartiles, the pair wins and a verdict against the
 bound in BENCHMARK.json:
@@ -58,6 +60,11 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout
 
 
+def src_loc(checkout: Path) -> int:
+    """`wc -l src/rv32mc/*.py` of a checkout: its newlines, not its lines."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/rv32mc/*.py"))
+
+
 def export(rev: str, dest: Path) -> dict:
     """Put the files of `rev` (or of the working tree) into `dest`."""
     dest.mkdir(parents=True)
@@ -67,12 +74,12 @@ def export(rev: str, dest: Path) -> dict:
                 (dest / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(ROOT / name, dest / name)
         return {"rev": WORKTREE, "head": _git("rev-parse", "HEAD").strip(),
-                "modified": _git("status", "--porcelain").splitlines()}
+                "modified": _git("status", "--porcelain").splitlines(), "src_loc": src_loc(dest)}
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return {"rev": rev, "commit": commit}
+    return {"rev": rev, "commit": commit, "src_loc": src_loc(dest)}
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

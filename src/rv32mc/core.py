@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Protocol
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
-from .isa import (DECODE_CACHE_SIZE, MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass,
+from .isa import (MASK32, MNEMONIC_CLASS, WORD_CACHE_SIZE, DecodedInstruction, InstrClass,
                   decode, format_word, s32, u32)
 from .memory import DEFAULT_MEM_SIZE, MemoryImage
 from .metrics import HaltReason, RunReport
@@ -122,7 +122,7 @@ _ALU_OPS: dict[str, Callable[[int, int], int]] = {
 }
 
 
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def _plan(word: int, decode: Callable[[int], DecodedInstruction] = decode) -> tuple:
     """What the handlers read of a word, by index: (0 state after Decode, 1 ALU
     operator, 2 rs1, 3 rs2, 4 operand-b immediate or None for R-type, 5 rd,
@@ -171,7 +171,7 @@ class TraceRecord(NamedTuple):
         return f"{cycle},{mode},{state},{_csv_tail(pc, ir)}{('0', '1')[retired]}"
 
 
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def _csv_tail(pc: int, ir: int) -> str:
     """The CSV fields an instruction repeats on each of its cycles."""
     return f"{pc:08x},{ir:08x},{format_word(ir)},"

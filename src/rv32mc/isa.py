@@ -4,6 +4,9 @@ The subset is R-type and I-type integer ALU ops, lw, sw, beq, and jal.
 Decoding is strict: any funct or opcode pattern outside the subset (jalr,
 the other branches, sub-word loads/stores, lui/auipc, fence, system ops)
 raises UnsupportedInstruction, so decode∘encode round trips are exact.
+
+`decode(word)` is the bound `__getitem__` of a process-wide memo: it takes
+the word positionally only, and its own docstring is dict's.
 """
 
 from __future__ import annotations
@@ -168,11 +171,13 @@ def _unsupported(word: int) -> UnsupportedInstruction:
     return UnsupportedInstruction(why)
 
 
-# Distinct words `decode` remembers, least recently used dropped first.
-# Keyed by word value, so code that rewrites itself decodes the new word;
-# bounded, so an image of many distinct words or a loop that patches its
-# own immediate costs at most this many entries for the whole process.
-DECODE_CACHE_SIZE = 1024
+# Distinct words `decode` remembers, 128 KiB of code: each word of an image
+# is decoded once per process.  Keyed by word value, so code that rewrites
+# itself decodes the new word; a full memo is emptied before it grows.
+DECODE_CACHE_SIZE = 32768
+# Distinct words each per-word `lru_cache` (`format_word`, the engine's
+# plans and the trace's CSV tail) remembers, least recently used first out.
+WORD_CACHE_SIZE = 1024
 
 
 # `decode` gives every field, so it builds its result directly: the
@@ -180,13 +185,7 @@ DECODE_CACHE_SIZE = 1024
 _new = functools.partial(tuple.__new__, DecodedInstruction)
 
 
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
-def decode(word: int) -> DecodedInstruction:
-    """Decode a 32-bit word; total over the subset, strict outside it.
-
-    Results are cached by word (DecodedInstruction is immutable); a word
-    outside the subset is not cached and raises on every call.
-    """
+def _decode(word: int) -> DecodedInstruction:
     word &= MASK32
     cls, shape, m = _DECODE.get(word & 0x707F, (None, None, None))
     if isinstance(m, dict):
@@ -224,6 +223,25 @@ def decode(word: int) -> DecodedInstruction:
     return _new((cls, m, rd, 0, 0, imm))
 
 
+class _DecodeMemo(dict):
+    """Decode a 32-bit word; total over the subset, strict outside it.
+
+    `decode` is the memo's bound `__getitem__`, so a hit is a C-level dict
+    lookup; a miss stores the immutable result, emptying a full memo first.
+    A word outside the subset is never stored and raises on every call.
+    """
+
+    def __missing__(self, word: int) -> DecodedInstruction:
+        ins = _decode(word)
+        if len(self) >= DECODE_CACHE_SIZE:
+            self.clear()
+        self[word] = ins
+        return ins
+
+
+decode = _DecodeMemo().__getitem__
+
+
 # Classes bound once: an enum member read through its class is a
 # Python-level lookup, and formatting tests the class of every word.
 _R_ALU, _I_ALU, _LOAD, _STORE, _BRANCH = (
@@ -247,18 +265,18 @@ def format_instruction(ins: DecodedInstruction) -> str:
     return f"{m} x{rd}, {imm}"
 
 
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def format_word(word: int) -> str:
     """Canonical text for any word; one outside the subset becomes `.word`.
 
-    Cached by word value within the same bound as `decode`: a trace
+    Cached by word value, `WORD_CACHE_SIZE` of them: a trace
     renders the same `ir` on each cycle of its instruction, and code that
     rewrites itself renders the new word.
     """
     try:
         return format_instruction(decode(word))
     except UnsupportedInstruction:
-        return f".word 0x{word:08X}"
+        return f".word 0x{word & MASK32:08X}"
 
 
 def encode_fields(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:

@@ -130,8 +130,13 @@ loop:   lw   x9, 8(x7)
         beq  x9, x0, loop
         jal  x0, 0
 """
-    image = assemble(src)
-    assert assemble(disassemble(image)).words == image.words
+    # 4,096 distinct words: more than any per-word `lru_cache` holds.
+    wide = "".join(f"addi x{k % 32}, x{k % 7}, {k - 1024}\nsw x{k % 32}, {k % 2048 - 1024}(x3)\n"
+                   for k in range(2048))
+    for text in (src, wide):
+        image = assemble(text)
+        assert assemble(disassemble(image)).words == image.words
+    assert len(set(image.words)) == 4096
 
 
 @given(st.lists(instructions(), max_size=40))

@@ -3,6 +3,7 @@ that starts no benchmark process."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -117,3 +118,16 @@ def test_traced_run_reads_the_kernel_time_from_the_detail_line(bench, tmp_path):
     assert traced["calibration_kernel_s"] == 0.027
     assert traced["metrics"] == {"asm.assemble_lines_per_s": 5.0}
     assert "calibration_kernel_s" not in bench.run_perfbench(tmp_path, "toolchain_image", 1, 1.0, 0)
+
+
+def test_src_loc_counts_newlines_of_the_package_sources_as_wc_does(bench, tmp_path):
+    pkg = tmp_path / "src" / "rv32mc"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("one\ntwo\n")
+    (pkg / "b.py").write_text("\n\nno newline at the end")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (pkg / "sub" / "c.py").write_text("not\ncounted\n")
+    assert bench.src_loc(tmp_path) == 4
+    sources = sorted(str(p) for p in (ROOT / "src" / "rv32mc").glob("*.py"))
+    total = subprocess.run(["wc", "-l", *sources], capture_output=True, text=True, check=True)
+    assert bench.src_loc(ROOT) == int(total.stdout.splitlines()[-1].split()[0])

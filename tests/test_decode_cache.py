@@ -1,12 +1,22 @@
-"""`isa.decode` and `isa.format_word` cache by word value, within a fixed bound."""
+"""`isa.decode`, `isa.format_word` and the engine's plans cache by word value,
+each within a fixed bound.
+
+`decode` is the bound `__getitem__` of one process-wide memo of
+`DECODE_CACHE_SIZE` words, so the engine, the oracle and `disassemble`
+decode each distinct word of an image once between them; the others are
+`lru_cache`s of `WORD_CACHE_SIZE` words.
+"""
+
+import random
 
 import pytest
 
 from rv32mc import ControlMode, Core, HaltReason, MemoryImage, UnifiedMemory, assemble, decode
-from rv32mc import encode, instr, reference_execute
+from rv32mc import disassemble, encode, instr, isa, reference_execute
 from rv32mc.errors import UnsupportedInstruction
 from rv32mc.core import _plan
-from rv32mc.isa import DECODE_CACHE_SIZE, format_word
+from rv32mc.memory import DEFAULT_MEM_SIZE
+from rv32mc.isa import DECODE_CACHE_SIZE, ENCODING, MASK32, WORD_CACHE_SIZE, format_word
 from rv32mc.programs import PROGRAMS
 
 # Rewrites the immediate of its own `addi` before every pass: the word at
@@ -26,8 +36,8 @@ done:   jal  x0, done
 """
 
 
-def started(image):
-    mem = UnifiedMemory()
+def started(image, mem_size=DEFAULT_MEM_SIZE):
+    mem = UnifiedMemory(mem_size)
     mem.load_image(image, ControlMode.PROGRAMMING)
     core = Core()
     core.apply_control(ie=0, reset=1)
@@ -75,15 +85,15 @@ patch:  addi x4, x4, 1
 
 
 def test_plan_cache_stays_within_its_bound():
-    words = [encode(instr("addi", rd=1, rs1=1, imm=k)) for k in range(DECODE_CACHE_SIZE + 100)]
+    words = [encode(instr("addi", rd=1, rs1=1, imm=k)) for k in range(WORD_CACHE_SIZE + 100)]
     mem = UnifiedMemory(8192)
     mem.load_image(MemoryImage(0, words + [encode(instr("jal", imm=0))]), ControlMode.PROGRAMMING)
     core = Core()
     core.apply_control(ie=0, reset=1)
     core.apply_control(ie=1, reset=0)
     assert core.run(mem).halt_reason is HaltReason.SELF_LOOP
-    assert core.regs[1] == sum(range(DECODE_CACHE_SIZE + 100))
-    assert _plan.cache_info().currsize <= DECODE_CACHE_SIZE
+    assert core.regs[1] == sum(range(WORD_CACHE_SIZE + 100))
+    assert _plan.cache_info().currsize <= WORD_CACHE_SIZE
 
 
 def test_decoded_follows_ir_after_every_decode():
@@ -99,7 +109,65 @@ def test_decoded_follows_ir_after_every_decode():
 def test_cache_stays_within_its_bound():
     for k in range(DECODE_CACHE_SIZE + 100):
         decode(encode(instr("addi", rd=k % 32, rs1=0, imm=k // 32)))
-    assert decode.cache_info().currsize <= DECODE_CACHE_SIZE
+    assert len(decode.__self__) <= DECODE_CACHE_SIZE
+    assert decode(encode(instr("addi", rd=k % 32, rs1=0, imm=k // 32))) == \
+        instr("addi", rd=k % 32, rs1=0, imm=k // 32)
+
+
+def test_unsupported_word_is_never_stored_even_in_a_full_memo():
+    memo = decode.__self__
+    memo.clear()
+    for k in range(DECODE_CACHE_SIZE):
+        decode(encode(instr("addi", rd=k % 32, rs1=0, imm=k // 32)))
+    assert len(memo) == DECODE_CACHE_SIZE
+    for word in (0xFFFFFFFF, 0x00000067, 0, -1):
+        for _ in range(3):
+            with pytest.raises(UnsupportedInstruction):
+                decode(word)
+        assert word not in memo and len(memo) == DECODE_CACHE_SIZE
+
+
+def test_engine_oracle_and_disassembler_decode_each_word_once(monkeypatch):
+    # 2,000 distinct words overflow every lru cache; a decode that runs the
+    # body builds its result through `isa._new`, a memo hit does not.
+    image = MemoryImage(0, [encode(instr("addi", rd=1, rs1=1, imm=k)) for k in range(2000)]
+                        + [encode(instr("jal", imm=0))])
+    decode.__self__.clear()
+    core, mem = started(image, 8192)
+    assert core.run(mem).halt_reason is HaltReason.SELF_LOOP
+    size = len(decode.__self__)
+    built = []
+    monkeypatch.setattr(isa, "_new", lambda fields, new=isa._new: built.append(fields) or new(fields))
+    oracle = reference_execute(image, mem_size=8192)
+    assert oracle.regs == core.regs.snapshot()
+    assert disassemble(image).count("addi") == 2000
+    assert built == [] and len(decode.__self__) == size == 2001
+
+
+def _supported(rng: random.Random) -> int:
+    """A random word that decodes: the shared bits of a random mnemonic, any
+    bits in the fields it leaves free."""
+    shape, fixed = ENCODING[rng.choice(sorted(ENCODING))]
+    shared = 0x7F if shape == "jump" else 0xFE00707F if shape in ("r", "shift") else 0x707F
+    return fixed | (rng.getrandbits(32) & ~shared & MASK32)
+
+
+def _outcome(fn, word):
+    try:
+        return fn(word)
+    except UnsupportedInstruction as e:
+        return str(e)
+
+
+def test_decode_equals_the_uncached_body_across_a_clear():
+    rng = random.Random(1414)
+    words = [_supported(rng) if k % 8 else rng.getrandbits(32) for k in range(DECODE_CACHE_SIZE + 8192)]
+    memo = decode.__self__
+    memo.clear()
+    for word in words + words[:2000]:
+        assert _outcome(decode, word) == _outcome(isa._decode, word)
+    stored = {w for w in words if not isinstance(_outcome(isa._decode, w), str)}
+    assert len(stored) > DECODE_CACHE_SIZE > len(memo)  # the memo was emptied once
 
 
 @pytest.mark.parametrize("word", [0x00500093, 0x0000006F, 0xFE000EE3])
@@ -120,6 +188,15 @@ def test_unsupported_word_renders_as_data_every_time():
 
 
 def test_format_word_cache_stays_within_its_bound():
-    for k in range(DECODE_CACHE_SIZE + 100):
+    for k in range(WORD_CACHE_SIZE + 100):
         format_word(encode(instr("addi", rd=k % 32, rs1=0, imm=k // 32)))
-    assert format_word.cache_info().currsize <= DECODE_CACHE_SIZE
+    assert format_word.cache_info().currsize <= WORD_CACHE_SIZE
+
+
+@pytest.mark.parametrize("word", [-1, 2**32 + 0xFFFFFFFF, 0x00500093 + 2**32])
+def test_format_word_reads_words_modulo_2_32(word):
+    assert format_word(word) == format_word(word & MASK32)
+
+
+def test_a_negative_word_disassembles_to_text_that_assembles_back():
+    assert assemble(disassemble(MemoryImage(0, [-1]))).words == [0xFFFFFFFF]

@@ -15,7 +15,7 @@ import pytest
 from rv32mc import ControlMode, PeripheralMap, Simulator, assemble, decode, image_to_hex
 from rv32mc.cli import TRACE_BLOCK_LINES, dispatch
 from rv32mc.errors import SimError, UnsupportedInstruction
-from rv32mc.isa import DECODE_CACHE_SIZE, format_instruction
+from rv32mc.isa import WORD_CACHE_SIZE, format_instruction
 
 # Writes each pass's number to the pacing DATA register, then rewrites the
 # immediate of its own `addi` for the next pass: about 32 cycles a pass.
@@ -118,11 +118,11 @@ def test_trace_lines_cross_blocks_and_survive_every_ending(tmp_path, source, max
 
 def test_as_csv_matches_longhand_past_the_cache_bound():
     # Each pass patches its `addi`, so every pass adds a new (pc, ir) pair.
-    passes = DECODE_CACHE_SIZE + 100
+    passes = WORD_CACHE_SIZE + 100
     source = HALTS.replace("addi  x2, x0, 40", f"addi  x2, x0, {passes}")
     sim, records = started(source), []
     sim.core.run(sim.bus, trace=records.append)
-    assert len({(r.pc, r.ir) for r in records}) > passes > DECODE_CACHE_SIZE
+    assert len({(r.pc, r.ir) for r in records}) > passes > WORD_CACHE_SIZE
     for rec in records:
         assert rec.as_csv() + "\n" == render(rec)
 
