@@ -15,6 +15,15 @@ median time of perfbench's calibration kernel over the traced pipelines,
 which is pure Python and imports nothing from rv32mc, so no change to the
 program can move it.
 
+Apart from the benchmark, `rv32mc run --trace` is timed as a fresh
+process per side (`cli`): on the traced_mmio image of the trace seed
+(`--format kv`, a loop that reuses its words) and on the toolchain_image
+hex of that seed (straight-line code, no word reused), both written by the
+parent's generator and assembler.  Each command runs `CLI_REPS` times per
+side, alternating, stdout to /dev/null; the JSON holds the wall times, their
+median and quartiles per side, the exit codes, and the sha256 of one more
+run's stdout per side.  They carry no verdict.
+
 The JSON holds both revisions, each with its source size (`src_loc`,
 the newlines in `src/rv32mc/*.py`, as `wc -l` counts them), the Python
 version, `nproc`, the seeds,
@@ -34,6 +43,7 @@ bound in BENCHMARK.json:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -42,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Callable
 
@@ -53,6 +64,19 @@ SIDES = ("parent", "change")
 TRACE_SECONDS = 10
 
 Runner = Callable[[Path, str, int, float, int], dict]
+CLI_REPS = 7
+# Run in a checkout: writes the two hex images of a seed with its generator
+# and prints the memory size toolchain_image needs.
+_WRITE_IMAGES = """
+import sys
+sys.path[:0] = ["src", "perfbench"]
+import rv32mc, workgen
+dest, seed = sys.argv[1], int(sys.argv[2])
+images = {"traced_mmio": workgen.traced_mmio(seed), "toolchain_image": workgen.toolchain_image(seed)}
+for name, fw in images.items():
+    open(f"{dest}/{name}.hex", "w").write(rv32mc.image_to_hex(rv32mc.assemble(fw.source)))
+print(images["toolchain_image"].mem_size)
+"""
 
 
 def _git(*args: str) -> str:
@@ -176,6 +200,46 @@ def bench_workload(spec: dict, workload: str, dirs: dict[str, Path], seeds: list
             "per_layer": per_layer(traced["parent"], traced["change"])}
 
 
+def cli_commands(checkout: Path, dest: Path, seed: int) -> dict[str, list[str]]:
+    """The `rv32mc` arguments of each timed command, after writing its image
+    into `dest` with the generator and assembler of `checkout`."""
+    mem_size = subprocess.run([sys.executable, "-c", _WRITE_IMAGES, str(dest), str(seed)],
+                              cwd=checkout, check=True, capture_output=True, text=True).stdout.strip()
+    return {
+        "traced_mmio_run_trace_kv": ["run", str(dest / "traced_mmio.hex"), "--trace", "--format", "kv"],
+        "toolchain_image_run_trace": ["run", str(dest / "toolchain_image.hex"), "--trace",
+                                      "--mem-size", mem_size],
+    }
+
+
+def run_cli(checkout: Path, argv: list[str], stdout=subprocess.DEVNULL) -> tuple[float, int, bytes]:
+    """One fresh `rv32mc` process of `checkout`: wall time, exit code, stdout."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", "from rv32mc.cli import main; main()", *argv],
+                          cwd=checkout, env=env, stdout=stdout, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - start, proc.returncode, proc.stdout or b""
+
+
+def bench_cli(dirs: dict[str, Path], commands: dict[str, list[str]], reps: int = CLI_REPS,
+              run: Callable[..., tuple[float, int, bytes]] = run_cli) -> dict:
+    """Each command `reps` times per side, alternating which side goes first."""
+    out = {}
+    for name, argv in commands.items():
+        walls, codes = {side: [] for side in SIDES}, {side: [] for side in SIDES}
+        for k in range(reps):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                wall, code, _ = run(dirs[side], argv)
+                walls[side].append(wall)
+                codes[side].append(code)
+        digests = {side: hashlib.sha256(run(dirs[side], argv, subprocess.PIPE)[2]).hexdigest()
+                   for side in SIDES}
+        out[name] = {"argv": argv, "reps": reps, "unit": "s",
+                     **{side: {**quartiles(walls[side]), "runs": walls[side], "exit_codes": codes[side],
+                               "stdout_sha256": digests[side]} for side in SIDES}}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="git revision")
@@ -203,12 +267,16 @@ def main(argv: list[str] | None = None) -> int:
                                           log=lambda s: print(s, file=sys.stderr))
                 for w in spec["workloads"]
             },
+            "cli": bench_cli(dirs, cli_commands(dirs["parent"], Path(tmp), args.trace_seed)),
         }
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n")
     for w, r in report["workloads"].items():
         for name, m in r["end_to_end"].items():
             print(f"{w:16s} {name:16s} {m['parent']['median']:10.4g} -> {m['change']['median']:10.4g}"
                   f"  wins {m['pair_wins']}/{m['pairs']}  {m['verdict']}")
+    for name, c in report["cli"].items():
+        print(f"{name:28s} {c['parent']['median']:.4g} -> {c['change']['median']:.4g} s"
+              f"  same stdout: {c['parent']['stdout_sha256'] == c['change']['stdout_sha256']}")
     return 0
 
 

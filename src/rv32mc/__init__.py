@@ -17,6 +17,7 @@ from .core import (
     OracleResult,
     RegisterFile,
     TraceRecord,
+    TraceSpan,
     reference_execute,
 )
 from .errors import SimError
@@ -54,7 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "assemble", "disassemble", "image_to_hex", "load_hex_file", "parse_hex",
     "save_hex_file", "ControlMode", "Core", "CoreSnapshot", "FsmState",
-    "OracleResult", "RegisterFile", "TraceRecord", "reference_execute",
+    "OracleResult", "RegisterFile", "TraceRecord", "TraceSpan",
+    "reference_execute",
     "SimError", "ObserveResult", "Peripheral", "PeripheralMap", "Simulator",
     "SystemBus", "execute_script", "parse_script", "CYCLE_COST",
     "DecodedInstruction", "InstrClass", "decode", "encode", "instr",

@@ -25,7 +25,7 @@ import os
 import sys
 
 from .asm import assemble, disassemble, load_hex_file, save_hex_file
-from .core import DEFAULT_MAX_CYCLES, TraceRecord
+from .core import DEFAULT_MAX_CYCLES, TraceSpan, _csv_tail
 from .errors import SimError
 from .harness import PeripheralMap, Simulator, execute_script, parse_script
 from .memory import DEFAULT_MEM_SIZE
@@ -60,10 +60,9 @@ def _peripherals(args: argparse.Namespace) -> PeripheralMap:
 
 
 def _write_lines(lines: list[str]) -> None:
-    """Write `lines` to stdout as `print` would, in one call, and clear them."""
+    """Write `lines` to stdout as `print` would, in one call."""
     if lines:
         sys.stdout.write("\n".join(lines) + "\n")
-        lines.clear()
 
 
 def _cmd_asm(args: argparse.Namespace) -> int:
@@ -102,10 +101,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     block: list[str] = []
     trace = None
     if args.trace:
-        def trace(rec: TraceRecord) -> None:
-            block.append(rec.as_csv())
-            if len(block) == TRACE_BLOCK_LINES:
-                _write_lines(block)
+        def trace(span: TraceSpan) -> None:
+            # `as_csv` of each record of the span, inline: a call per line costs a frame.
+            cycle, pc, ir, states, retired = span
+            tail = _csv_tail(pc, ir)
+            *head, last = states
+            for state in head:
+                block.append(f"{cycle},executing,{state},{tail}0")
+                cycle += 1
+            block.append(f"{cycle},executing,{last},{tail}{'01'[retired]}")
+            if len(block) >= TRACE_BLOCK_LINES:  # a span adds at most 5
+                _write_lines(block[:TRACE_BLOCK_LINES])
+                del block[:TRACE_BLOCK_LINES]
 
     try:
         try:

@@ -22,9 +22,10 @@ cached by word value.  One private loop runs executing cycles until a cycle
 limit or its stop rule (every retirement, the halt rule, or none); every
 way of clocking the core goes through it, `Core.run` once per run.  The
 loop counts each retirement by mnemonic, commits memory only after a cycle
-that can leave a write pending, and builds each cycle's TraceRecord in
-place, only for a trace sink; the CSV fields an instruction repeats on
-each of its cycles are rendered once per (pc, ir).
+that can leave a write pending, and hands a trace sink one TraceSpan per
+instruction (its state names follow from the class sequence in its plan),
+also for one still in flight when the loop stops; the CSV fields repeated
+on each of an instruction's cycles are rendered once per (pc, ir).
 
 reference_execute is a deliberately separate functional model - one
 instruction per step, no FSM, no cycle accounting, its own operator
@@ -94,13 +95,21 @@ _CONTROL_CLASSES = (InstrClass.JUMP, InstrClass.BRANCH)
 _NEVER, _RETIRE, _HALT = range(3)  # where `Core._cycles` may stop before its limit
 
 # Trace names of states and modes, keyed by member: `.value` is a
-# Python-level descriptor, and a traced run reads two names per cycle.
+# Python-level descriptor.
 _NAME = {m: m.value for m in (*FsmState, *ControlMode)}
 
-# State after Decode, by mnemonic (string keys hash in C).
-_AFTER_DECODE = {m: {InstrClass.R_ALU: _EXECUTE, InstrClass.I_ALU: _EXECUTE, InstrClass.LOAD: _MEM_ADDR,
-                     InstrClass.STORE: _MEM_ADDR, InstrClass.BRANCH: _BRANCH_COMPLETION,
-                     InstrClass.JUMP: _JUMP_LINK}[cls] for m, cls in MNEMONIC_CLASS.items()}
+# Each class's FSM state names in order; a state has one position in every class.
+_SEQUENCE = {cls: tuple(_NAME[state] for state in (_FETCH, _DECODE, *rest)) for cls, rest in {
+    InstrClass.R_ALU: (_EXECUTE, _ALU_WRITEBACK), InstrClass.I_ALU: (_EXECUTE, _ALU_WRITEBACK),
+    InstrClass.LOAD: (_MEM_ADDR, _MEM_READ, _LOAD_WRITEBACK), InstrClass.STORE: (_MEM_ADDR, _MEM_WRITE),
+    InstrClass.BRANCH: (_BRANCH_COMPLETION,), InstrClass.JUMP: (_JUMP_LINK, _ALU_WRITEBACK),
+}.items()}
+_HEAD = (_NAME[_FETCH], _NAME[_DECODE])  # every class's, before Decode names the class
+
+# State after Decode and state names, by mnemonic (string keys hash in C,
+# and `InstrClass` hashes its name in Python).
+_AFTER_DECODE = {m: FsmState(_SEQUENCE[cls][2]) for m, cls in MNEMONIC_CLASS.items()}
+_NAMES = {m: _SEQUENCE[cls] for m, cls in MNEMONIC_CLASS.items()}
 
 # ALU operator by mnemonic; an I-type op takes its immediate as operand b.
 # Operands are 32-bit unsigned register values.
@@ -126,12 +135,12 @@ _ALU_OPS: dict[str, Callable[[int, int], int]] = {
 def _plan(word: int, decode: Callable[[int], DecodedInstruction] = decode) -> tuple:
     """What the handlers read of a word, by index: (0 state after Decode, 1 ALU
     operator, 2 rs1, 3 rs2, 4 operand-b immediate or None for R-type, 5 rd,
-    6 state after MemAddr, 7 immediate, 8 mnemonic, 9 is jump or branch).
+    6 state after MemAddr, 7 immediate, 8 mnemonic, 9 is jump or branch, 10 state names).
     `decode` is bound here: Decode has just decoded the word, and filling
     its plan reads that decode back from the cache, it is not another one."""
     cls, m, rd, rs1, rs2, imm = decode(word)
     return (_AFTER_DECODE[m], _ALU_OPS.get(m), rs1, rs2, None if cls is _R_ALU else imm & MASK32,
-            rd, _MEM_READ if cls is _LOAD else _MEM_WRITE, imm, m, cls in _CONTROL_CLASSES)
+            rd, _MEM_READ if cls is _LOAD else _MEM_WRITE, imm, m, cls in _CONTROL_CLASSES, _NAMES[m])
 
 
 class RegisterFile:
@@ -177,8 +186,26 @@ def _csv_tail(pc: int, ir: int) -> str:
     return f"{pc:08x},{ir:08x},{format_word(ir)},"
 
 
-# Records are built directly: NamedTuple's `__new__` is a Python frame.
+class TraceSpan(NamedTuple):
+    """Consecutive executing cycles of one instruction from `cycle`, one FSM
+    state name each; `retired` if the last of them retired it."""
+
+    cycle: int
+    pc: int
+    ir: int
+    states: tuple[str, ...]
+    retired: bool
+
+    def records(self) -> list[TraceRecord]:
+        cycle, pc, ir, states, retired = self
+        last = cycle + len(states) - 1
+        return [_record((c, _NAME[_EXECUTING], state, pc, ir, retired and c == last))
+                for c, state in enumerate(states, cycle)]
+
+
+# Built directly: NamedTuple's `__new__` is a Python frame.
 _record = functools.partial(tuple.__new__, TraceRecord)
+_span = functools.partial(tuple.__new__, TraceSpan)
 
 
 @dataclass(frozen=True)
@@ -244,31 +271,32 @@ class Core:
 
     # --- cycle-level stepping ---
 
-    def _cycles(self, bus: Bus, limit: float, trace: Callable[[TraceRecord], None] | None,
+    def _cycles(self, bus: Bus, limit: float, trace: Callable[[TraceSpan], None] | None,
                 stop: int = _RETIRE) -> bool:
         """Run executing cycles until `cycle_count` reaches `limit` (False)
-        or a retirement meets `stop` (True); `trace` gets each cycle's record.
+        or a retirement meets `stop` (True); `trace` gets a TraceSpan at each
+        retirement, and at the return or fault one of any cycles since.
         Memory commits after a MemWrite cycle, and after the first cycle for
         a write scheduled from outside before it."""
-        handlers, commit, mode = self._handlers, bus.commit_cycle, _NAME[_EXECUTING]
+        handlers, commit = self._handlers, bus.commit_cycle
         by_mnemonic = self.by_mnemonic
         state, cycle = self.fsm, self.cycle_count
-        first = cycle + 1
+        first = start = cycle + 1  # `start`: the first cycle of the next span
         try:
             while cycle < limit:
                 next_state = handlers[state](bus)
                 self.cycle_count = cycle = cycle + 1
                 if state is _MEM_WRITE or cycle == first:
                     commit()
-                ran, state = state, next_state
-                retired = state is _FETCH
-                if retired:
+                state = next_state
+                if state is _FETCH:  # retired
                     plan = self._plan
                     by_mnemonic[plan[8]] += 1
-                if trace is not None:
-                    trace(_record((cycle, mode, _NAME[ran], self.instr_pc, self.ir, retired)))
-                if retired and (stop == _RETIRE or stop == _HALT and plan[9] and self.pc == self.instr_pc):
-                    return True
+                    if trace is not None:
+                        begin, start = start, cycle + 1  # moved first: a sink may raise
+                        trace(_span((begin, self.instr_pc, self.ir, plan[10][begin - start:], True)))
+                    if stop == _RETIRE or stop == _HALT and plan[9] and self.pc == self.instr_pc:
+                        return True
             return False
         except SimError as e:  # raised by the handler of `state`
             if e.pc is None:
@@ -278,6 +306,10 @@ class Core:
             raise
         finally:
             self.fsm = state
+            if trace is not None and start <= cycle:  # cycles that did not retire
+                names = _HEAD if state is _DECODE else self._plan[10]  # Decode sets `_plan`
+                end = names.index(_NAME[state])  # the position of the state that runs next
+                trace(_span((start, self.instr_pc, self.ir, names[end + start - cycle - 1:end], False)))
 
     def _clock(self, bus: Bus, cycles: int = 1) -> None:
         """Advance `cycles` (>= 0) clocks without records.
@@ -293,9 +325,9 @@ class Core:
     def step_cycle(self, bus: Bus) -> TraceRecord:
         """Advance one clock and describe it; a held cycle changes nothing."""
         if self.mode is _EXECUTING:
-            records: list[TraceRecord] = []
-            self._cycles(bus, self.cycle_count + 1, records.append)
-            return records[0]
+            spans: list[TraceSpan] = []
+            self._cycles(bus, self.cycle_count + 1, spans.append)
+            return spans[0].records()[0]
         self.held_cycles += 1
         state, mode = self.fsm, self.mode
         pc = self.pc if state is _FETCH else self.instr_pc
@@ -373,7 +405,7 @@ class Core:
         self,
         bus: Bus,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        trace: Callable[[TraceRecord], None] | None = None,
+        trace: Callable[[TraceSpan], None] | None = None,
     ) -> RunReport:
         """Step until the core parks itself or the cycle budget is spent.
 
@@ -382,7 +414,9 @@ class Core:
         `reference_execute` applies the same rule, written out separately.
         Faults (unsupported instructions, memory errors) propagate with the
         pc and FSM state attached; budget exhaustion is a report outcome.
-        Records are built only for a trace sink.
+        `trace` gets one TraceSpan per instruction after its last cycle in
+        this run (not retired if the run ends inside it); `trace=lambda
+        span: records.extend(span.records())` keeps a record per cycle.
         """
         if max_cycles <= 0:
             raise ValueError(f"max_cycles={max_cycles} must be positive")

@@ -1,6 +1,7 @@
 """scripts/bench.py: the BENCH_<n>.json it assembles, with a stubbed runner
-that starts no benchmark process."""
+that starts no benchmark process, and its fresh-process CLI timings."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -131,3 +132,44 @@ def test_src_loc_counts_newlines_of_the_package_sources_as_wc_does(bench, tmp_pa
     sources = sorted(str(p) for p in (ROOT / "src" / "rv32mc").glob("*.py"))
     total = subprocess.run(["wc", "-l", *sources], capture_output=True, text=True, check=True)
     assert bench.src_loc(ROOT) == int(total.stdout.splitlines()[-1].split()[0])
+
+
+def test_cli_commands_alternate_sides_and_keep_times_codes_and_digests(bench):
+    calls = []
+
+    def run(checkout, argv, stdout=subprocess.DEVNULL):
+        calls.append((checkout.name, argv[1], stdout))
+        wall = {"parent": 0.2, "change": 0.1}[checkout.name] + len(calls) * 1e-3
+        return wall, 0, f"{checkout.name} {argv[1]}".encode()
+
+    dirs = {side: Path("/unused") / side for side in ("parent", "change")}
+    commands = {"first": ["run", "a.hex", "--trace"], "second": ["run", "b.hex", "--trace"]}
+    result = bench.bench_cli(dirs, commands, reps=5, run=run)
+    assert list(result) == ["first", "second"]
+    first = result["first"]
+    assert set(first) == {"argv", "reps", "unit", "parent", "change"}  # no verdict
+    assert (first["argv"], first["reps"], first["unit"]) == (commands["first"], 5, "s")
+    for side in ("parent", "change"):
+        assert set(first[side]) == {"median", "q1", "q3", "runs", "exit_codes", "stdout_sha256"}
+        assert first[side]["exit_codes"] == [0] * 5 and len(first[side]["runs"]) == 5
+        assert first[side]["median"] == sorted(first[side]["runs"])[2]
+        assert first[side]["stdout_sha256"] == hashlib.sha256(f"{side} a.hex".encode()).hexdigest()
+    timed = [(side, stdout) for side, image, stdout in calls if image == "a.hex"]
+    assert [side for side, _ in timed[:10]] == ["parent", "change", "change", "parent"] * 2 + [
+        "parent", "change"]
+    assert {stdout for _, stdout in timed[:10]} == {subprocess.DEVNULL}
+    assert timed[10:] == [("parent", subprocess.PIPE), ("change", subprocess.PIPE)]
+
+
+def test_cli_commands_run_the_generated_images_in_fresh_processes(bench, tmp_path):
+    commands = bench.cli_commands(ROOT, tmp_path, 3)
+    assert list(commands) == ["traced_mmio_run_trace_kv", "toolchain_image_run_trace"]
+    assert commands["traced_mmio_run_trace_kv"] == [
+        "run", str(tmp_path / "traced_mmio.hex"), "--trace", "--format", "kv"]
+    assert commands["toolchain_image_run_trace"][:3] == [
+        "run", str(tmp_path / "toolchain_image.hex"), "--trace"]
+    demo = tmp_path / "demo.hex"
+    demo.write_text("00500093\n0000006f\n")
+    wall, code, out = bench.run_cli(ROOT, ["run", str(demo), "--trace"], subprocess.PIPE)
+    assert wall > 0 and code == 0
+    assert out.decode().splitlines()[0] == "1,executing,fetch,00000000,00500093,addi x1, x0, 5,0"

@@ -1,18 +1,26 @@
-"""The record-free clock against the record-building one.
+"""The record-free clock against the traced one.
 
 An untraced `Core.run`, `step_instruction` and `Simulator.run_cycles` clock
-the core without building TraceRecords; a traced run and `step_cycle` build
-one per cycle.  All of them run the same cycle loop, which returns at a
-retirement or at a cycle limit, so they must leave the machine in the same
-state wherever they stop, in the middle of an instruction or at a fault.
+the core without a trace; a traced run hands its sink one TraceSpan per
+instruction, and `step_cycle` makes its record from a one-cycle span.  All
+of them run the same cycle loop, which returns at a retirement or at a
+cycle limit, so they must leave the machine in the same state wherever
+they stop, in the middle of an instruction or at a fault.  A span's states
+are not recorded but derived from its class and the state that runs next,
+so traced runs entered and left at every cycle offset must give the
+records that `step_cycle` gives one cycle at a time.
 """
 
+import contextlib
+import io
 import random
 
 import pytest
 
-from rv32mc import (ControlMode, HaltReason, InstrClass, PeripheralMap, Simulator, TraceRecord,
-                    assemble)
+from rv32mc import (CYCLE_COST, ControlMode, HaltReason, InstrClass, PeripheralMap, Simulator,
+                    TraceRecord, TraceSpan, assemble, image_to_hex)
+from rv32mc.cli import dispatch
+from rv32mc.core import _SEQUENCE
 from rv32mc.errors import SimError
 from rv32mc.programs import PROGRAMS
 from progen import random_program
@@ -49,7 +57,8 @@ def test_traced_and_untraced_runs_agree(name):
     plain, traced = started(IMAGES[name]), started(IMAGES[name])
     records = []
     report = plain.core.run(plain.bus, max_cycles=20_000)
-    traced_report = traced.core.run(traced.bus, max_cycles=20_000, trace=records.append)
+    traced_report = traced.core.run(traced.bus, max_cycles=20_000,
+                                   trace=lambda span: records.extend(span.records()))
     assert report == traced_report
     assert machine_state(plain) == machine_state(traced)
     assert len(records) == report.total_cycles
@@ -79,7 +88,8 @@ def _run(sim, n):
 def _traced_run(sim, n):
     records = []
     try:
-        return sim.core.run(sim.bus, max_cycles=n, trace=records.append).total_cycles
+        return sim.core.run(sim.bus, max_cycles=n,
+                            trace=lambda span: records.extend(span.records())).total_cycles
     finally:
         assert [r.cycle for r in records] == list(range(1, sim.core.cycle_count + 1))
 
@@ -189,7 +199,7 @@ def test_trace_record_has_six_fields_and_no_held_argument():
 def test_a_record_is_held_exactly_when_its_mode_is_not_executing(path):
     sim, records = started(IMAGES["pacer"]), []
     if path is _traced_run:
-        sim.core.run(sim.bus, max_cycles=7, trace=records.append)
+        sim.core.run(sim.bus, max_cycles=7, trace=lambda span: records.extend(span.records()))
     else:
         path(sim, 7)
     records.append(sim.core.step_cycle(sim.bus))
@@ -199,3 +209,95 @@ def test_a_record_is_held_exactly_when_its_mode_is_not_executing(path):
     executing = len(records) - 3
     assert [r.held for r in records] == [False] * executing + [True] * 3
     assert all(r.held == (r.mode != "executing") for r in records)
+
+
+def _spans(sim, n):
+    """The spans of one traced `Core.run` of at most `n` cycles, to its end or
+    its fault."""
+    spans = []
+    try:
+        sim.core.run(sim.bus, max_cycles=n, trace=spans.append)
+    except SimError:
+        pass
+    return spans
+
+
+def _records(spans):
+    return [rec for span in spans for rec in span.records()]
+
+
+def _stepped(sim, n):
+    """The records of up to `n` `step_cycle` calls, to a halt or a fault."""
+    records = []
+    with contextlib.suppress(SimError):
+        while len(records) < n:
+            records.append(sim.core.step_cycle(sim.bus))
+            if records[-1].retired and sim.core.pc == records[-1].pc:
+                break  # the halt rule: a self-loop retired
+    return records
+
+
+def test_each_class_runs_its_cycle_cost_with_each_state_at_one_position():
+    assert {cls: len(states) for cls, states in _SEQUENCE.items()} == CYCLE_COST
+    positions = {}
+    for states in _SEQUENCE.values():
+        for i, state in enumerate(states):
+            assert positions.setdefault(state, i) == i
+
+
+ENTRIES = {name: IMAGES[name] for name in ("demo", "pacer", "progen-3", "progen-7")}
+ENTRIES.update((name, assemble(FAULTS[name][0])) for name in FAULTS)
+
+
+@pytest.mark.parametrize("name", list(ENTRIES))
+def test_traced_runs_entered_and_left_mid_instruction_give_step_cycle_records(name):
+    for entry in range(13):
+        for budget in range(1, 14):
+            traced, stepped = started(ENTRIES[name]), started(ENTRIES[name])
+            with contextlib.suppress(SimError):
+                traced.run_cycles(entry)
+                stepped.run_cycles(entry)
+            if traced.core.cycle_count < entry:  # faulted before the entry point
+                continue
+            assert _records(_spans(traced, budget)) == _stepped(stepped, budget), (entry, budget)
+            assert machine_state(traced) == machine_state(stepped)
+
+
+@pytest.mark.parametrize("name", ["demo", "pacer", "progen-7", "unmapped-load"])
+def test_traced_runs_split_by_budget_concatenate_to_one_traced_run(name):
+    whole = _records(_spans(started(ENTRIES[name]), 10_000))
+    for split in {1, 2, 5, 11, len(whole) // 2, len(whole) - 1} & set(range(1, len(whole))):
+        sim = started(ENTRIES[name])
+        first = _spans(sim, split)
+        assert _records(first) + _records(_spans(sim, 10_000)) == whole, split
+
+
+@pytest.mark.parametrize("name", ["pacer", "progen-7", "unmapped-load", "unsupported"])
+def test_spans_are_consecutive_and_only_their_last_cycle_retires(name):
+    sim = started(ENTRIES[name])
+    sim.run_cycles(6)  # enter in the middle of an instruction
+    spans = _spans(sim, 10_000)
+    cycle = 7
+    for span in spans:
+        assert isinstance(span, TraceSpan) and span.cycle == cycle and span.states
+        records = span.records()
+        assert [r.cycle for r in records] == list(range(cycle, cycle + len(span.states)))
+        assert [r.retired for r in records] == [False] * (len(records) - 1) + [span.retired]
+        assert [r.state for r in records] == list(span.states)
+        assert {(r.pc, r.ir, r.mode) for r in records} == {(span.pc, span.ir, "executing")}
+        cycle += len(span.states)
+    assert cycle == sim.core.cycle_count + 1
+    assert all(span.retired for span in spans[:-1])
+
+
+@pytest.mark.parametrize("name", ["pacer", "unmapped-load"])
+@pytest.mark.parametrize("max_cycles", [100, 10_000])
+def test_cli_trace_lines_are_as_csv_of_the_span_records(tmp_path, name, max_cycles):
+    hex_path = tmp_path / f"{name}.hex"
+    hex_path.write_text(image_to_hex(ENTRIES[name]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        dispatch(["run", str(hex_path), "--trace", "--format", "kv",
+                  "--max-cycles", str(max_cycles)])
+    lines = out.getvalue().split("halt_reason=")[0].splitlines()
+    assert lines == [rec.as_csv() for rec in _records(_spans(started(ENTRIES[name]), max_cycles))]

@@ -279,7 +279,7 @@ def test_runs_are_deterministic():
     def trace_csv():
         core, mem = make_rig("addi x1, x0, 3\nsw x1, 40(x0)\nlw x2, 40(x0)\njal x0, 0\n")
         lines = []
-        core.run(mem, trace=lambda rec: lines.append(rec.as_csv()))
+        core.run(mem, trace=lambda span: lines.extend(rec.as_csv() for rec in span.records()))
         return lines
 
     assert trace_csv() == trace_csv()

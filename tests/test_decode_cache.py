@@ -178,7 +178,8 @@ def test_words_equal_modulo_2_32_decode_equal(word):
 def test_patched_addi_renders_its_new_immediate_each_pass():
     core, mem = started(assemble(SELF_PATCHING))
     shown = []
-    core.run(mem, trace=lambda rec: rec.pc == 12 and rec.retired and shown.append(format_word(rec.ir)))
+    core.run(mem, trace=lambda span: shown.extend(
+        format_word(rec.ir) for rec in span.records() if rec.pc == 12 and rec.retired))
     assert shown == [f"addi x4, x4, {k}" for k in range(10)]
 
 

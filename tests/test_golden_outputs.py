@@ -5,9 +5,14 @@ image (`<name>.hex`), `dis` of it (`<name>.dis`), the `run` report in text
 (`<name>.run.txt`) and in kv (`<name>.run.kv`), the `--report` file
 (`<name>.report.txt`) and the `--dump-mem` image (`<name>.mem.hex`); the
 `asm --base 0x100` image of timing (`timing.base.hex`, whose `@` record
-heads it) and `dis` of it (`timing.base.dis`); and the `selftest` stdout
-(`selftest.txt`).  A change that alters any of these bytes on purpose
-regenerates them and names each changed file:
+heads it) and `dis` of it (`timing.base.dis`); the `selftest` stdout
+(`selftest.txt`); and two traced runs that end in the middle of an
+instruction, each as its stdout (`.out`), stderr (`.err`) and exit code
+(`.exit`): pacer under `--max-cycles 100` (`pacer.trace-budget.*`, exit 4)
+and a load from an unmapped address, which faults in MemRead
+(`unmapped-load.hex`, `unmapped-load.trace-fault.*`, exit 3).  A change
+that alters any of these bytes on purpose regenerates them and names each
+changed file:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -22,6 +27,9 @@ from rv32mc.cli import dispatch
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_outputs"
 PROGRAMS = ("demo", "timing", "pacer")
+# x1 = 0x2000: above memory and past the last default device, so the `lw`
+# faults in MemRead (the `unmapped-load` program of test_clock.FAULTS).
+UNMAPPED_LOAD = "addi x1, x0, 1\nslli x1, x1, 13\nlw x2, 0(x1)\njal x0, 0\n"
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -29,6 +37,15 @@ def _stdout(argv: list[str]) -> bytes:
     with contextlib.redirect_stdout(out):
         assert dispatch(argv) == 0, argv
     return out.getvalue().encode()
+
+
+def _ending(name: str, argv: list[str]) -> dict[str, bytes]:
+    """Stdout, stderr and exit code of a run that may end in an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return {f"{name}.out": out.getvalue().encode(), f"{name}.err": err.getvalue().encode(),
+            f"{name}.exit": f"{code}\n".encode()}
 
 
 def render_outputs(work: Path) -> dict[str, bytes]:
@@ -49,6 +66,14 @@ def render_outputs(work: Path) -> dict[str, bytes]:
     outputs[base_hex.name] = base_hex.read_bytes()
     outputs["timing.base.dis"] = _stdout(["dis", str(base_hex)])
     outputs["selftest.txt"] = _stdout(["selftest"])
+    trace = ["--trace", "--format", "kv"]
+    outputs.update(_ending("pacer.trace-budget",
+                           ["run", str(work / "pacer.hex"), *trace, "--max-cycles", "100"]))
+    source, fault_hex = work / "unmapped-load.s", work / "unmapped-load.hex"
+    source.write_text(UNMAPPED_LOAD)
+    _stdout(["asm", str(source), "-o", str(fault_hex)])
+    outputs[fault_hex.name] = fault_hex.read_bytes()
+    outputs.update(_ending("unmapped-load.trace-fault", ["run", str(fault_hex), *trace]))
     return outputs
 
 

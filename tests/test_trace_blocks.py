@@ -121,7 +121,7 @@ def test_as_csv_matches_longhand_past_the_cache_bound():
     passes = WORD_CACHE_SIZE + 100
     source = HALTS.replace("addi  x2, x0, 40", f"addi  x2, x0, {passes}")
     sim, records = started(source), []
-    sim.core.run(sim.bus, trace=records.append)
+    sim.core.run(sim.bus, trace=lambda span: records.extend(span.records()))
     assert len({(r.pc, r.ir) for r in records}) > passes > WORD_CACHE_SIZE
     for rec in records:
         assert rec.as_csv() + "\n" == render(rec)
