@@ -1,0 +1,201 @@
+"""Mutation check: each mutant of the engine must fail a test.
+
+    python3 scripts/mutants.py [--rev HEAD]
+
+The revision (`HEAD` by default, or `WORKTREE` for the checkout as it is
+now) is exported into a temporary directory as `scripts/bench.py` does.
+Each entry of `MUTANTS` replaces one exact text in one file of that
+export; old text that does not occur exactly once makes the mutant
+`stale`, a failure and not a skip, so it cannot pass unnoticed.  The
+entry's named tests run first, and the whole tier-1 suite only if they
+all pass; then the file is put back.  A mutant is `killed` when a run
+fails and `survived` when both pass.  Named tests that pytest cannot
+select or run (exit 2-5) are an `error`.  The script exits 1 unless every
+mutant is killed.
+
+The engine runs a whole instruction inline and a part of one through its
+per-state handlers, so each engine mutant goes into both copies; the ALU
+table is shared, and only the inline pass sets the loop's state itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench import export  # noqa: E402
+
+TIER1 = ["--continue-on-collection-errors"]
+# Seconds one pytest run of a mutant may take; a mutant that hangs the
+# engine is killed by the timeout.
+TIMEOUT = 600
+# pytest exit codes that mean the test selection is wrong, not that a test
+# failed: interrupted, internal error, usage error, no tests collected.
+_BAD_SELECTION = (2, 3, 4, 5)
+
+Runner = Callable[[Path, list[str]], int]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CORE = "src/rv32mc/core.py"
+CLOCK = "tests/test_clock.py"
+FAULTS = f"{CLOCK}::test_every_path_faults_alike_in_the_middle_of_an_instruction"
+ENTERED = f"{CLOCK}::test_traced_runs_entered_and_left_mid_instruction_give_step_cycle_records"
+OUTSIDE = f"{CLOCK}::test_outside_write_commits_at_the_end_of_the_first_executing_cycle"
+ORACLE = "tests/test_oracle.py"
+ALU = "tests/test_core.py::test_alu_semantics_wrap_and_shift"
+X0 = "tests/test_core.py::test_x0_invariant"
+X0_STEPPED = "tests/test_core.py::test_writes_to_x0_are_discarded"
+STORE_STEPPED = "tests/test_core.py::test_store_commits_at_cycle_end"
+STAMPS = f"{CLOCK}::test_device_accesses_are_stamped_three_cycles_after_their_fetch"
+
+MUTANTS = [
+    Mutant("sra-as-srl-table", CORE,
+           '("sra srai", lambda a, b: (s32(a) >> (b & 31)) & MASK32),',
+           '("sra srai", lambda a, b: a >> (b & 31)),',
+           (ALU, ORACLE)),
+    Mutant("sra-as-srl-inline", CORE,
+           "ops[m](a, b if cls is _R_ALU else imm & MASK32)",
+           'ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)',
+           (ORACLE,)),
+    Mutant("sra-as-srl-handler", CORE,
+           "_ALU_OPS[m](self.a, self.b if cls is _R_ALU else imm & MASK32)",
+           '_ALU_OPS[m.replace("sra", "srl")](self.a, self.b if cls is _R_ALU else imm & MASK32)',
+           (ALU,)),
+    Mutant("x0-writable-inline", CORE,
+           "imm & MASK32)\n                        if rd:\n",
+           "imm & MASK32)\n                        if True:\n",
+           (X0, ORACLE)),
+    Mutant("x0-writable-handler", CORE,
+           "rd = self.decoded[2]\n        if rd:\n            self._regs[rd] = self.alu_out",
+           "rd = self.decoded[2]\n        if True:\n            self._regs[rd] = self.alu_out",
+           (X0_STEPPED,)),
+    Mutant("store-never-committed-inline", CORE,
+           "write(addr, b, _EXECUTING)\n                        cycle += 1\n                        commit()\n",
+           "write(addr, b, _EXECUTING)\n                        cycle += 1\n",
+           (ORACLE,)),
+    Mutant("store-committed-one-cycle-late-handler", CORE,
+           "if state is _MEM_WRITE or cycle == first:",
+           "if state is _FETCH or cycle == first:",
+           (STORE_STEPPED,)),
+    Mutant("store-never-committed-handler", CORE,
+           "if state is _MEM_WRITE or cycle == first:",
+           "if cycle == first:",
+           (STORE_STEPPED,)),
+    Mutant("device-stamp-plus-one-inline-load", CORE,
+           "self.cycle_count = cycle = cycle + 2\n                        state = _MEM_READ",
+           "cycle = cycle + 2\n                        self.cycle_count = cycle + 1\n"
+           "                        state = _MEM_READ",
+           (STAMPS,)),
+    Mutant("device-stamp-plus-one-inline-store", CORE,
+           "self.cycle_count = cycle = cycle + 2\n                        state = _MEM_WRITE",
+           "cycle = cycle + 2\n                        self.cycle_count = cycle + 1\n"
+           "                        state = _MEM_WRITE",
+           (STAMPS,)),
+    Mutant("device-stamp-plus-one-handler", CORE,
+           "next_state = handlers[state](bus)",
+           "self.cycle_count = cycle + 1\n                    next_state = handlers[state](bus)",
+           (STAMPS,)),
+    Mutant("inline-crosses-limit", CORE,
+           "last = limit - 5",
+           "last = limit - 4",
+           (ENTERED,)),
+    Mutant("inline-on-first-cycle", CORE,
+           "first <= cycle <= last",
+           "first - 1 <= cycle <= last",
+           (OUTSIDE,)),
+    Mutant("fetch-fault-pc-plus-4-inline", CORE,
+           "self.ir = ir = read(pc)\n                    self.pc = (pc + 4) & MASK32\n",
+           "self.pc = (pc + 4) & MASK32\n                    self.ir = ir = read(pc)\n",
+           (FAULTS,)),
+    Mutant("fetch-fault-pc-plus-4-handler", CORE,
+           "self.ir = bus.read_word(pc)\n        self.pc = (pc + 4) & MASK32\n",
+           "self.pc = (pc + 4) & MASK32\n        self.ir = bus.read_word(pc)\n",
+           (FAULTS,)),
+    Mutant("no-state-before-decode-inline", CORE,
+           "cycle + 1\n                    state = _DECODE\n",
+           "cycle + 1\n",
+           (FAULTS,)),
+    Mutant("no-state-before-mem-read-inline", CORE,
+           "                        state = _MEM_READ\n",
+           "",
+           (FAULTS,)),
+    Mutant("no-state-before-mem-write-inline", CORE,
+           "                        state = _MEM_WRITE\n",
+           "",
+           (FAULTS,)),
+]
+
+
+def run_pytest(checkout: Path, args: list[str]) -> int:
+    """One pytest process in `checkout`, as tier-1 runs it; its exit code,
+    or 1 if it outlives `TIMEOUT`."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    try:
+        return subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return 1
+
+
+def check(mutant: Mutant, checkout: Path, run: Runner = run_pytest) -> dict:
+    """Apply `mutant` to `checkout`, run its tests, then tier-1 if they
+    pass, and put the file back: the outcome and the seconds it took."""
+    path = checkout / mutant.path
+    original = path.read_text()
+    found = original.count(mutant.old)
+    if found != 1:
+        return {"name": mutant.name, "outcome": "stale", "seconds": 0.0,
+                "why": f"old text occurs {found} times in {mutant.path}"}
+    began = time.perf_counter()
+    path.write_text(original.replace(mutant.old, mutant.new))
+    try:
+        code = run(checkout, list(mutant.tests))
+        if code in _BAD_SELECTION:
+            outcome, why = "error", f"its named tests exit {code}"
+        elif code:
+            outcome, why = "killed", "by its named tests"
+        elif run(checkout, TIER1):
+            outcome, why = "killed", "by tier-1"
+        else:
+            outcome, why = "survived", "every test passed"
+    finally:
+        path.write_text(original)
+    return {"name": mutant.name, "outcome": outcome, "seconds": time.perf_counter() - began,
+            "why": why}
+
+
+def main(argv: list[str] | None = None, run: Runner = run_pytest, log=print) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--rev", default="HEAD", help="git revision, or WORKTREE")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="rv32mc-mutants-") as tmp:
+        checkout = Path(tmp) / "tree"
+        export(args.rev, checkout)
+        results = []
+        for mutant in MUTANTS:
+            r = check(mutant, checkout, run)
+            log(f"{r['name']:40s} {r['outcome']:8s} {r['seconds']:6.1f} s  {r['why']}")
+            results.append(r)
+    bad = [r for r in results if r["outcome"] != "killed"]
+    log(f"{len(results) - len(bad)}/{len(results)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

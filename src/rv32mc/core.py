@@ -14,18 +14,19 @@ contract.  Multi-cycle temporaries (ir, a, b, alu_out, mdr, and the
 in-flight instruction's pc) change only at cycle boundaries, and memory
 writes scheduled during a cycle commit at its end.
 
-Each Core builds a table with one handler per FSM state; a handler does
-that state's work and returns the next state, and returning to Fetch
-retires the instruction.  Decode still calls `isa.decode` for every
-instruction, and the handlers read what they need of the word from a plan
-cached by word value.  One private loop runs executing cycles until a cycle
-limit or its stop rule (every retirement, the halt rule, or none); every
-way of clocking the core goes through it, `Core.run` once per run.  The
+One private loop runs executing cycles until a cycle limit or its stop
+rule (every retirement, the halt rule, or none); every way of clocking the
+core goes through it, `Core.run` once per run.  At Fetch it runs a whole
+instruction in one pass, once a cycle of the call has run (so a write
+scheduled from outside has committed) and while five cycles remain before
+the limit (so the instruction cannot cross it); the pass sets `cycle_count`
+and the state before each step that can raise, so device stamps and fault
+tags fall as per cycle.  `step_cycle`, the first cycle of a call and a
+budget that ends inside an instruction run one handler per FSM state: it
+does that state's work from `decoded` and returns the next state.  The
 loop counts each retirement by mnemonic, commits memory only after a cycle
 that can leave a write pending, and hands a trace sink one TraceSpan per
-instruction (its state names follow from the class sequence in its plan),
-also for one still in flight when the loop stops; the CSV fields repeated
-on each of an instruction's cycles are rendered once per (pc, ir).
+instruction, also for one in flight when the loop stops.
 
 reference_execute is a deliberately separate functional model - one
 instruction per step, no FSM, no cycle accounting, its own operator
@@ -89,9 +90,9 @@ _MEM_WRITE = FsmState.MEM_WRITE
 _BRANCH_COMPLETION = FsmState.BRANCH_COMPLETION
 _JUMP_LINK = FsmState.JUMP_LINK
 _EXECUTING = ControlMode.EXECUTING
-_R_ALU = InstrClass.R_ALU
-_LOAD = InstrClass.LOAD
-_CONTROL_CLASSES = (InstrClass.JUMP, InstrClass.BRANCH)
+_R_ALU, _I_ALU, _LOAD, _STORE, _BRANCH = (
+    InstrClass.R_ALU, InstrClass.I_ALU, InstrClass.LOAD, InstrClass.STORE, InstrClass.BRANCH
+)
 _NEVER, _RETIRE, _HALT = range(3)  # where `Core._cycles` may stop before its limit
 
 # Trace names of states and modes, keyed by member: `.value` is a
@@ -129,18 +130,6 @@ _ALU_OPS: dict[str, Callable[[int, int], int]] = {
     )
     for m in names.split()
 }
-
-
-@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
-def _plan(word: int, decode: Callable[[int], DecodedInstruction] = decode) -> tuple:
-    """What the handlers read of a word, by index: (0 state after Decode, 1 ALU
-    operator, 2 rs1, 3 rs2, 4 operand-b immediate or None for R-type, 5 rd,
-    6 state after MemAddr, 7 immediate, 8 mnemonic, 9 is jump or branch, 10 state names).
-    `decode` is bound here: Decode has just decoded the word, and filling
-    its plan reads that decode back from the cache, it is not another one."""
-    cls, m, rd, rs1, rs2, imm = decode(word)
-    return (_AFTER_DECODE[m], _ALU_OPS.get(m), rs1, rs2, None if cls is _R_ALU else imm & MASK32,
-            rd, _MEM_READ if cls is _LOAD else _MEM_WRITE, imm, m, cls in _CONTROL_CLASSES, _NAMES[m])
 
 
 class RegisterFile:
@@ -249,7 +238,6 @@ class Core:
             self.fsm = FsmState.FETCH
             self.ir = self.a = self.b = self.alu_out = self.mdr = self.instr_pc = 0
             self.decoded: DecodedInstruction | None = None
-            self._plan: tuple | None = None  # `_plan(ir)` from Decode on
             self.cycle_count = self.held_cycles = 0
             self.by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)  # retirements
         return self.mode
@@ -278,27 +266,72 @@ class Core:
         retirement, and at the return or fault one of any cycles since.
         Memory commits after a MemWrite cycle, and after the first cycle for
         a write scheduled from outside before it."""
-        handlers, commit = self._handlers, bus.commit_cycle
-        by_mnemonic = self.by_mnemonic
+        handlers, regs, by_mnemonic, ops = self._handlers, self._regs, self.by_mnemonic, _ALU_OPS
+        read, write, commit = bus.read_word, bus.schedule_write, bus.commit_cycle
         state, cycle = self.fsm, self.cycle_count
         first = start = cycle + 1  # `start`: the first cycle of the next span
+        last = limit - 5  # the last cycle count from which any instruction fits
         try:
             while cycle < limit:
-                next_state = handlers[state](bus)
-                self.cycle_count = cycle = cycle + 1
-                if state is _MEM_WRITE or cycle == first:
-                    commit()
-                state = next_state
-                if state is _FETCH:  # retired
-                    plan = self._plan
-                    by_mnemonic[plan[8]] += 1
-                    if trace is not None:
-                        begin, start = start, cycle + 1  # moved first: a sink may raise
-                        trace(_span((begin, self.instr_pc, self.ir, plan[10][begin - start:], True)))
-                    if stop == _RETIRE or stop == _HALT and plan[9] and self.pc == self.instr_pc:
-                        return True
+                if state is _FETCH and first <= cycle <= last:  # the whole instruction
+                    self.instr_pc = pc = self.pc
+                    self.ir = ir = read(pc)
+                    self.pc = (pc + 4) & MASK32
+                    self.cycle_count = cycle = cycle + 1
+                    state = _DECODE
+                    cls, m, rd, rs1, rs2, imm = self.decoded = decode(ir)
+                    self.a = a = regs[rs1]
+                    self.b = b = regs[rs2]
+                    if cls is _I_ALU or cls is _R_ALU:
+                        self.alu_out = value = ops[m](a, b if cls is _R_ALU else imm & MASK32)
+                        if rd:
+                            regs[rd] = value
+                        cycle += 3
+                    elif cls is _BRANCH:
+                        if a == b:
+                            self.pc = (pc + imm) & MASK32
+                        cycle += 2
+                    elif cls is _LOAD:
+                        self.alu_out = addr = (a + imm) & MASK32
+                        self.cycle_count = cycle = cycle + 2
+                        state = _MEM_READ
+                        self.mdr = value = read(addr)
+                        if rd:
+                            regs[rd] = value
+                        cycle += 2
+                    elif cls is _STORE:
+                        self.alu_out = addr = (a + imm) & MASK32
+                        self.cycle_count = cycle = cycle + 2
+                        state = _MEM_WRITE
+                        write(addr, b, _EXECUTING)
+                        cycle += 1
+                        commit()
+                    else:  # jump
+                        self.alu_out = value = (pc + 4) & MASK32
+                        self.pc = (pc + imm) & MASK32
+                        if rd:
+                            regs[rd] = value
+                        cycle += 3
+                    self.cycle_count = cycle
+                    state = _FETCH
+                else:
+                    next_state = handlers[state](bus)
+                    self.cycle_count = cycle = cycle + 1
+                    if state is _MEM_WRITE or cycle == first:
+                        commit()
+                    state = next_state
+                    if state is not _FETCH:
+                        continue
+                    m = self.decoded[1]
+                # retired: any class but a jump or taken branch leaves pc at instr_pc + 4
+                by_mnemonic[m] += 1
+                if trace is not None:
+                    begin, start = start, cycle + 1  # moved first: a sink may raise
+                    trace(_span((begin, self.instr_pc, self.ir, _NAMES[m][begin - start:], True)))
+                if stop == _RETIRE or stop == _HALT and self.pc == self.instr_pc:
+                    return True
             return False
-        except SimError as e:  # raised by the handler of `state`
+        except SimError as e:  # raised by the step of `state`
             if e.pc is None:
                 e.pc = self.pc if state is _FETCH else self.instr_pc
             if e.state is None:
@@ -307,7 +340,7 @@ class Core:
         finally:
             self.fsm = state
             if trace is not None and start <= cycle:  # cycles that did not retire
-                names = _HEAD if state is _DECODE else self._plan[10]  # Decode sets `_plan`
+                names = _HEAD if state is _DECODE else _NAMES[self.decoded[1]]
                 end = names.index(_NAME[state])  # the position of the state that runs next
                 trace(_span((start, self.instr_pc, self.ir, names[end + start - cycle - 1:end], False)))
 
@@ -340,37 +373,34 @@ class Core:
         return _DECODE
 
     def _decode(self, bus: Bus) -> FsmState:
-        ir = self.ir
-        self.decoded = decode(ir)
-        p = self._plan = _plan(ir)
+        cls, m, rd, rs1, rs2, imm = self.decoded = decode(self.ir)
         regs = self._regs
-        self.a = regs[p[2]]
-        self.b = regs[p[3]]
-        return p[0]
+        self.a = regs[rs1]
+        self.b = regs[rs2]
+        return _AFTER_DECODE[m]
 
     def _execute(self, bus: Bus) -> FsmState:
-        p = self._plan
-        imm = p[4]
-        self.alu_out = p[1](self.a, self.b if imm is None else imm)
+        cls, m, rd, rs1, rs2, imm = self.decoded
+        self.alu_out = _ALU_OPS[m](self.a, self.b if cls is _R_ALU else imm & MASK32)
         return _ALU_WRITEBACK
 
     def _alu_writeback(self, bus: Bus) -> FsmState:
-        rd = self._plan[5]
+        rd = self.decoded[2]
         if rd:
             self._regs[rd] = self.alu_out
         return _FETCH
 
     def _mem_addr(self, bus: Bus) -> FsmState:
-        p = self._plan
-        self.alu_out = (self.a + p[7]) & MASK32
-        return p[6]
+        cls, m, rd, rs1, rs2, imm = self.decoded
+        self.alu_out = (self.a + imm) & MASK32
+        return _MEM_READ if cls is _LOAD else _MEM_WRITE
 
     def _mem_read(self, bus: Bus) -> FsmState:
         self.mdr = bus.read_word(self.alu_out)
         return _LOAD_WRITEBACK
 
     def _load_writeback(self, bus: Bus) -> FsmState:
-        rd = self._plan[5]
+        rd = self.decoded[2]
         if rd:
             self._regs[rd] = self.mdr
         return _FETCH
@@ -381,13 +411,13 @@ class Core:
 
     def _branch_completion(self, bus: Bus) -> FsmState:
         if self.a == self.b:
-            self.pc = (self.instr_pc + self._plan[7]) & MASK32
+            self.pc = (self.instr_pc + self.decoded[5]) & MASK32
         return _FETCH
 
     def _jump_link(self, bus: Bus) -> FsmState:
         pc = self.instr_pc
         self.alu_out = (pc + 4) & MASK32
-        self.pc = (pc + self._plan[7]) & MASK32
+        self.pc = (pc + self.decoded[5]) & MASK32
         return _ALU_WRITEBACK
 
     # --- instruction-level stepping ---

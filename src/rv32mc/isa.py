@@ -175,8 +175,8 @@ def _unsupported(word: int) -> UnsupportedInstruction:
 # is decoded once per process.  Keyed by word value, so code that rewrites
 # itself decodes the new word; a full memo is emptied before it grows.
 DECODE_CACHE_SIZE = 32768
-# Distinct words each per-word `lru_cache` (`format_word`, the engine's
-# plans and the trace's CSV tail) remembers, least recently used first out.
+# Distinct words each per-word `lru_cache` (`format_word` and the trace's
+# CSV tail) remembers, least recently used first out.
 WORD_CACHE_SIZE = 1024
 
 

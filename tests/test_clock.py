@@ -18,7 +18,7 @@ import random
 import pytest
 
 from rv32mc import (CYCLE_COST, ControlMode, HaltReason, InstrClass, PeripheralMap, Simulator,
-                    TraceRecord, TraceSpan, assemble, image_to_hex)
+                    TraceRecord, TraceSpan, assemble, decode, image_to_hex)
 from rv32mc.cli import dispatch
 from rv32mc.core import _SEQUENCE
 from rv32mc.errors import SimError
@@ -125,6 +125,10 @@ FAULTS = {
                       0x8, "mem_read", 11),
     "unsupported": ("addi x1, x0, 5\nadd x2, x1, x1\n.word 0xFFFFFFFF\njal x0, 0\n",
                     0x8, "decode", 9),
+    "unmapped-store": ("addi x1, x0, 1\nslli x1, x1, 13\nsw x2, 0(x1)\njal x0, 0\n",
+                       0x8, "mem_write", 11),
+    # The jump lands on 0x6, an even offset but not a word address: its fetch trips
+    "misaligned-jump": ("addi x1, x0, 5\njal x0, 2\njal x0, 0\n", 0x6, "fetch", 8),
 }
 
 
@@ -142,21 +146,45 @@ def test_every_path_faults_alike_in_the_middle_of_an_instruction(name):
     assert all(s == states[0] for s in states)
 
 
+@pytest.mark.parametrize("path", PATHS, ids=lambda path: path.__name__.strip("_"))
+def test_device_accesses_are_stamped_three_cycles_after_their_fetch(path):
+    # Every load and store of the pacer goes to a device; its MemRead or
+    # MemWrite is the fourth cycle of the instruction.
+    reference, spans = started(IMAGES["pacer"]), []
+    reference.core.run(reference.bus, trace=spans.append)
+    memory_classes = (InstrClass.LOAD, InstrClass.STORE)
+    expected = [span.cycle - 1 + 3 for span in spans if decode(span.ir).cls in memory_classes]
+    sim = started(IMAGES["pacer"])
+    path(sim, reference.core.cycle_count)
+    stamps = sorted(r.cycle for d in sim.peripherals.devices for r in d.event_log)
+    assert stamps == expected and len(expected) == 16
+
+
+def _with_outside_write(image, patched):
+    """A started core whose memory holds a write scheduled from outside."""
+    sim = started(image)
+    sim.core.apply_control(ie=0, reset=0, write_enable=1)  # programming
+    sim.bus.schedule_write(0, patched, sim.core.mode)
+    sim.start()
+    return sim
+
+
 def test_outside_write_commits_at_the_end_of_the_first_executing_cycle():
     image = IMAGES["demo"]
     patched = 0x0000006F  # jal x0, 0
     assert image.words[0] != patched
-    states = []
-    for path in PATHS:
-        sim = started(image)
-        sim.core.apply_control(ie=0, reset=0, write_enable=1)  # programming
-        sim.bus.schedule_write(0, patched, sim.core.mode)
-        sim.start()
-        assert path(sim, 1) == 1
-        assert sim.core.ir == image.words[0]  # the fetch saw committed memory
-        assert sim.mem.words[0] == patched and sim.mem.pending_write is None
-        states.append(machine_state(sim))
-    assert all(s == states[0] for s in states)
+    for budget in (1, 8, 20_000):  # one cycle, two instructions, the whole run
+        cycles = _run(_with_outside_write(image, patched), budget)
+        states = []
+        for path in PATHS:
+            sim = _with_outside_write(image, patched)
+            assert path(sim, cycles) == cycles
+            assert sim.mem.words[0] == patched and sim.mem.pending_write is None, budget
+            states.append(machine_state(sim))
+        assert all(s == states[0] for s in states), budget
+        # The first fetch saw committed memory: the addi, which then ran.
+        assert sim.core.ir == image.words[0 if cycles <= 4 else 1]
+        assert sim.core.regs[1] == (5 if cycles >= 4 else 0)
 
 
 def test_reset_clears_the_retirement_counts():

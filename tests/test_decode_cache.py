@@ -1,10 +1,11 @@
-"""`isa.decode`, `isa.format_word` and the engine's plans cache by word value,
-each within a fixed bound.
+"""`isa.decode` and `isa.format_word` cache by word value, each within a
+fixed bound.
 
 `decode` is the bound `__getitem__` of one process-wide memo of
 `DECODE_CACHE_SIZE` words, so the engine, the oracle and `disassemble`
-decode each distinct word of an image once between them; the others are
-`lru_cache`s of `WORD_CACHE_SIZE` words.
+decode each distinct word of an image once between them; `format_word` is
+an `lru_cache` of `WORD_CACHE_SIZE` words.  The engine keeps no cache of
+its own: it reads each instruction from its decode.
 """
 
 import random
@@ -14,7 +15,6 @@ import pytest
 from rv32mc import ControlMode, Core, HaltReason, MemoryImage, UnifiedMemory, assemble, decode
 from rv32mc import disassemble, encode, instr, isa, reference_execute
 from rv32mc.errors import UnsupportedInstruction
-from rv32mc.core import _plan
 from rv32mc.memory import DEFAULT_MEM_SIZE
 from rv32mc.isa import DECODE_CACHE_SIZE, ENCODING, MASK32, WORD_CACHE_SIZE, format_word
 from rv32mc.programs import PROGRAMS
@@ -71,7 +71,7 @@ def test_unsupported_word_raises_every_time_with_its_own_pc():
 
 def test_a_word_rewritten_in_place_is_decoded_anew():
     # The addi runs once; the sw then replaces it with an unsupported word,
-    # whose plan no cached one may stand in for.
+    # whose decode no cached one may stand in for.
     core, mem = started(assemble("""
         addi x2, x0, -1
 patch:  addi x4, x4, 1
@@ -84,7 +84,7 @@ patch:  addi x4, x4, 1
     assert core.regs[4] == 1 and mem.words[1] == 0xFFFFFFFF
 
 
-def test_plan_cache_stays_within_its_bound():
+def test_more_distinct_words_than_a_word_cache_holds_run_to_the_halt():
     words = [encode(instr("addi", rd=1, rs1=1, imm=k)) for k in range(WORD_CACHE_SIZE + 100)]
     mem = UnifiedMemory(8192)
     mem.load_image(MemoryImage(0, words + [encode(instr("jal", imm=0))]), ControlMode.PROGRAMMING)
@@ -93,7 +93,6 @@ def test_plan_cache_stays_within_its_bound():
     core.apply_control(ie=1, reset=0)
     assert core.run(mem).halt_reason is HaltReason.SELF_LOOP
     assert core.regs[1] == sum(range(WORD_CACHE_SIZE + 100))
-    assert _plan.cache_info().currsize <= WORD_CACHE_SIZE
 
 
 def test_decoded_follows_ir_after_every_decode():
