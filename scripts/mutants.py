@@ -13,9 +13,12 @@ fails and `survived` when both pass.  Named tests that pytest cannot
 select or run (exit 2-5) are an `error`.  The script exits 1 unless every
 mutant is killed.
 
-The engine runs a whole instruction inline and a part of one through its
+The engine runs whole instructions inline and a part of one through its
 per-state handlers, so each engine mutant goes into both copies; the ALU
-table is shared, and only the inline pass sets the loop's state itself.
+table is shared, and only the inline pass sets the loop's state itself,
+writes its locals back to the core and touches memory words in place.
+The last mutants reach past the engine: the trace's held flag, the
+`.word` text of an undecodable word and the oracle's `slt`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class Mutant(NamedTuple):
 
 
 CORE = "src/rv32mc/core.py"
+ISA = "src/rv32mc/isa.py"
 CLOCK = "tests/test_clock.py"
 FAULTS = f"{CLOCK}::test_every_path_faults_alike_in_the_middle_of_an_instruction"
 ENTERED = f"{CLOCK}::test_traced_runs_entered_and_left_mid_instruction_give_step_cycle_records"
@@ -62,6 +66,15 @@ X0 = "tests/test_core.py::test_x0_invariant"
 X0_STEPPED = "tests/test_core.py::test_writes_to_x0_are_discarded"
 STORE_STEPPED = "tests/test_core.py::test_store_commits_at_cycle_end"
 STAMPS = f"{CLOCK}::test_device_accesses_are_stamped_three_cycles_after_their_fetch"
+STORE_ENDS = f"{CLOCK}::test_runs_ended_inside_a_store_continue_as_step_cycle_does"
+EDGE = f"{CLOCK}::test_accesses_at_the_edge_of_memory_act_as_step_cycle_does"
+STOPS = f"{CLOCK}::test_every_path_stops_alike_at_every_cycle_offset"
+HELD = f"{CLOCK}::test_a_record_is_held_exactly_when_its_mode_is_not_executing"
+AGREE = f"{CLOCK}::test_traced_and_untraced_runs_agree"
+WORD_TEXT = "tests/test_decode_cache.py::test_format_word_reads_words_modulo_2_32"
+
+# A line break and the indent of the inline pass's memory branches.
+DEEP = "\n" + " " * 36
 
 MUTANTS = [
     Mutant("sra-as-srl-table", CORE,
@@ -77,38 +90,36 @@ MUTANTS = [
            '_ALU_OPS[m.replace("sra", "srl")](self.a, self.b if cls is _R_ALU else imm & MASK32)',
            (ALU,)),
     Mutant("x0-writable-inline", CORE,
-           "imm & MASK32)\n                        if rd:\n",
-           "imm & MASK32)\n                        if True:\n",
+           "imm & MASK32)\n                                if rd:\n",
+           "imm & MASK32)\n                                if True:\n",
            (X0, ORACLE)),
     Mutant("x0-writable-handler", CORE,
            "rd = self.decoded[2]\n        if rd:\n            self._regs[rd] = self.alu_out",
            "rd = self.decoded[2]\n        if True:\n            self._regs[rd] = self.alu_out",
            (X0_STEPPED,)),
     Mutant("store-never-committed-inline", CORE,
-           "write(addr, b, _EXECUTING)\n                        cycle += 1\n                        commit()\n",
-           "write(addr, b, _EXECUTING)\n                        cycle += 1\n",
+           "words[addr >> 2] = b  # the MemWrite and its commit",
+           "pass  # the MemWrite and its commit",
            (ORACLE,)),
     Mutant("store-committed-one-cycle-late-handler", CORE,
            "if state is _MEM_WRITE or cycle == first:",
            "if state is _FETCH or cycle == first:",
-           (STORE_STEPPED,)),
+           (STORE_ENDS,)),
     Mutant("store-never-committed-handler", CORE,
            "if state is _MEM_WRITE or cycle == first:",
            "if cycle == first:",
-           (STORE_STEPPED,)),
+           (STORE_ENDS,)),
     Mutant("device-stamp-plus-one-inline-load", CORE,
-           "self.cycle_count = cycle = cycle + 2\n                        state = _MEM_READ",
-           "cycle = cycle + 2\n                        self.cycle_count = cycle + 1\n"
-           "                        state = _MEM_READ",
+           "self.cycle_count, self.pc = cycle, pc" + DEEP + "mdr = read(addr)",
+           "self.cycle_count, self.pc = cycle + 1, pc" + DEEP + "mdr = read(addr)",
            (STAMPS,)),
     Mutant("device-stamp-plus-one-inline-store", CORE,
-           "self.cycle_count = cycle = cycle + 2\n                        state = _MEM_WRITE",
-           "cycle = cycle + 2\n                        self.cycle_count = cycle + 1\n"
-           "                        state = _MEM_WRITE",
+           "self.cycle_count, self.pc = cycle, pc" + DEEP + "write(addr",
+           "self.cycle_count, self.pc = cycle + 1, pc" + DEEP + "write(addr",
            (STAMPS,)),
     Mutant("device-stamp-plus-one-handler", CORE,
            "next_state = handlers[state](bus)",
-           "self.cycle_count = cycle + 1\n                    next_state = handlers[state](bus)",
+           "self.cycle_count = cycle + 1\n                next_state = handlers[state](bus)",
            (STAMPS,)),
     Mutant("inline-crosses-limit", CORE,
            "last = limit - 5",
@@ -119,25 +130,64 @@ MUTANTS = [
            "first - 1 <= cycle <= last",
            (OUTSIDE,)),
     Mutant("fetch-fault-pc-plus-4-inline", CORE,
-           "self.ir = ir = read(pc)\n                    self.pc = (pc + 4) & MASK32\n",
-           "self.pc = (pc + 4) & MASK32\n                    self.ir = ir = read(pc)\n",
+           # pc advanced before a fetch through the bus, so a fault there sees pc + 4
+           "                                ir = read(pc)\n",
+           "                                pc = (pc + 4) & MASK32\n"
+           "                                ir = read(pc - 4)\n"
+           "                                pc = (pc - 4) & MASK32\n",
            (FAULTS,)),
     Mutant("fetch-fault-pc-plus-4-handler", CORE,
            "self.ir = bus.read_word(pc)\n        self.pc = (pc + 4) & MASK32\n",
            "self.pc = (pc + 4) & MASK32\n        self.ir = bus.read_word(pc)\n",
            (FAULTS,)),
     Mutant("no-state-before-decode-inline", CORE,
-           "cycle + 1\n                    state = _DECODE\n",
-           "cycle + 1\n",
+           "cycle += 1\n                            state = _DECODE\n",
+           "cycle += 1\n",
            (FAULTS,)),
     Mutant("no-state-before-mem-read-inline", CORE,
-           "                        state = _MEM_READ\n",
+           "                                    state = _MEM_READ\n",
            "",
            (FAULTS,)),
     Mutant("no-state-before-mem-write-inline", CORE,
-           "                        state = _MEM_WRITE\n",
+           "                                    state = _MEM_WRITE\n",
            "",
            (FAULTS,)),
+    Mutant("fetch-bound-past-memory-inline", CORE,
+           "if pc < size and not pc & 3:",
+           "if pc <= size and not pc & 3:",
+           (EDGE,)),
+    Mutant("store-alignment-dropped-inline", CORE,
+           "if addr < size and not addr & 3:" + DEEP + "words[addr >> 2] = b",
+           "if addr < size:" + DEEP + "words[addr >> 2] = b",
+           (EDGE,)),
+    Mutant("write-back-without-cycle-count", CORE,
+           "self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle",
+           "self.mdr = a, b, alu_out, mdr",
+           (STOPS,)),
+    Mutant("write-back-without-decoded", CORE,
+           "self.pc, self.instr_pc, self.ir, self.decoded = pc, instr_pc, ir, decoded",
+           "self.pc, self.instr_pc, self.ir = pc, instr_pc, ir",
+           (STOPS,)),
+    Mutant("no-cycle-count-before-device-load-inline", CORE,
+           "self.cycle_count, self.pc = cycle, pc" + DEEP + "mdr = read(addr)",
+           "self.pc = pc" + DEEP + "mdr = read(addr)",
+           (STAMPS,)),
+    Mutant("beq-costs-4-inline", CORE,
+           "pc = (instr_pc + imm) & MASK32\n                                cycle += 2\n",
+           "pc = (instr_pc + imm) & MASK32\n                                cycle += 3\n",
+           (AGREE,)),
+    Mutant("held-inverted", CORE,
+           "return self.mode != _EXECUTING.value",
+           "return self.mode == _EXECUTING.value",
+           (HELD,)),
+    Mutant("word-fallback-unmasked", ISA,
+           'return f".word 0x{word & MASK32:08X}"',
+           'return f".word 0x{word:08X}"',
+           (WORD_TEXT,)),
+    Mutant("slt-unsigned-oracle", CORE,
+           "val = 1 if sa < sb else 0",
+           "val = 1 if a < b else 0",
+           (ORACLE,)),
 ]
 
 

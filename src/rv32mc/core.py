@@ -16,12 +16,15 @@ writes scheduled during a cycle commit at its end.
 
 One private loop runs executing cycles until a cycle limit or its stop
 rule (every retirement, the halt rule, or none); every way of clocking the
-core goes through it, `Core.run` once per run.  At Fetch it runs a whole
-instruction in one pass, once a cycle of the call has run (so a write
-scheduled from outside has committed) and while five cycles remain before
-the limit (so the instruction cannot cross it); the pass sets `cycle_count`
-and the state before each step that can raise, so device stamps and fault
-tags fall as per cycle.  `step_cycle`, the first cycle of a call and a
+core goes through it, `Core.run` once per run.  At Fetch, once a cycle of
+the call has run (so a write scheduled from outside has committed), an
+inner loop runs whole instructions while five cycles remain before the
+limit (so none can cross it).  It keeps pc, the temporaries and the cycle
+count in locals and writes them to the core once, when it ends or faults.
+It reads and writes an aligned word of the bus's `words` in place (a
+store's write is its commit), and before it sends any other address to
+the bus it writes `cycle_count` and pc, so device stamps and fault tags
+fall as per cycle.  `step_cycle`, the first cycle of a call and a
 budget that ends inside an instruction run one handler per FSM state: it
 does that state's work from `decoded` and returns the next state.  The
 loop counts each retirement by mnemonic, commits memory only after a cycle
@@ -52,7 +55,11 @@ DEFAULT_MAX_CYCLES = 1_000_000
 
 
 class Bus(Protocol):
-    """What the core needs from its memory system."""
+    """What the core needs from its memory system: `words` is the committed
+    word list of memory [0, 4*len(words)), which the engine reads and writes
+    in place; any other address goes through the methods."""
+
+    words: list[int]
 
     def read_word(self, addr: int) -> int: ...
     def schedule_write(self, addr: int, value: int, mode: ControlMode) -> None: ...
@@ -267,66 +274,90 @@ class Core:
         Memory commits after a MemWrite cycle, and after the first cycle for
         a write scheduled from outside before it."""
         handlers, regs, by_mnemonic, ops = self._handlers, self._regs, self.by_mnemonic, _ALU_OPS
-        read, write, commit = bus.read_word, bus.schedule_write, bus.commit_cycle
+        read, write, commit, words = bus.read_word, bus.schedule_write, bus.commit_cycle, bus.words
+        size = 4 * len(words)
         state, cycle = self.fsm, self.cycle_count
         first = start = cycle + 1  # `start`: the first cycle of the next span
         last = limit - 5  # the last cycle count from which any instruction fits
         try:
             while cycle < limit:
-                if state is _FETCH and first <= cycle <= last:  # the whole instruction
-                    self.instr_pc = pc = self.pc
-                    self.ir = ir = read(pc)
-                    self.pc = (pc + 4) & MASK32
-                    self.cycle_count = cycle = cycle + 1
-                    state = _DECODE
-                    cls, m, rd, rs1, rs2, imm = self.decoded = decode(ir)
-                    self.a = a = regs[rs1]
-                    self.b = b = regs[rs2]
-                    if cls is _I_ALU or cls is _R_ALU:
-                        self.alu_out = value = ops[m](a, b if cls is _R_ALU else imm & MASK32)
-                        if rd:
-                            regs[rd] = value
-                        cycle += 3
-                    elif cls is _BRANCH:
-                        if a == b:
-                            self.pc = (pc + imm) & MASK32
-                        cycle += 2
-                    elif cls is _LOAD:
-                        self.alu_out = addr = (a + imm) & MASK32
-                        self.cycle_count = cycle = cycle + 2
-                        state = _MEM_READ
-                        self.mdr = value = read(addr)
-                        if rd:
-                            regs[rd] = value
-                        cycle += 2
-                    elif cls is _STORE:
-                        self.alu_out = addr = (a + imm) & MASK32
-                        self.cycle_count = cycle = cycle + 2
-                        state = _MEM_WRITE
-                        write(addr, b, _EXECUTING)
-                        cycle += 1
-                        commit()
-                    else:  # jump
-                        self.alu_out = value = (pc + 4) & MASK32
-                        self.pc = (pc + imm) & MASK32
-                        if rd:
-                            regs[rd] = value
-                        cycle += 3
-                    self.cycle_count = cycle
-                    state = _FETCH
-                else:
-                    next_state = handlers[state](bus)
-                    self.cycle_count = cycle = cycle + 1
-                    if state is _MEM_WRITE or cycle == first:
-                        commit()
-                    state = next_state
-                    if state is not _FETCH:
-                        continue
-                    m = self.decoded[1]
-                # retired: any class but a jump or taken branch leaves pc at instr_pc + 4
+                if state is _FETCH and first <= cycle <= last:  # whole instructions, in locals
+                    pc, instr_pc, ir, decoded = self.pc, self.instr_pc, self.ir, self.decoded
+                    a, b, alu_out, mdr = self.a, self.b, self.alu_out, self.mdr
+                    try:
+                        while cycle <= last:
+                            instr_pc = pc
+                            if pc < size and not pc & 3:
+                                ir = words[pc >> 2]
+                            else:  # a device or a fault, stamped and tagged at this cycle
+                                self.cycle_count, self.pc = cycle, pc
+                                ir = read(pc)
+                            pc = (pc + 4) & MASK32
+                            cycle += 1
+                            state = _DECODE
+                            cls, m, rd, rs1, rs2, imm = decoded = decode(ir)
+                            a, b = regs[rs1], regs[rs2]
+                            if cls is _I_ALU or cls is _R_ALU:
+                                alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)
+                                if rd:
+                                    regs[rd] = alu_out
+                                cycle += 3
+                            elif cls is _BRANCH:
+                                if a == b:
+                                    pc = (instr_pc + imm) & MASK32
+                                cycle += 2
+                            elif cls is _LOAD:
+                                alu_out = addr = (a + imm) & MASK32
+                                cycle += 2
+                                if addr < size and not addr & 3:
+                                    mdr = words[addr >> 2]
+                                else:
+                                    state = _MEM_READ
+                                    self.cycle_count, self.pc = cycle, pc
+                                    mdr = read(addr)
+                                if rd:
+                                    regs[rd] = mdr
+                                cycle += 2
+                            elif cls is _STORE:
+                                alu_out = addr = (a + imm) & MASK32
+                                cycle += 2
+                                if addr < size and not addr & 3:
+                                    words[addr >> 2] = b  # the MemWrite and its commit
+                                else:
+                                    state = _MEM_WRITE
+                                    self.cycle_count, self.pc = cycle, pc
+                                    write(addr, b, _EXECUTING)
+                                    commit()
+                                cycle += 1
+                            else:  # jump
+                                alu_out = pc  # the link: instr_pc + 4
+                                pc = (instr_pc + imm) & MASK32
+                                if rd:
+                                    regs[rd] = alu_out
+                                cycle += 3
+                            state = _FETCH
+                            by_mnemonic[m] += 1
+                            if trace is not None:
+                                begin, start = start, cycle + 1  # moved first: a sink may raise
+                                trace(_span((begin, instr_pc, ir, _NAMES[m][begin - start:], True)))
+                            # any class but a jump or taken branch leaves pc at instr_pc + 4
+                            if stop == _RETIRE or stop == _HALT and pc == instr_pc:
+                                return True
+                    finally:  # the one write-back: handlers, callers and faults read the core
+                        self.pc, self.instr_pc, self.ir, self.decoded = pc, instr_pc, ir, decoded
+                        self.a, self.b, self.alu_out, self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle
+                    continue
+                next_state = handlers[state](bus)
+                self.cycle_count = cycle = cycle + 1
+                if state is _MEM_WRITE or cycle == first:
+                    commit()
+                state = next_state
+                if state is not _FETCH:
+                    continue
+                m = self.decoded[1]
                 by_mnemonic[m] += 1
                 if trace is not None:
-                    begin, start = start, cycle + 1  # moved first: a sink may raise
+                    begin, start = start, cycle + 1
                     trace(_span((begin, self.instr_pc, self.ir, _NAMES[m][begin - start:], True)))
                 if stop == _RETIRE or stop == _HALT and self.pc == self.instr_pc:
                     return True
@@ -446,7 +477,8 @@ class Core:
         pc and FSM state attached; budget exhaustion is a report outcome.
         `trace` gets one TraceSpan per instruction after its last cycle in
         this run (not retired if the run ends inside it); `trace=lambda
-        span: records.extend(span.records())` keeps a record per cycle.
+        span: records.extend(span.records())` keeps a record per cycle.  A
+        sink must not read `Core` attributes: they are set when the run ends.
         """
         if max_cycles <= 0:
             raise ValueError(f"max_cycles={max_cycles} must be positive")
@@ -504,12 +536,10 @@ def reference_execute(
     retired = 0
     halted = False
 
-    def mem_index(addr: int) -> int:
+    def access_fault(addr: int) -> None:  # a word access misaligned or outside memory
         if addr % 4:
             raise MisalignedAccess("word access must be 4-byte aligned", addr=addr, pc=pc)
-        if not 0 <= addr < mem_size:
-            raise OutOfRange(f"beyond {mem_size}-byte memory", addr=addr, pc=pc)
-        return addr >> 2
+        raise OutOfRange(f"beyond {mem_size}-byte memory", addr=addr, pc=pc)
 
     # Classes bound once: an enum member read through its class is a
     # Python-level lookup, and the loop tests the class of every instruction.
@@ -518,7 +548,7 @@ def reference_execute(
     )
     while retired < max_instrs and not halted:
         if pc & 3 or pc >= mem_size:
-            mem_index(pc)  # raises
+            access_fault(pc)
         word = words[pc >> 2]
         try:
             cls, m, rd, rs1, rs2, imm = decode(word)
@@ -556,11 +586,14 @@ def reference_execute(
                 val = 1 if a < b else 0
             if rd:
                 regs[rd] = val
-        elif cls is load:
-            if rd:
-                regs[rd] = words[mem_index((a + imm) & MASK32)]
-        elif cls is store:
-            words[mem_index((a + imm) & MASK32)] = b
+        elif cls is load or cls is store:
+            addr = (a + imm) & MASK32
+            if addr & 3 or addr >= mem_size:
+                access_fault(addr)
+            if cls is store:
+                words[addr >> 2] = b
+            elif rd:
+                regs[rd] = words[addr >> 2]
         elif cls is branch:
             if a == b:
                 next_pc = (pc + imm) & MASK32

@@ -147,7 +147,7 @@ class PeripheralMap:
 class SystemBus:
     """The one address decoder: [0, mem.size_bytes) is memory, and every
     other address goes to a device, stamped with the core's cycle count.
-    Devices have no write port, so a cycle's commit is memory's own."""
+    Devices have no write port, so the commit and `words` are memory's own."""
 
     def __init__(self, mem: UnifiedMemory, peripherals: PeripheralMap, core: Core):
         for d in peripherals.devices:
@@ -157,6 +157,7 @@ class SystemBus:
         self.peripherals = peripherals
         self.core = core
         self.commit_cycle = mem.commit_cycle
+        self.words = mem.words
 
     def read_word(self, addr: int) -> int:
         if 0 <= addr < self.mem.size_bytes:

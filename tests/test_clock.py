@@ -9,6 +9,11 @@ they stop, in the middle of an instruction or at a fault.  A span's states
 are not recorded but derived from its class and the state that runs next,
 so traced runs entered and left at every cycle offset must give the
 records that `step_cycle` gives one cycle at a time.
+
+The engine reads and writes memory words in place and takes only other
+addresses through its bus, so the tests that compare paths run on both
+kinds of bus: a bare `UnifiedMemory` (a `Simulator` without peripherals)
+and a `SystemBus` with the default devices just above memory.
 """
 
 import contextlib
@@ -21,7 +26,7 @@ from rv32mc import (CYCLE_COST, ControlMode, HaltReason, InstrClass, PeripheralM
                     TraceRecord, TraceSpan, assemble, decode, image_to_hex)
 from rv32mc.cli import dispatch
 from rv32mc.core import _SEQUENCE
-from rv32mc.errors import SimError
+from rv32mc.errors import MisalignedAccess, OutOfRange, SimError, UnmappedAddress
 from rv32mc.programs import PROGRAMS
 from progen import random_program
 
@@ -31,8 +36,13 @@ IMAGES.update(
 )
 
 
-def started(image):
-    sim = Simulator(peripherals=PeripheralMap.default())
+SYSTEM, MEMORY = BUSES = ("system", "memory")
+
+
+def started(image, bus=SYSTEM):
+    """A simulator started on `image`, whose core's bus is a `SystemBus` with
+    the default devices (SYSTEM) or its bare memory (MEMORY)."""
+    sim = Simulator(peripherals=PeripheralMap.default() if bus == SYSTEM else None)
     sim.program_and_start(image)
     return sim
 
@@ -44,25 +54,35 @@ def counts_agree(core):
 
 def machine_state(sim):
     """Everything a cycle can change: core temporaries, memory, device logs."""
-    core = sim.core
+    core, devices = sim.core, sim.peripherals.devices if sim.peripherals else ()
     return (
         core.snapshot(), core.fsm, core.ir, core.decoded, core.a, core.b, core.alu_out,
         core.mdr, core.instr_pc, list(sim.mem.words), sim.mem.pending_write,
-        [(d.name, dict(d.regs), list(d.event_log)) for d in sim.peripherals.devices],
+        [(d.name, dict(d.regs), list(d.event_log)) for d in devices],
     )
+
+
+def _outcome(run):
+    """What `run()` returned, or the type, pc and state of the error it raised;
+    any error, so that one that is not a SimError shows as a mismatch."""
+    try:
+        return run()
+    except Exception as e:
+        return type(e), getattr(e, "pc", None), getattr(e, "state", None)
 
 
 @pytest.mark.parametrize("name", list(IMAGES))
 def test_traced_and_untraced_runs_agree(name):
-    plain, traced = started(IMAGES[name]), started(IMAGES[name])
-    records = []
-    report = plain.core.run(plain.bus, max_cycles=20_000)
-    traced_report = traced.core.run(traced.bus, max_cycles=20_000,
-                                   trace=lambda span: records.extend(span.records()))
-    assert report == traced_report
-    assert machine_state(plain) == machine_state(traced)
-    assert len(records) == report.total_cycles
-    assert sum(r.retired for r in records) == report.retired_total
+    for bus in BUSES:  # pacer's first device load faults on bare memory
+        plain, traced = started(IMAGES[name], bus), started(IMAGES[name], bus)
+        records = []
+        report = _outcome(lambda: plain.core.run(plain.bus, max_cycles=20_000))
+        traced_report = _outcome(lambda: traced.core.run(
+            traced.bus, max_cycles=20_000, trace=lambda span: records.extend(span.records())))
+        assert report == traced_report, bus
+        assert machine_state(plain) == machine_state(traced), bus
+        assert len(records) == traced.core.cycle_count
+        assert sum(r.retired for r in records) == traced.core.retired_count
 
 
 @pytest.mark.parametrize("name", ["demo", "timing", "pacer", "progen-7"])
@@ -109,14 +129,15 @@ PATHS = (_run, _traced_run, _step_cycles, _run_cycles)
 
 @pytest.mark.parametrize("name", ["demo", "pacer", "progen-3", "progen-7"])
 def test_every_path_stops_alike_at_every_cycle_offset(name):
-    for max_cycles in range(1, 13):
-        reference = started(IMAGES[name])
-        cycles = _run(reference, max_cycles)  # fewer than max_cycles if it halts first
-        for path in PATHS[1:]:
-            sim = started(IMAGES[name])
-            assert path(sim, cycles) == cycles
-            assert machine_state(sim) == machine_state(reference), (path.__name__, max_cycles)
-            assert counts_agree(sim.core)
+    for bus in BUSES:
+        for max_cycles in range(1, 13):
+            reference = started(IMAGES[name], bus)
+            cycles = _run(reference, max_cycles)  # fewer than max_cycles if it halts first
+            for path in PATHS[1:]:
+                sim = started(IMAGES[name], bus)
+                assert path(sim, cycles) == cycles
+                assert machine_state(sim) == machine_state(reference), (path, max_cycles, bus)
+                assert counts_agree(sim.core)
 
 
 FAULTS = {
@@ -158,6 +179,88 @@ def test_device_accesses_are_stamped_three_cycles_after_their_fetch(path):
     path(sim, reference.core.cycle_count)
     stamps = sorted(r.cycle for d in sim.peripherals.devices for r in d.event_log)
     assert stamps == expected and len(expected) == 16
+
+
+def _store_fetches(name):
+    """The cycle count before the fetch of each store of a program's run."""
+    sim, spans = started(IMAGES[name]), []
+    sim.core.run(sim.bus, trace=spans.append)
+    return [span.cycle - 1 for span in spans if decode(span.ir).cls is InstrClass.STORE]
+
+
+@pytest.mark.parametrize("name", ["timing", "progen-7"])
+@pytest.mark.parametrize("path", [_run, _run_cycles], ids=lambda path: path.__name__.strip("_"))
+def test_runs_ended_inside_a_store_continue_as_step_cycle_does(path, name):
+    # A run that ends after the store's first, second, third or fourth cycle
+    # leaves its MemWrite to the handlers, in this call or the next one.
+    fetches = _store_fetches(name)
+    assert fetches
+    for bus in BUSES:
+        for fetch in fetches:
+            for k in range(1, 5):
+                sim, stepped = started(IMAGES[name], bus), started(IMAGES[name], bus)
+                for budget in (fetch + k, 12):  # stop inside the store, then go on
+                    _step_cycles(stepped, path(sim, budget))
+                    assert machine_state(sim) == machine_state(stepped), (bus, fetch, k, budget)
+                    assert sim.mem.pending_write is None
+
+
+# Word addresses at the edge of the default 4 KiB memory, and the fault
+# step_cycle gives there by bus kind, None for a run that parks.  On the
+# system bus the first device sits at `size`, and nothing at 0x2000.
+EDGE = {"last": 4092, "size": 4096, "misaligned": 4094, "unmapped": 0x2000}
+EDGE_FAULT = {
+    MEMORY: {"last": None, "size": OutOfRange, "misaligned": MisalignedAccess,
+             "unmapped": OutOfRange},
+    SYSTEM: {"last": None, "misaligned": MisalignedAccess, "unmapped": UnmappedAddress},
+}
+PARK = 0x0000006F  # jal x0, 0
+
+
+def _access(kind, addr):
+    """A program that makes one `kind` access (fetch, lw or sw) at `addr` and
+    parks; the last word of memory parks too."""
+    if kind == "fetch":  # the jump at 4 lands on addr
+        body = f"addi x2, x0, 77\njal x0, {addr - 4}\n"
+    else:  # x1 holds addr rounded down to 16 bytes
+        body = (f"addi x1, x0, {addr >> 4}\nslli x1, x1, 4\naddi x2, x0, 77\n"
+                f"{kind} {'x3' if kind == 'lw' else 'x2'}, {addr & 15}(x1)\njal x0, 0\n")
+    return body + ".org 4092\njal x0, 0\n"
+
+
+def _stepped_outcome(sim, n):
+    """Step up to `n` cycles, to the halt rule: the cycles run, or the type,
+    pc and state of a fault."""
+    for cycle in range(1, n + 1):
+        try:
+            record = sim.core.step_cycle(sim.bus)
+        except SimError as e:
+            return type(e), e.pc, e.state
+        if record.retired and sim.core.pc == record.pc:
+            return cycle
+    return n
+
+
+@pytest.mark.parametrize("bus", BUSES)
+@pytest.mark.parametrize("where", list(EDGE))
+@pytest.mark.parametrize("kind", ["fetch", "lw", "sw"])
+def test_accesses_at_the_edge_of_memory_act_as_step_cycle_does(kind, where, bus):
+    image = assemble(_access(kind, EDGE[where]))
+    reference = started(image, bus)
+    expected = _stepped_outcome(reference, 100)
+    fault = EDGE_FAULT[bus].get(where, "device")  # a device register: any outcome
+    if fault is None:
+        assert isinstance(expected, int), expected
+        assert reference.mem.words[-1] == (77 if kind == "sw" else PARK)
+        assert reference.core.regs[3] == (PARK if kind == "lw" else 0)
+    elif fault != "device":
+        assert expected[0] is fault
+    budget = expected if isinstance(expected, int) else 100
+    for path in PATHS:
+        sim = started(image, bus)
+        outcome = _outcome(lambda: path(sim, budget))
+        assert outcome == expected, path.__name__
+        assert machine_state(sim) == machine_state(reference), path.__name__
 
 
 def _with_outside_write(image, patched):
