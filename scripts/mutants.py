@@ -13,10 +13,11 @@ fails and `survived` when both pass.  Named tests that pytest cannot
 select or run (exit 2-5) are an `error`.  The script exits 1 unless every
 mutant is killed.
 
-The engine runs whole instructions inline and a part of one through its
-per-state handlers, so each engine mutant goes into both copies; the ALU
-table is shared, and only the inline pass sets the loop's state itself,
-writes its locals back to the core and touches memory words in place.
+The engine's loop runs whole instructions inline and a part of one
+through its per-state branches, so each engine mutant goes into both
+copies; the ALU table and the write-back of the loop's locals are shared,
+and only the inline pass sets the loop's state before a step that can
+raise and touches memory words in place.
 The last mutants reach past the engine: the trace's held flag, the
 `.word` text of an undecodable word and the oracle's `slt`.
 """
@@ -73,8 +74,13 @@ HELD = f"{CLOCK}::test_a_record_is_held_exactly_when_its_mode_is_not_executing"
 AGREE = f"{CLOCK}::test_traced_and_untraced_runs_agree"
 WORD_TEXT = "tests/test_decode_cache.py::test_format_word_reads_words_modulo_2_32"
 
-# A line break and the indent of the inline pass's memory branches.
-DEEP = "\n" + " " * 36
+# A line break and an indent of `Core._cycles`: the bodies of the per-state
+# branches, of the inline pass's loop, of its class branches and of its
+# memory branches.
+STATE = "\n" + " " * 20
+LOOP = "\n" + " " * 24
+INLINE = "\n" + " " * 28
+DEEP = "\n" + " " * 32
 
 MUTANTS = [
     Mutant("sra-as-srl-table", CORE,
@@ -82,45 +88,53 @@ MUTANTS = [
            '("sra srai", lambda a, b: a >> (b & 31)),',
            (ALU, ORACLE)),
     Mutant("sra-as-srl-inline", CORE,
-           "ops[m](a, b if cls is _R_ALU else imm & MASK32)",
-           'ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)',
+           INLINE + "alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)",
+           INLINE + 'alu_out = ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)',
            (ORACLE,)),
-    Mutant("sra-as-srl-handler", CORE,
-           "_ALU_OPS[m](self.a, self.b if cls is _R_ALU else imm & MASK32)",
-           '_ALU_OPS[m.replace("sra", "srl")](self.a, self.b if cls is _R_ALU else imm & MASK32)',
+    Mutant("sra-as-srl-state", CORE,
+           STATE + "alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)",
+           STATE + 'alu_out = ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)',
            (ALU,)),
     Mutant("x0-writable-inline", CORE,
-           "imm & MASK32)\n                                if rd:\n",
-           "imm & MASK32)\n                                if True:\n",
+           "imm & MASK32)" + INLINE + "if rd:\n",
+           "imm & MASK32)" + INLINE + "if True:\n",
            (X0, ORACLE)),
-    Mutant("x0-writable-handler", CORE,
-           "rd = self.decoded[2]\n        if rd:\n            self._regs[rd] = self.alu_out",
-           "rd = self.decoded[2]\n        if True:\n            self._regs[rd] = self.alu_out",
+    Mutant("x0-writable-state", CORE,
+           "rd = decoded[2]" + STATE + "if rd:" + STATE + "    regs[rd] = alu_out",
+           "rd = decoded[2]" + STATE + "if True:" + STATE + "    regs[rd] = alu_out",
            (X0_STEPPED,)),
     Mutant("store-never-committed-inline", CORE,
            "words[addr >> 2] = b  # the MemWrite and its commit",
            "pass  # the MemWrite and its commit",
            (ORACLE,)),
-    Mutant("store-committed-one-cycle-late-handler", CORE,
+    Mutant("store-committed-one-cycle-late-state", CORE,
            "if state is _MEM_WRITE or cycle == first:",
            "if state is _FETCH or cycle == first:",
            (STORE_ENDS,)),
-    Mutant("store-never-committed-handler", CORE,
+    Mutant("store-never-committed-state", CORE,
            "if state is _MEM_WRITE or cycle == first:",
            "if cycle == first:",
            (STORE_ENDS,)),
     Mutant("device-stamp-plus-one-inline-load", CORE,
-           "self.cycle_count, self.pc = cycle, pc" + DEEP + "mdr = read(addr)",
-           "self.cycle_count, self.pc = cycle + 1, pc" + DEEP + "mdr = read(addr)",
+           "self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
+           "self.cycle_count = cycle + 1" + DEEP + "mdr = read(addr)",
            (STAMPS,)),
     Mutant("device-stamp-plus-one-inline-store", CORE,
-           "self.cycle_count, self.pc = cycle, pc" + DEEP + "write(addr",
-           "self.cycle_count, self.pc = cycle + 1, pc" + DEEP + "write(addr",
+           "self.cycle_count = cycle" + DEEP + "write(addr",
+           "self.cycle_count = cycle + 1" + DEEP + "write(addr",
            (STAMPS,)),
-    Mutant("device-stamp-plus-one-handler", CORE,
-           "next_state = handlers[state](bus)",
-           "self.cycle_count = cycle + 1\n                next_state = handlers[state](bus)",
+    Mutant("device-stamp-plus-one-state-load", CORE,
+           "self.cycle_count = cycle" + STATE + "mdr = read(alu_out)",
+           "self.cycle_count = cycle + 1" + STATE + "mdr = read(alu_out)",
            (STAMPS,)),
+    Mutant("device-stamp-plus-one-state-store", CORE,
+           "self.cycle_count = cycle" + STATE + "write(alu_out",
+           "self.cycle_count = cycle + 1" + STATE + "write(alu_out",
+           (STAMPS,)),
+    Mutant("no-cycle-count-before-device-load-state", CORE,
+           "self.cycle_count = cycle" + STATE + "mdr = read(alu_out)",
+           "mdr = read(alu_out)",
+           (ENTERED,)),
     Mutant("inline-crosses-limit", CORE,
            "last = limit - 5",
            "last = limit - 4",
@@ -131,25 +145,28 @@ MUTANTS = [
            (OUTSIDE,)),
     Mutant("fetch-fault-pc-plus-4-inline", CORE,
            # pc advanced before a fetch through the bus, so a fault there sees pc + 4
-           "                                ir = read(pc)\n",
-           "                                pc = (pc + 4) & MASK32\n"
-           "                                ir = read(pc - 4)\n"
-           "                                pc = (pc - 4) & MASK32\n",
+           INLINE + "ir = read(pc)",
+           INLINE + "pc = (pc + 4) & MASK32" + INLINE + "ir = read(pc - 4)" + INLINE
+           + "pc = (pc - 4) & MASK32",
            (FAULTS,)),
-    Mutant("fetch-fault-pc-plus-4-handler", CORE,
-           "self.ir = bus.read_word(pc)\n        self.pc = (pc + 4) & MASK32\n",
-           "self.pc = (pc + 4) & MASK32\n        self.ir = bus.read_word(pc)\n",
+    Mutant("fetch-fault-pc-plus-4-state", CORE,
+           "ir = read(pc)" + STATE + "pc = (pc + 4) & MASK32",
+           "pc = (pc + 4) & MASK32" + STATE + "ir = read(instr_pc)",
            (FAULTS,)),
+    Mutant("pending-write-visible-to-first-fetch", CORE,
+           "self.cycle_count = cycle" + STATE + "ir = read(pc)",
+           "self.cycle_count = cycle" + STATE + "commit()" + STATE + "ir = read(pc)",
+           (OUTSIDE,)),
     Mutant("no-state-before-decode-inline", CORE,
-           "cycle += 1\n                            state = _DECODE\n",
-           "cycle += 1\n",
+           LOOP + "state = _DECODE",
+           "",
            (FAULTS,)),
     Mutant("no-state-before-mem-read-inline", CORE,
-           "                                    state = _MEM_READ\n",
+           DEEP + "state = _MEM_READ",
            "",
            (FAULTS,)),
     Mutant("no-state-before-mem-write-inline", CORE,
-           "                                    state = _MEM_WRITE\n",
+           DEEP + "state = _MEM_WRITE",
            "",
            (FAULTS,)),
     Mutant("fetch-bound-past-memory-inline", CORE,
@@ -165,16 +182,16 @@ MUTANTS = [
            "self.mdr = a, b, alu_out, mdr",
            (STOPS,)),
     Mutant("write-back-without-decoded", CORE,
-           "self.pc, self.instr_pc, self.ir, self.decoded = pc, instr_pc, ir, decoded",
-           "self.pc, self.instr_pc, self.ir = pc, instr_pc, ir",
+           "self.ir, self.decoded = state, pc, instr_pc, ir, decoded",
+           "self.ir = state, pc, instr_pc, ir",
            (STOPS,)),
     Mutant("no-cycle-count-before-device-load-inline", CORE,
-           "self.cycle_count, self.pc = cycle, pc" + DEEP + "mdr = read(addr)",
-           "self.pc = pc" + DEEP + "mdr = read(addr)",
+           "self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
+           "mdr = read(addr)",
            (STAMPS,)),
     Mutant("beq-costs-4-inline", CORE,
-           "pc = (instr_pc + imm) & MASK32\n                                cycle += 2\n",
-           "pc = (instr_pc + imm) & MASK32\n                                cycle += 3\n",
+           "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 2\n",
+           "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 3\n",
            (AGREE,)),
     Mutant("held-inverted", CORE,
            "return self.mode != _EXECUTING.value",

@@ -44,6 +44,7 @@ _COMMENT_RE = re.compile(r"#.*|//.*")
 _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.]*)\s*:\s*(.*)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
 _REGS = {f"x{n}": n for n in range(32)}
+_LAST_WORD = MASK32 & ~3  # the highest word address
 _IMM_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|[0-9]+)$")
 _MEM_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+))\s*\(\s*(x\d+)\s*\)$")
 # Hex image lines: a word, or `@` and a word address, unsigned hex only.
@@ -107,11 +108,15 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
                 raise MisalignedImmediate(f".org {target:#x} is not word-aligned", line=lineno)
             if target < addr:
                 raise BadOperand(f".org {target:#x} moves backward from {addr:#x}", line=lineno)
+            if target > _LAST_WORD:
+                raise BadOperand(f".org {target:#x} is past the last word address", line=lineno)
             addr = target
             continue
 
         if mnemonic == ".word" and not rest:
             raise OperandCount(".word needs a value", line=lineno)
+        if addr > _LAST_WORD:
+            raise BadOperand(f"statement at {addr:#x} is past the last word address", line=lineno)
         stmts.append((lineno, addr, mnemonic, rest))
         addr += 4
 

@@ -14,20 +14,19 @@ contract.  Multi-cycle temporaries (ir, a, b, alu_out, mdr, and the
 in-flight instruction's pc) change only at cycle boundaries, and memory
 writes scheduled during a cycle commit at its end.
 
-One private loop runs executing cycles until a cycle limit or its stop
-rule (every retirement, the halt rule, or none); every way of clocking the
-core goes through it, `Core.run` once per run.  At Fetch, once a cycle of
-the call has run (so a write scheduled from outside has committed), an
-inner loop runs whole instructions while five cycles remain before the
-limit (so none can cross it).  It keeps pc, the temporaries and the cycle
-count in locals and writes them to the core once, when it ends or faults.
-It reads and writes an aligned word of the bus's `words` in place (a
-store's write is its commit), and before it sends any other address to
-the bus it writes `cycle_count` and pc, so device stamps and fault tags
-fall as per cycle.  `step_cycle`, the first cycle of a call and a
-budget that ends inside an instruction run one handler per FSM state: it
-does that state's work from `decoded` and returns the next state.  The
-loop counts each retirement by mnemonic, commits memory only after a cycle
+One private loop, `Core._cycles`, runs executing cycles until a cycle
+limit or its stop rule (every retirement, the halt rule, or none); every
+way of clocking the core goes through it, `Core.run` once per run.  It
+keeps pc, the temporaries and the cycle count in locals and writes them to
+the core once, when it ends or faults.  At Fetch, once a cycle of the call
+has run (so a write scheduled from outside has committed), an inner loop
+runs whole instructions while five cycles remain before the limit (so none
+can cross it), reading and writing an aligned word of the bus's `words` in
+place (a store's write is its commit).  Otherwise one branch per FSM state
+does that state's work for one cycle: `step_cycle`, the first cycle of a
+call and a budget that ends inside an instruction.  Before any other bus
+access the loop writes `cycle_count`, so device stamps fall as per cycle.
+It counts each retirement by mnemonic, commits memory only after a cycle
 that can leave a write pending, and hands a trace sink one TraceSpan per
 instruction, also for one in flight when the loop stops.
 
@@ -77,11 +76,6 @@ class FsmState(enum.Enum):
     MEM_WRITE = "mem_write"
     BRANCH_COMPLETION = "branch_completion"
     JUMP_LINK = "jump_link"
-
-    # Members are singletons compared by identity, so identity is a valid
-    # hash.  Enum's own hashes the name in Python, and the clock looks a
-    # state up in the handler table on every cycle.
-    __hash__ = object.__hash__
 
 
 # Members read on every cycle, bound once: an enum member read through
@@ -219,20 +213,6 @@ class Core:
     def __init__(self) -> None:
         self.regs = RegisterFile()
         self._regs = self.regs._regs  # the engine's direct view; it guards x0 itself
-        # One handler per FSM state: it does that state's work for one
-        # cycle and returns the next state.
-        self._handlers: dict[FsmState, Callable[[Bus], FsmState]] = {
-            _FETCH: self._fetch,
-            _DECODE: self._decode,
-            _EXECUTE: self._execute,
-            _ALU_WRITEBACK: self._alu_writeback,
-            _MEM_ADDR: self._mem_addr,
-            _MEM_READ: self._mem_read,
-            _LOAD_WRITEBACK: self._load_writeback,
-            _MEM_WRITE: self._mem_write,
-            _BRANCH_COMPLETION: self._branch_completion,
-            _JUMP_LINK: self._jump_link,
-        }
         # Power-on: reset, then IE low with writes disabled (observation).
         self.apply_control(ie=0, reset=1)
         self.apply_control(ie=0, reset=0)
@@ -272,108 +252,148 @@ class Core:
         or a retirement meets `stop` (True); `trace` gets a TraceSpan at each
         retirement, and at the return or fault one of any cycles since.
         Memory commits after a MemWrite cycle, and after the first cycle for
-        a write scheduled from outside before it."""
-        handlers, regs, by_mnemonic, ops = self._handlers, self._regs, self.by_mnemonic, _ALU_OPS
+        a write scheduled from outside before it.  Whole instructions and
+        single states run on the same locals, written to the core once."""
+        regs, by_mnemonic, ops = self._regs, self.by_mnemonic, _ALU_OPS
         read, write, commit, words = bus.read_word, bus.schedule_write, bus.commit_cycle, bus.words
         size = 4 * len(words)
-        state, cycle = self.fsm, self.cycle_count
+        state, pc, instr_pc, ir, decoded = self.fsm, self.pc, self.instr_pc, self.ir, self.decoded
+        a, b, alu_out, mdr, cycle = self.a, self.b, self.alu_out, self.mdr, self.cycle_count
         first = start = cycle + 1  # `start`: the first cycle of the next span
         last = limit - 5  # the last cycle count from which any instruction fits
         try:
             while cycle < limit:
-                if state is _FETCH and first <= cycle <= last:  # whole instructions, in locals
-                    pc, instr_pc, ir, decoded = self.pc, self.instr_pc, self.ir, self.decoded
-                    a, b, alu_out, mdr = self.a, self.b, self.alu_out, self.mdr
-                    try:
-                        while cycle <= last:
-                            instr_pc = pc
-                            if pc < size and not pc & 3:
-                                ir = words[pc >> 2]
-                            else:  # a device or a fault, stamped and tagged at this cycle
-                                self.cycle_count, self.pc = cycle, pc
-                                ir = read(pc)
-                            pc = (pc + 4) & MASK32
-                            cycle += 1
-                            state = _DECODE
-                            cls, m, rd, rs1, rs2, imm = decoded = decode(ir)
-                            a, b = regs[rs1], regs[rs2]
-                            if cls is _I_ALU or cls is _R_ALU:
-                                alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)
-                                if rd:
-                                    regs[rd] = alu_out
-                                cycle += 3
-                            elif cls is _BRANCH:
-                                if a == b:
-                                    pc = (instr_pc + imm) & MASK32
-                                cycle += 2
-                            elif cls is _LOAD:
-                                alu_out = addr = (a + imm) & MASK32
-                                cycle += 2
-                                if addr < size and not addr & 3:
-                                    mdr = words[addr >> 2]
-                                else:
-                                    state = _MEM_READ
-                                    self.cycle_count, self.pc = cycle, pc
-                                    mdr = read(addr)
-                                if rd:
-                                    regs[rd] = mdr
-                                cycle += 2
-                            elif cls is _STORE:
-                                alu_out = addr = (a + imm) & MASK32
-                                cycle += 2
-                                if addr < size and not addr & 3:
-                                    words[addr >> 2] = b  # the MemWrite and its commit
-                                else:
-                                    state = _MEM_WRITE
-                                    self.cycle_count, self.pc = cycle, pc
-                                    write(addr, b, _EXECUTING)
-                                    commit()
-                                cycle += 1
-                            else:  # jump
-                                alu_out = pc  # the link: instr_pc + 4
+                if state is _FETCH and first <= cycle <= last:  # whole instructions
+                    while cycle <= last:
+                        instr_pc = pc
+                        if pc < size and not pc & 3:
+                            ir = words[pc >> 2]
+                        else:  # a device or a fault, stamped at this cycle
+                            self.cycle_count = cycle
+                            ir = read(pc)
+                        pc = (pc + 4) & MASK32
+                        cycle += 1
+                        state = _DECODE
+                        cls, m, rd, rs1, rs2, imm = decoded = decode(ir)
+                        a, b = regs[rs1], regs[rs2]
+                        if cls is _I_ALU or cls is _R_ALU:
+                            alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)
+                            if rd:
+                                regs[rd] = alu_out
+                            cycle += 3
+                        elif cls is _BRANCH:
+                            if a == b:
                                 pc = (instr_pc + imm) & MASK32
-                                if rd:
-                                    regs[rd] = alu_out
-                                cycle += 3
-                            state = _FETCH
-                            by_mnemonic[m] += 1
-                            if trace is not None:
-                                begin, start = start, cycle + 1  # moved first: a sink may raise
-                                trace(_span((begin, instr_pc, ir, _NAMES[m][begin - start:], True)))
-                            # any class but a jump or taken branch leaves pc at instr_pc + 4
-                            if stop == _RETIRE or stop == _HALT and pc == instr_pc:
-                                return True
-                    finally:  # the one write-back: handlers, callers and faults read the core
-                        self.pc, self.instr_pc, self.ir, self.decoded = pc, instr_pc, ir, decoded
-                        self.a, self.b, self.alu_out, self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle
+                            cycle += 2
+                        elif cls is _LOAD:
+                            alu_out = addr = (a + imm) & MASK32
+                            cycle += 2
+                            if addr < size and not addr & 3:
+                                mdr = words[addr >> 2]
+                            else:
+                                state = _MEM_READ
+                                self.cycle_count = cycle
+                                mdr = read(addr)
+                            if rd:
+                                regs[rd] = mdr
+                            cycle += 2
+                        elif cls is _STORE:
+                            alu_out = addr = (a + imm) & MASK32
+                            cycle += 2
+                            if addr < size and not addr & 3:
+                                words[addr >> 2] = b  # the MemWrite and its commit
+                            else:
+                                state = _MEM_WRITE
+                                self.cycle_count = cycle
+                                write(addr, b, _EXECUTING)
+                                commit()
+                            cycle += 1
+                        else:  # jump
+                            alu_out = pc  # the link: instr_pc + 4
+                            pc = (instr_pc + imm) & MASK32
+                            if rd:
+                                regs[rd] = alu_out
+                            cycle += 3
+                        state = _FETCH
+                        by_mnemonic[m] += 1
+                        if trace is not None:
+                            begin, start = start, cycle + 1  # moved first: a sink may raise
+                            trace(_span((begin, instr_pc, ir, _NAMES[m][begin - start:], True)))
+                        # any class but a jump or taken branch leaves pc at instr_pc + 4
+                        if stop == _RETIRE or stop == _HALT and pc == instr_pc:
+                            return True
                     continue
-                next_state = handlers[state](bus)
-                self.cycle_count = cycle = cycle + 1
+                # One cycle: the work of `state`; a bus access is stamped at this cycle.
+                if state is _FETCH:
+                    instr_pc = pc
+                    self.cycle_count = cycle
+                    ir = read(pc)
+                    pc = (pc + 4) & MASK32
+                    next_state = _DECODE
+                elif state is _DECODE:
+                    cls, m, rd, rs1, rs2, imm = decoded = decode(ir)
+                    a, b = regs[rs1], regs[rs2]
+                    next_state = _AFTER_DECODE[m]
+                elif state is _EXECUTE:
+                    cls, m, rd, rs1, rs2, imm = decoded
+                    alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)
+                    next_state = _ALU_WRITEBACK
+                elif state is _ALU_WRITEBACK:
+                    rd = decoded[2]
+                    if rd:
+                        regs[rd] = alu_out
+                    next_state = _FETCH
+                elif state is _MEM_ADDR:
+                    alu_out = (a + decoded[5]) & MASK32
+                    next_state = _MEM_READ if decoded[0] is _LOAD else _MEM_WRITE
+                elif state is _MEM_READ:
+                    self.cycle_count = cycle
+                    mdr = read(alu_out)
+                    next_state = _LOAD_WRITEBACK
+                elif state is _LOAD_WRITEBACK:
+                    rd = decoded[2]
+                    if rd:
+                        regs[rd] = mdr
+                    next_state = _FETCH
+                elif state is _MEM_WRITE:
+                    self.cycle_count = cycle
+                    write(alu_out, b, _EXECUTING)
+                    next_state = _FETCH
+                elif state is _BRANCH_COMPLETION:
+                    if a == b:
+                        pc = (instr_pc + decoded[5]) & MASK32
+                    next_state = _FETCH
+                else:  # JumpLink
+                    alu_out = (instr_pc + 4) & MASK32
+                    pc = (instr_pc + decoded[5]) & MASK32
+                    next_state = _ALU_WRITEBACK
+                cycle += 1
                 if state is _MEM_WRITE or cycle == first:
                     commit()
                 state = next_state
                 if state is not _FETCH:
                     continue
-                m = self.decoded[1]
+                m = decoded[1]
                 by_mnemonic[m] += 1
                 if trace is not None:
                     begin, start = start, cycle + 1
-                    trace(_span((begin, self.instr_pc, self.ir, _NAMES[m][begin - start:], True)))
-                if stop == _RETIRE or stop == _HALT and self.pc == self.instr_pc:
+                    trace(_span((begin, instr_pc, ir, _NAMES[m][begin - start:], True)))
+                if stop == _RETIRE or stop == _HALT and pc == instr_pc:
                     return True
             return False
-        except SimError as e:  # raised by the step of `state`
+        except SimError as e:  # raised by the work of `state`
             if e.pc is None:
-                e.pc = self.pc if state is _FETCH else self.instr_pc
+                e.pc = pc if state is _FETCH else instr_pc
             if e.state is None:
                 e.state = state.value
             raise
-        finally:
-            self.fsm = state
+        finally:  # the one write-back: `step_cycle`, callers and faults read the core
+            self.fsm, self.pc, self.instr_pc, self.ir, self.decoded = state, pc, instr_pc, ir, decoded
+            self.a, self.b, self.alu_out, self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle
             if trace is not None and start <= cycle:  # cycles that did not retire
-                names = _HEAD if state is _DECODE else _NAMES[self.decoded[1]]
+                names = _HEAD if state is _DECODE else _NAMES[decoded[1]]
                 end = names.index(_NAME[state])  # the position of the state that runs next
-                trace(_span((start, self.instr_pc, self.ir, names[end + start - cycle - 1:end], False)))
+                trace(_span((start, instr_pc, ir, names[end + start - cycle - 1:end], False)))
 
     def _clock(self, bus: Bus, cycles: int = 1) -> None:
         """Advance `cycles` (>= 0) clocks without records.
@@ -396,60 +416,6 @@ class Core:
         state, mode = self.fsm, self.mode
         pc = self.pc if state is _FETCH else self.instr_pc
         return TraceRecord(self.cycle_count, _NAME[mode], _NAME[state], pc, self.ir, False)
-
-    def _fetch(self, bus: Bus) -> FsmState:
-        self.instr_pc = pc = self.pc
-        self.ir = bus.read_word(pc)
-        self.pc = (pc + 4) & MASK32
-        return _DECODE
-
-    def _decode(self, bus: Bus) -> FsmState:
-        cls, m, rd, rs1, rs2, imm = self.decoded = decode(self.ir)
-        regs = self._regs
-        self.a = regs[rs1]
-        self.b = regs[rs2]
-        return _AFTER_DECODE[m]
-
-    def _execute(self, bus: Bus) -> FsmState:
-        cls, m, rd, rs1, rs2, imm = self.decoded
-        self.alu_out = _ALU_OPS[m](self.a, self.b if cls is _R_ALU else imm & MASK32)
-        return _ALU_WRITEBACK
-
-    def _alu_writeback(self, bus: Bus) -> FsmState:
-        rd = self.decoded[2]
-        if rd:
-            self._regs[rd] = self.alu_out
-        return _FETCH
-
-    def _mem_addr(self, bus: Bus) -> FsmState:
-        cls, m, rd, rs1, rs2, imm = self.decoded
-        self.alu_out = (self.a + imm) & MASK32
-        return _MEM_READ if cls is _LOAD else _MEM_WRITE
-
-    def _mem_read(self, bus: Bus) -> FsmState:
-        self.mdr = bus.read_word(self.alu_out)
-        return _LOAD_WRITEBACK
-
-    def _load_writeback(self, bus: Bus) -> FsmState:
-        rd = self.decoded[2]
-        if rd:
-            self._regs[rd] = self.mdr
-        return _FETCH
-
-    def _mem_write(self, bus: Bus) -> FsmState:
-        bus.schedule_write(self.alu_out, self.b, _EXECUTING)
-        return _FETCH
-
-    def _branch_completion(self, bus: Bus) -> FsmState:
-        if self.a == self.b:
-            self.pc = (self.instr_pc + self.decoded[5]) & MASK32
-        return _FETCH
-
-    def _jump_link(self, bus: Bus) -> FsmState:
-        pc = self.instr_pc
-        self.alu_out = (pc + 4) & MASK32
-        self.pc = (pc + self.decoded[5]) & MASK32
-        return _ALU_WRITEBACK
 
     # --- instruction-level stepping ---
 
@@ -523,6 +489,8 @@ def reference_execute(
     independent route for every architectural effect the FSM engine
     produces, so it shares no ALU or state-sequencing code with it.
     """
+    if mem_size <= 0 or mem_size % 4:
+        raise ValueError(f"size_bytes={mem_size} must be a positive multiple of 4")
     words = [0] * (mem_size // 4)
     base, end = image.base_address, 4 * len(words)
     if image.words and (base % 4 or not 0 <= base <= end - 4 * len(image.words)):

@@ -96,6 +96,9 @@ def test_base_offsets_labels():
         ("lw x1, 4[x2]", BadOperand, 1),
         (".org 0x6", MisalignedImmediate, 1),
         (".org 8\n.org 4", BadOperand, 2),
+        # nothing placed at or past 2^32 (`.org` first: a gap before it is zero-filled)
+        (".org 0x100000000\naddi x2, x0, 2", BadOperand, 1),
+        (".org 0xfffffffc\naddi x1, x0, 1\naddi x2, x0, 2", BadOperand, 3),
         (".word 0x1FFFFFFFF", ImmediateOutOfRange, 1),
     ],
 )
@@ -104,6 +107,11 @@ def test_diagnostics_carry_origin_line(src, err, line):
         assemble(src)
     assert exc.value.line == line
     assert f"line {line}" in str(exc.value)
+
+
+def test_last_word_address_is_placed():
+    image = assemble(".org 0xfffffffc\naddi x1, x0, 1\n")
+    assert (image.base_address, image.words) == (0xFFFFFFFC, [0x00100093])
 
 
 def test_duplicate_label_even_when_empty():

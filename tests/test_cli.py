@@ -151,6 +151,13 @@ def test_asm_negative_base_exit_code(demo_hex, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_asm_org_past_2_32_exit_code(tmp_path, capsys):
+    src, out = tmp_path / "far.s", tmp_path / "far.hex"
+    src.write_text(".org 0x100000000\naddi x2, x0, 2\n")
+    assert_input_error(dispatch(["asm", str(src), "-o", str(out)]), capsys)
+    assert not out.exists()
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     assert dispatch(["dis", str(tmp_path / "nope.hex")]) == 2
     assert capsys.readouterr().err.startswith("error[dis]:")

@@ -192,7 +192,7 @@ def _store_fetches(name):
 @pytest.mark.parametrize("path", [_run, _run_cycles], ids=lambda path: path.__name__.strip("_"))
 def test_runs_ended_inside_a_store_continue_as_step_cycle_does(path, name):
     # A run that ends after the store's first, second, third or fourth cycle
-    # leaves its MemWrite to the handlers, in this call or the next one.
+    # leaves its MemWrite to the per-state branch, in this call or the next one.
     fetches = _store_fetches(name)
     assert fetches
     for bus in BUSES:

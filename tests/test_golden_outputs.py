@@ -10,9 +10,14 @@ heads it) and `dis` of it (`timing.base.dis`); the `selftest` stdout
 instruction, each as its stdout (`.out`), stderr (`.err`) and exit code
 (`.exit`): pacer under `--max-cycles 100` (`pacer.trace-budget.*`, exit 4)
 and a load from an unmapped address, which faults in MemRead
-(`unmapped-load.hex`, `unmapped-load.trace-fault.*`, exit 3).  A change
-that alters any of these bytes on purpose regenerates them and names each
-changed file:
+(`unmapped-load.hex`, `unmapped-load.trace-fault.*`, exit 3); a fault in
+Decode, Fetch and MemWrite (`<name>.hex` of `FAULTS`), each traced twice
+and exiting 3: unbudgeted (`<name>.trace-fault.*`), which runs the faulting
+instruction whole, and under a budget that it starts within 5 cycles of
+(`<name>.trace-fault-budget.*`), which runs it state by state; and one bad
+input per `error[...]` kind of `BAD_INPUTS` (`<kind>-error.*`, exit 2).  A
+change that alters any of these bytes on purpose regenerates them and
+names each changed file:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -27,9 +32,23 @@ from rv32mc.cli import dispatch
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_outputs"
 PROGRAMS = ("demo", "timing", "pacer")
-# x1 = 0x2000: above memory and past the last default device, so the `lw`
-# faults in MemRead (the `unmapped-load` program of test_clock.FAULTS).
-UNMAPPED_LOAD = "addi x1, x0, 1\nslli x1, x1, 13\nlw x2, 0(x1)\njal x0, 0\n"
+# Faulting programs by name: source, and the `--max-cycles` of a budgeted run.
+FAULTS = {
+    # x1 = 0x2000: above memory and past the last default device, so the
+    # `lw` faults in MemRead (the `unmapped-load` program of test_clock.FAULTS).
+    "unmapped-load": ("addi x1, x0, 1\nslli x1, x1, 13\nlw x2, 0(x1)\njal x0, 0\n", None),
+    "bad-word": ("addi x1, x0, 1\n.word 0xffffffff\n", 6),  # Decode
+    "far-jump": ("jal x0, 0x2000\n", 6),  # Fetch
+    "misaligned-store": ("addi x1, x0, 2\nsw x1, 0(x1)\njal x0, 0\n", 8),  # MemWrite
+}
+# One bad input per error kind whose message names no path: subcommand,
+# input file name and text, and any further arguments.
+BAD_INPUTS = {
+    "input": ("run", "beyond.hex", "@400\n00000013\n", []),  # an image beyond memory
+    "asm": ("asm", "bad.s", "frob x1, x2\n", ["-o", "bad.hex"]),  # an unknown mnemonic
+    "dis": ("dis", "bad.hex", "0000001z\n", []),  # a bad hex word
+    "script": ("script", "bad.txt", "frob\n", []),  # an unknown command
+}
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -69,11 +88,19 @@ def render_outputs(work: Path) -> dict[str, bytes]:
     trace = ["--trace", "--format", "kv"]
     outputs.update(_ending("pacer.trace-budget",
                            ["run", str(work / "pacer.hex"), *trace, "--max-cycles", "100"]))
-    source, fault_hex = work / "unmapped-load.s", work / "unmapped-load.hex"
-    source.write_text(UNMAPPED_LOAD)
-    _stdout(["asm", str(source), "-o", str(fault_hex)])
-    outputs[fault_hex.name] = fault_hex.read_bytes()
-    outputs.update(_ending("unmapped-load.trace-fault", ["run", str(fault_hex), *trace]))
+    for name, (text, budget) in FAULTS.items():
+        source, fault_hex = work / f"{name}.s", work / f"{name}.hex"
+        source.write_text(text)
+        _stdout(["asm", str(source), "-o", str(fault_hex)])
+        outputs[fault_hex.name] = fault_hex.read_bytes()
+        outputs.update(_ending(f"{name}.trace-fault", ["run", str(fault_hex), *trace]))
+        if budget:
+            outputs.update(_ending(f"{name}.trace-fault-budget",
+                                   ["run", str(fault_hex), *trace, "--max-cycles", str(budget)]))
+    for kind, (command, file_name, text, rest) in BAD_INPUTS.items():
+        bad = work / file_name
+        bad.write_text(text)
+        outputs.update(_ending(f"{kind}-error", [command, str(bad), *rest]))
     return outputs
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rv32mc import HaltReason, MemoryImage, Simulator, assemble, reference_execute
 from rv32mc.errors import MisalignedAccess, OutOfRange, UnsupportedInstruction
+from rv32mc.memory import UnifiedMemory
 from progen import random_program
 
 
@@ -98,3 +99,14 @@ def test_oracle_refuses_images_that_do_not_fit(base, addr):
     with pytest.raises(OutOfRange) as exc:
         reference_execute(MemoryImage(base, [0x00000013]))
     assert exc.value.addr == addr
+
+
+@pytest.mark.parametrize("mem_size", [4097, 4094, 0, -4])
+def test_oracle_refuses_a_memory_size_memory_refuses(mem_size):
+    # At 4097 the aligned load at 4096 would pass the range test but not exist.
+    with pytest.raises(ValueError) as memory:
+        UnifiedMemory(mem_size)
+    image = assemble("addi x1, x0, 1\nslli x1, x1, 12\nlw x2, 0(x1)\n")
+    with pytest.raises(ValueError) as oracle:
+        reference_execute(image, mem_size=mem_size)
+    assert str(oracle.value) == str(memory.value)
