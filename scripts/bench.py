@@ -25,8 +25,12 @@ median and quartiles per side, the exit codes, and the sha256 of one more
 run's stdout per side.  They carry no verdict.
 
 The JSON holds both revisions, each with its source size (`src_loc`,
-the newlines in `src/rv32mc/*.py`, as `wc -l` counts them), the Python
-version, `nproc`, the seeds,
+the newlines in `src/rv32mc/*.py`, as `wc -l` counts them) and its knobs
+(`public_params`: the parameters, less `self` and `cls`, of every
+function in `rv32mc.__all__` and of the constructor and the public
+methods defined on each class there that is not an enum, counted with
+`inspect.signature` in a process of that revision; constants and callables
+without a signature count 0), the Python version, `nproc`, the seeds,
 every run's metrics with `correct`/`failed`, and per end-to-end metric
 the medians with quartiles, the pair wins and a verdict against the
 bound in BENCHMARK.json:
@@ -77,6 +81,27 @@ for name, fw in images.items():
     open(f"{dest}/{name}.hex", "w").write(rv32mc.image_to_hex(rv32mc.assemble(fw.source)))
 print(images["toolchain_image"].mem_size)
 """
+# Run in a checkout: prints its `public_params` (see above).
+_COUNT_PARAMS = """
+import enum, inspect, sys
+sys.path[:0] = ["src"]
+import rv32mc
+
+def count(fn):
+    try:
+        return sum(p not in ("self", "cls") for p in inspect.signature(fn).parameters)
+    except (TypeError, ValueError):  # no signature: a constant, or a builtin method
+        return 0
+
+n = 0
+for obj in map(rv32mc.__dict__.get, rv32mc.__all__):
+    if not isinstance(obj, type):
+        n += count(obj)
+    elif not issubclass(obj, enum.Enum):
+        methods = (getattr(obj, m) for m in vars(obj) if not m.startswith("_"))
+        n += count(obj) + sum(count(m) for m in methods if inspect.isroutine(m))
+print(n)
+"""
 
 
 def _git(*args: str) -> str:
@@ -89,6 +114,12 @@ def src_loc(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/rv32mc/*.py"))
 
 
+def public_params(checkout: Path) -> int:
+    """The settable public parameters of a checkout's package (see above)."""
+    return int(subprocess.run([sys.executable, "-c", _COUNT_PARAMS], cwd=checkout, check=True,
+                              capture_output=True, text=True).stdout)
+
+
 def export(rev: str, dest: Path) -> dict:
     """Put the files of `rev` (or of the working tree) into `dest`."""
     dest.mkdir(parents=True)
@@ -98,12 +129,14 @@ def export(rev: str, dest: Path) -> dict:
                 (dest / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(ROOT / name, dest / name)
         return {"rev": WORKTREE, "head": _git("rev-parse", "HEAD").strip(),
-                "modified": _git("status", "--porcelain").splitlines(), "src_loc": src_loc(dest)}
+                "modified": _git("status", "--porcelain").splitlines(), "src_loc": src_loc(dest),
+                "public_params": public_params(dest)}
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return {"rev": rev, "commit": commit, "src_loc": src_loc(dest)}
+    return {"rev": rev, "commit": commit, "src_loc": src_loc(dest),
+            "public_params": public_params(dest)}
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -17,9 +17,13 @@ The engine's loop runs whole instructions inline and a part of one
 through its per-state branches, so each engine mutant goes into both
 copies; the ALU table and the write-back of the loop's locals are shared,
 and only the inline pass sets the loop's state before a step that can
-raise and touches memory words in place.
+raise and touches memory words in place.  The inline pass hands the trace
+its instruction's whole state tuple, so only the per-state retirement and
+the partial span slice theirs.
 The last mutants reach past the engine: the trace's held flag, the
-`.word` text of an undecodable word and the oracle's `slt`.
+`.word` text of an undecodable word, the oracle's `slt`, the decode memo's
+bound, and the CLI's trace blocks, their size and the `finally` that
+writes the lines before a fault.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ class Mutant(NamedTuple):
 
 CORE = "src/rv32mc/core.py"
 ISA = "src/rv32mc/isa.py"
+CLI = "src/rv32mc/cli.py"
 CLOCK = "tests/test_clock.py"
 FAULTS = f"{CLOCK}::test_every_path_faults_alike_in_the_middle_of_an_instruction"
 ENTERED = f"{CLOCK}::test_traced_runs_entered_and_left_mid_instruction_give_step_cycle_records"
@@ -73,6 +78,10 @@ STOPS = f"{CLOCK}::test_every_path_stops_alike_at_every_cycle_offset"
 HELD = f"{CLOCK}::test_a_record_is_held_exactly_when_its_mode_is_not_executing"
 AGREE = f"{CLOCK}::test_traced_and_untraced_runs_agree"
 WORD_TEXT = "tests/test_decode_cache.py::test_format_word_reads_words_modulo_2_32"
+DECODED_ONCE = "tests/test_decode_cache.py::test_engine_oracle_and_disassembler_decode_each_word_once"
+CYCLES = f"{CLOCK}::test_run_cycles_matches_step_cycle"
+BLOCKS = "tests/test_trace_blocks.py::test_trace_lines_cross_blocks_and_survive_every_ending"
+GOLDEN = "tests/test_golden_outputs.py::test_cli_outputs_match_golden_files"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -193,6 +202,18 @@ MUTANTS = [
            "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 2\n",
            "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 3\n",
            (AGREE,)),
+    Mutant("loop-runs-one-cycle-past-limit", CORE,
+           "while cycle < limit:",
+           "while cycle <= limit:",
+           (CYCLES,)),
+    Mutant("retired-span-from-the-head-state", CORE,
+           "_NAMES[m][begin - start:]",
+           "_NAMES[m][:start - begin]",
+           (ENTERED,)),
+    Mutant("partial-span-from-the-head", CORE,
+           "names[end + start - cycle - 1:end]",
+           "names[:cycle - start + 1]",
+           (ENTERED,)),
     Mutant("held-inverted", CORE,
            "return self.mode != _EXECUTING.value",
            "return self.mode == _EXECUTING.value",
@@ -201,6 +222,19 @@ MUTANTS = [
            'return f".word 0x{word & MASK32:08X}"',
            'return f".word 0x{word:08X}"',
            (WORD_TEXT,)),
+    Mutant("decode-memo-bound-1024", ISA,
+           "DECODE_CACHE_SIZE = 32768",
+           "DECODE_CACHE_SIZE = 1024",
+           (DECODED_ONCE,)),
+    Mutant("trace-blocks-of-4096-lines", CLI,
+           "TRACE_BLOCK_LINES = 256",
+           "TRACE_BLOCK_LINES = 4096",
+           (BLOCKS,)),
+    Mutant("trace-written-only-after-a-clean-run", CLI,
+           # the trace's last block written after the run, not in a `finally`
+           "finally:\n            _write_lines(block)",
+           "except SimError:\n            raise\n        _write_lines(block)",
+           (BLOCKS, GOLDEN)),
     Mutant("slt-unsigned-oracle", CORE,
            "val = 1 if sa < sb else 0",
            "val = 1 if a < b else 0",

@@ -13,7 +13,6 @@ from .control import ControlMode
 from .core import (
     Core,
     CoreSnapshot,
-    FsmState,
     OracleResult,
     RegisterFile,
     TraceRecord,
@@ -54,9 +53,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "assemble", "disassemble", "image_to_hex", "load_hex_file", "parse_hex",
-    "save_hex_file", "ControlMode", "Core", "CoreSnapshot", "FsmState",
-    "OracleResult", "RegisterFile", "TraceRecord", "TraceSpan",
-    "reference_execute",
+    "save_hex_file", "ControlMode", "Core", "CoreSnapshot", "OracleResult",
+    "RegisterFile", "TraceRecord", "TraceSpan", "reference_execute",
     "SimError", "ObserveResult", "Peripheral", "PeripheralMap", "Simulator",
     "SystemBus", "execute_script", "parse_script", "CYCLE_COST",
     "DecodedInstruction", "InstrClass", "decode", "encode", "instr",

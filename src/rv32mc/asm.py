@@ -205,11 +205,13 @@ def image_to_hex(image: MemoryImage) -> str:
 
 
 def parse_hex(text: str) -> MemoryImage:
-    """Inverse of image_to_hex; sparse records are zero-filled between."""
+    """Inverse of image_to_hex; sparse records are zero-filled between.  An
+    `@` record or a word at byte address 2^32 or above is refused."""
     head, body = text.partition("\n")[::2] if text.startswith("@") else ("", text)
     n = len(body) // 9
     if (len(body) == 9 * n and body[8::9] == "\n" * n and body.count("\n") == n
-            and _HEX_BLOCK_RE.fullmatch(body) and (not head or _HEX_ADDR_RE.fullmatch(head))):
+            and _HEX_BLOCK_RE.fullmatch(body) and (not head or _HEX_ADDR_RE.fullmatch(head)
+                                                   and int(head[1:], 16) + max(n, 1) <= 1 << 30)):
         # image_to_hex's own form: every other character is a proven hex digit.
         block = list(struct.unpack(f">{n}I", bytes.fromhex(body)))
         return MemoryImage(int(head[1:], 16) * 4 if head and block else 0, block)
@@ -223,9 +225,13 @@ def parse_hex(text: str) -> MemoryImage:
             if not _HEX_ADDR_RE.fullmatch(line):
                 raise AsmError(f"bad address record {line!r}", line=lineno)
             addr = int(line[1:], 16) * 4
+            if addr >> 32:
+                raise AsmError(f"{line!r} is past the last word address", line=lineno)
             continue
         if not _HEX_WORD_RE.fullmatch(line):
             raise AsmError(f"bad hex word {line!r}", line=lineno)
+        if addr >> 32:
+            raise AsmError(f"word at {addr:#x} is past the last word address", line=lineno)
         words[addr] = int(line, 16)
         addr += 4
     return MemoryImage.gather(words, 0)

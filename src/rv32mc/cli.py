@@ -28,7 +28,7 @@ from .asm import assemble, disassemble, load_hex_file, save_hex_file
 from .core import DEFAULT_MAX_CYCLES, TraceSpan, _csv_tail
 from .errors import SimError
 from .harness import PeripheralMap, Simulator, execute_script, parse_script
-from .memory import DEFAULT_MEM_SIZE
+from .memory import DEFAULT_MEM_SIZE, UnifiedMemory
 from .metrics import EnergyModel, HaltReason, attach_metrics, render_kv, render_text
 from .selfcheck import run_selftest
 
@@ -52,11 +52,15 @@ def integer(text: str) -> int:
     return int(text, 0)
 
 
-def _peripherals(args: argparse.Namespace) -> PeripheralMap:
+def _simulator(args: argparse.Namespace) -> Simulator:
+    """Memory of `--mem-size` and its devices: the default map, packed just
+    above memory, or `--peripheral-map`'s.  Memory checks the size first,
+    so a bad size is not reported as a bad device."""
+    UnifiedMemory(args.mem_size)
     if args.peripheral_map is None:
-        return PeripheralMap.default(args.mem_size)
+        return Simulator(args.mem_size, PeripheralMap.default(args.mem_size))
     with open(args.peripheral_map, "r", encoding="utf-8") as f:
-        return PeripheralMap.from_config(json.load(f))
+        return Simulator(args.mem_size, PeripheralMap.from_config(json.load(f)))
 
 
 def _write_lines(lines: list[str]) -> None:
@@ -92,7 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         energy = EnergyModel(args.pj_per_cycle, args.freq_hz)
         image = load_hex_file(args.image)
-        sim = Simulator(args.mem_size, _peripherals(args))
+        sim = _simulator(args)
         sim.program_and_start(image)
     except (OSError, ValueError, RecursionError, SimError) as e:  # RecursionError: deep JSON
         _error("input", e)
@@ -147,7 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_script(args: argparse.Namespace) -> int:
     try:
-        sim = Simulator(args.mem_size, PeripheralMap.default(args.mem_size))
+        sim = _simulator(args)
     except ValueError as e:
         _error("input", e)
         return EXIT_INPUT
@@ -203,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("script", help="execute a bring-up script")
     p.add_argument("script")
     p.add_argument("--mem-size", type=integer, default=DEFAULT_MEM_SIZE)
-    p.set_defaults(func=_cmd_script)
+    p.set_defaults(func=_cmd_script, peripheral_map=None)
 
     p = sub.add_parser("selftest", help="frozen-encoding and engine checks")
     p.set_defaults(func=_cmd_selftest)

@@ -12,7 +12,7 @@ class ControlMode(enum.Enum):
     OBSERVATION = "observation"    # IE=0, writes disabled; memory read-only
 
     # Singletons compared by identity, so identity is a valid hash (Enum's
-    # own hashes the name in Python); a traced cycle looks its mode up.
+    # own hashes the name in Python); a store through the bus tests WRITE_MODES.
     __hash__ = object.__hash__
 
 

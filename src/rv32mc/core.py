@@ -37,7 +37,6 @@ semantics - used to cross-check the engine's architectural effects.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol
@@ -65,52 +64,27 @@ class Bus(Protocol):
     def commit_cycle(self) -> None: ...
 
 
-class FsmState(enum.Enum):
-    FETCH = "fetch"
-    DECODE = "decode"
-    EXECUTE = "execute"
-    ALU_WRITEBACK = "alu_writeback"
-    MEM_ADDR = "mem_addr"
-    MEM_READ = "mem_read"
-    LOAD_WRITEBACK = "load_writeback"
-    MEM_WRITE = "mem_write"
-    BRANCH_COMPLETION = "branch_completion"
-    JUMP_LINK = "jump_link"
-
-
-# Members read on every cycle, bound once: an enum member read through
-# its class costs a Python-level lookup.
-_FETCH = FsmState.FETCH
-_DECODE = FsmState.DECODE
-_EXECUTE = FsmState.EXECUTE
-_ALU_WRITEBACK = FsmState.ALU_WRITEBACK
-_MEM_ADDR = FsmState.MEM_ADDR
-_MEM_READ = FsmState.MEM_READ
-_LOAD_WRITEBACK = FsmState.LOAD_WRITEBACK
-_MEM_WRITE = FsmState.MEM_WRITE
-_BRANCH_COMPLETION = FsmState.BRANCH_COMPLETION
-_JUMP_LINK = FsmState.JUMP_LINK
+# FSM states, each its trace name; the engine holds these objects and
+# tests them by identity.
+_FETCH, _DECODE, _EXECUTE, _ALU_WRITEBACK = "fetch", "decode", "execute", "alu_writeback"
+_MEM_ADDR, _MEM_READ, _LOAD_WRITEBACK = "mem_addr", "mem_read", "load_writeback"
+_MEM_WRITE, _BRANCH_COMPLETION, _JUMP_LINK = "mem_write", "branch_completion", "jump_link"
 _EXECUTING = ControlMode.EXECUTING
 _R_ALU, _I_ALU, _LOAD, _STORE, _BRANCH = (
     InstrClass.R_ALU, InstrClass.I_ALU, InstrClass.LOAD, InstrClass.STORE, InstrClass.BRANCH
 )
 _NEVER, _RETIRE, _HALT = range(3)  # where `Core._cycles` may stop before its limit
 
-# Trace names of states and modes, keyed by member: `.value` is a
-# Python-level descriptor.
-_NAME = {m: m.value for m in (*FsmState, *ControlMode)}
-
 # Each class's FSM state names in order; a state has one position in every class.
-_SEQUENCE = {cls: tuple(_NAME[state] for state in (_FETCH, _DECODE, *rest)) for cls, rest in {
+_SEQUENCE = {cls: (_FETCH, _DECODE, *rest) for cls, rest in {
     InstrClass.R_ALU: (_EXECUTE, _ALU_WRITEBACK), InstrClass.I_ALU: (_EXECUTE, _ALU_WRITEBACK),
     InstrClass.LOAD: (_MEM_ADDR, _MEM_READ, _LOAD_WRITEBACK), InstrClass.STORE: (_MEM_ADDR, _MEM_WRITE),
     InstrClass.BRANCH: (_BRANCH_COMPLETION,), InstrClass.JUMP: (_JUMP_LINK, _ALU_WRITEBACK),
 }.items()}
-_HEAD = (_NAME[_FETCH], _NAME[_DECODE])  # every class's, before Decode names the class
+_HEAD = (_FETCH, _DECODE)  # every class's, before Decode names the class
 
-# State after Decode and state names, by mnemonic (string keys hash in C,
-# and `InstrClass` hashes its name in Python).
-_AFTER_DECODE = {m: FsmState(_SEQUENCE[cls][2]) for m, cls in MNEMONIC_CLASS.items()}
+# State names by mnemonic (string keys hash in C, and `InstrClass` hashes
+# its name in Python).
 _NAMES = {m: _SEQUENCE[cls] for m, cls in MNEMONIC_CLASS.items()}
 
 # ALU operator by mnemonic; an I-type op takes its immediate as operand b.
@@ -189,7 +163,7 @@ class TraceSpan(NamedTuple):
     def records(self) -> list[TraceRecord]:
         cycle, pc, ir, states, retired = self
         last = cycle + len(states) - 1
-        return [_record((c, _NAME[_EXECUTING], state, pc, ir, retired and c == last))
+        return [_record((c, _EXECUTING.value, state, pc, ir, retired and c == last))
                 for c, state in enumerate(states, cycle)]
 
 
@@ -222,7 +196,7 @@ class Core:
         self.mode = mode_from_lines(ie, reset, write_enable)
         if self.mode is ControlMode.RESET_HOLD:
             self.pc = 0
-            self.fsm = FsmState.FETCH
+            self.fsm = _FETCH
             self.ir = self.a = self.b = self.alu_out = self.mdr = self.instr_pc = 0
             self.decoded: DecodedInstruction | None = None
             self.cycle_count = self.held_cycles = 0
@@ -237,7 +211,7 @@ class Core:
         return CoreSnapshot(
             pc=self.pc,
             regs=self.regs.snapshot(),
-            fsm=self.fsm.value,
+            fsm=self.fsm,
             mode=self.mode.value,
             cycle_count=self.cycle_count,
             retired_count=self.retired_count,
@@ -318,7 +292,7 @@ class Core:
                         by_mnemonic[m] += 1
                         if trace is not None:
                             begin, start = start, cycle + 1  # moved first: a sink may raise
-                            trace(_span((begin, instr_pc, ir, _NAMES[m][begin - start:], True)))
+                            trace(_span((begin, instr_pc, ir, _NAMES[m], True)))
                         # any class but a jump or taken branch leaves pc at instr_pc + 4
                         if stop == _RETIRE or stop == _HALT and pc == instr_pc:
                             return True
@@ -333,7 +307,7 @@ class Core:
                 elif state is _DECODE:
                     cls, m, rd, rs1, rs2, imm = decoded = decode(ir)
                     a, b = regs[rs1], regs[rs2]
-                    next_state = _AFTER_DECODE[m]
+                    next_state = _NAMES[m][2]
                 elif state is _EXECUTE:
                     cls, m, rd, rs1, rs2, imm = decoded
                     alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)
@@ -385,14 +359,14 @@ class Core:
             if e.pc is None:
                 e.pc = pc if state is _FETCH else instr_pc
             if e.state is None:
-                e.state = state.value
+                e.state = state
             raise
         finally:  # the one write-back: `step_cycle`, callers and faults read the core
             self.fsm, self.pc, self.instr_pc, self.ir, self.decoded = state, pc, instr_pc, ir, decoded
             self.a, self.b, self.alu_out, self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle
             if trace is not None and start <= cycle:  # cycles that did not retire
                 names = _HEAD if state is _DECODE else _NAMES[decoded[1]]
-                end = names.index(_NAME[state])  # the position of the state that runs next
+                end = names.index(state)  # the position of the state that runs next
                 trace(_span((start, instr_pc, ir, names[end + start - cycle - 1:end], False)))
 
     def _clock(self, bus: Bus, cycles: int = 1) -> None:
@@ -415,7 +389,7 @@ class Core:
         self.held_cycles += 1
         state, mode = self.fsm, self.mode
         pc = self.pc if state is _FETCH else self.instr_pc
-        return TraceRecord(self.cycle_count, _NAME[mode], _NAME[state], pc, self.ir, False)
+        return TraceRecord(self.cycle_count, mode.value, state, pc, self.ir, False)
 
     # --- instruction-level stepping ---
 

@@ -124,8 +124,6 @@ ENCODING: dict[str, tuple[str, int]] = {
 
 MNEMONIC_CLASS: dict[str, InstrClass] = {m: _SHAPES[shape][0] for m, (shape, _) in ENCODING.items()}
 
-SHIFT_MNEMONICS = frozenset(_SHIFT_DECODE.values())
-
 
 def instr(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> DecodedInstruction:
     """Build an instruction with the class derived from the mnemonic."""

@@ -209,7 +209,31 @@ def test_hex_address_record_is_unsigned_hex(record):
 
 
 def test_hex_address_record_takes_up_to_eight_digits():
-    assert parse_hex("@fFfFfFfF\n1\n").base_address == 4 * 0xFFFFFFFF
+    assert parse_hex("@3fFfFfFf\n1\n").base_address == 4 * 0x3FFFFFFF
+
+
+# Each `@` record comes first: a gap after an earlier word would be zero-filled.
+@pytest.mark.parametrize("text, line", [
+    ("@40000000\n00000013\n", 1),  # image_to_hex's block form
+    ("@40000000\n00000013\n# c\n", 1),  # the same, line by line
+    ("@ffffffff\n00000013\n", 1),
+    ("@40000000\n", 1),
+    ("@3fffffff\n00000013\n00000013\n", 3),  # the second word lands at 2^32
+    ("@3fffffff\n00000013\n00000013\n# c\n", 3),
+], ids=["block", "lines", "ffffffff", "record-alone", "second-word-block", "second-word-lines"])
+def test_hex_address_at_or_past_2_32_is_refused(text, line):
+    from rv32mc.errors import AsmError
+
+    with pytest.raises(AsmError) as exc:
+        parse_hex(text)
+    assert exc.value.line == line and "past the last word address" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["@3fffffff\n00000013\n", "@3fffffff\n00000013\n# c\n"],
+                         ids=["block", "lines"])
+def test_hex_last_word_address_is_placed(text):
+    back = parse_hex(text)
+    assert back.base_address == 0xFFFFFFFC and back.words == [0x13]
 
 
 @pytest.mark.parametrize("base", [-4, 1 << 32])

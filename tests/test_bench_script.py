@@ -134,6 +134,24 @@ def test_src_loc_counts_newlines_of_the_package_sources_as_wc_does(bench, tmp_pa
     assert bench.src_loc(ROOT) == int(total.stdout.splitlines()[-1].split()[0])
 
 
+def test_public_params_counts_functions_constructors_and_public_methods(bench, tmp_path):
+    pkg = tmp_path / "src" / "rv32mc"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "import enum\n"
+        "def f(a, b=1): pass\n"
+        "class C:\n"
+        "    def __init__(self, x): pass\n"
+        "    def m(self, y=2): pass\n"
+        "    def _p(self, z): pass\n"
+        "class E(enum.Enum):\n"
+        "    A = 1\n"
+        "LIMIT = 3\n"
+        "__all__ = ['f', 'C', 'E', 'LIMIT']\n")
+    # a, b; x; y: `self`, the private method, the enum and the constant count nothing
+    assert bench.public_params(tmp_path) == 4
+
+
 def test_cli_commands_alternate_sides_and_keep_times_codes_and_digests(bench):
     calls = []
 

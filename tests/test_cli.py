@@ -112,6 +112,17 @@ def test_signed_hex_address_record_exit_code(tmp_path, capsys, command):
     assert_input_error(dispatch([command, str(bad)]), capsys)
 
 
+@pytest.mark.parametrize("text", ["@40000000\n00000013\n", "@3fffffff\n00000013\n00000013\n# c\n"],
+                         ids=["record", "second-word"])
+def test_hex_past_2_32_exit_code(tmp_path, capsys, text):
+    image, script = tmp_path / "far.hex", tmp_path / "far.txt"
+    image.write_text(text)
+    script.write_text("load far.hex\n")
+    for argv in (["dis", str(image)], ["run", str(image)], ["script", str(script)]):
+        err = assert_input_error(dispatch(argv), capsys)
+        assert "past the last word address" in err, argv
+
+
 def test_image_beyond_memory_exit_code(tmp_path, capsys):
     # Parses, but its one word lands at 0x1000, past the default 4 KiB memory.
     far = tmp_path / "far.hex"
@@ -236,13 +247,16 @@ def assert_input_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error[") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("size", ["4097", "0", "-4"])
 def test_script_bad_mem_size_exit_code(tmp_path, capsys, size):
     script = tmp_path / "s.txt"
     script.write_text("reset\n")
-    assert_input_error(dispatch(["script", str(script), "--mem-size", size]), capsys)
+    err = assert_input_error(dispatch(["script", str(script), "--mem-size", size]), capsys)
+    # Memory checks the size before a device is placed above it.
+    assert err == f"error[input]: size_bytes={size} must be a positive multiple of 4\n"
 
 
 @pytest.mark.parametrize(
@@ -250,7 +264,9 @@ def test_script_bad_mem_size_exit_code(tmp_path, capsys, size):
              ["--freq-hz", "inf"]],
 )
 def test_run_bad_flag_exit_code(demo_hex, capsys, flag):
-    assert_input_error(dispatch(["run", str(demo_hex), *flag]), capsys)
+    err = assert_input_error(dispatch(["run", str(demo_hex), *flag]), capsys)
+    if flag[0] == "--mem-size":  # checked by memory, before a device is placed above it
+        assert err == f"error[input]: size_bytes={flag[1]} must be a positive multiple of 4\n"
 
 
 @pytest.mark.parametrize(

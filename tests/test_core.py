@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from rv32mc import (
     ControlMode,
     Core,
-    FsmState,
     HaltReason,
     MemoryImage,
     TraceRecord,
@@ -44,7 +43,7 @@ def test_reset_clears_pc_and_temporaries():
     core.step_cycle(mem)
     assert core.pc == 4 and core.ir != 0
     core.apply_control(ie=0, reset=1)
-    assert core.pc == 0 and core.ir == 0 and core.fsm is FsmState.FETCH
+    assert core.pc == 0 and core.ir == 0 and core.fsm == "fetch"
     assert core.cycle_count == 0 and core.decoded is None
     core.apply_control(ie=1, reset=0)
     assert core.pc == 0  # execution restarts from address zero

@@ -17,7 +17,8 @@ from rv32mc.errors import AsmError
 
 def reference_parse_hex(text: str) -> tuple[int, list[int]]:
     """The format, one line at a time: comments and blanks skipped, `@`
-    and 1 to 8 hex digits of word address, or 1 to 8 hex digits of word."""
+    and 1 to 8 hex digits of word address, or 1 to 8 hex digits of word;
+    nothing at byte address 2^32 or above."""
     words: dict[int, int] = {}
     addr = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -28,9 +29,13 @@ def reference_parse_hex(text: str) -> tuple[int, list[int]]:
             if not re.fullmatch(r"@[0-9a-fA-F]{1,8}", line):
                 raise AsmError(f"bad address record {line!r}", line=lineno)
             addr = int(line[1:], 16) * 4
+            if addr >= 2**32:
+                raise AsmError(f"{line!r} is past the last word address", line=lineno)
             continue
         if not re.fullmatch(r"[0-9a-fA-F]{1,8}", line):
             raise AsmError(f"bad hex word {line!r}", line=lineno)
+        if addr >= 2**32:
+            raise AsmError(f"word at {addr:#x} is past the last word address", line=lineno)
         words[addr] = int(line, 16)
         addr += 4
     if not words:
@@ -69,7 +74,7 @@ _line = st.one_of(
     ]),
     st.sampled_from([
         "", "   ", "# only a comment", "// only a comment", "123456789", "@", "@-1", "@+1", "@0x10",
-        "@ 10", "@123456789", "12345678#", "1234#567", "@10 # comment",
+        "@ 10", "@123456789", "12345678#", "1234#567", "@10 # comment", "@40000000", "@ffffffff",
     ]),
 )
 _hex_text = st.tuples(

@@ -9,7 +9,9 @@ from rv32mc.errors import (
     MisalignedImmediate,
     UnsupportedInstruction,
 )
-from rv32mc.isa import MNEMONIC_CLASS, SHIFT_MNEMONICS
+from rv32mc.isa import ENCODING, MNEMONIC_CLASS
+
+SHIFT_MNEMONICS = frozenset(m for m, (shape, _) in ENCODING.items() if shape == "shift")
 
 
 def test_decode_examples():
