@@ -4,14 +4,14 @@
 
 The revision (`HEAD` by default, or `WORKTREE` for the checkout as it is
 now) is exported into a temporary directory as `scripts/bench.py` does.
-Each entry of `MUTANTS` replaces one exact text in one file of that
-export; old text that does not occur exactly once makes the mutant
-`stale`, a failure and not a skip, so it cannot pass unnoticed.  The
-entry's named tests run first, and the whole tier-1 suite only if they
-all pass; then the file is put back.  A mutant is `killed` when a run
-fails and `survived` when both pass.  Named tests that pytest cannot
-select or run (exit 2-5) are an `error`.  The script exits 1 unless every
-mutant is killed.
+Each entry of `MUTANTS` replaces one or more exact texts, in order, each
+by its own new text, in one file of that export; an old text that does not
+occur exactly once when its turn comes makes the mutant `stale`, a failure
+and not a skip, so it cannot pass unnoticed.  The entry's named tests run
+first, and the whole tier-1 suite only if they all pass; then the file is
+put back.  A mutant is `killed` when a run fails and `survived` when both
+pass.  Named tests that pytest cannot select or run (exit 2-5) are an
+`error`.  The script exits 1 unless every mutant is killed.
 
 The engine's loop runs whole instructions inline and a part of one
 through its per-state branches, so each engine mutant goes into both
@@ -22,8 +22,9 @@ its instruction's whole state tuple, so only the per-state retirement and
 the partial span slice theirs.
 The last mutants reach past the engine: the trace's held flag, the
 `.word` text of an undecodable word, the oracle's `slt`, the decode memo's
-bound, and the CLI's trace blocks, their size and the `finally` that
-writes the lines before a fault.
+bound, a decode cache keyed by address at both decode sites, the CLI's
+trace blocks, their size and the `finally` that writes the lines before a
+fault, and a `dis` listing written in one call.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ Runner = Callable[[Path, list[str]], int]
 class Mutant(NamedTuple):
     name: str
     path: str
-    old: str
-    new: str
+    edits: list[tuple[str, str]]  # (old, new) texts, applied in order
     tests: tuple[str, ...]
 
 
@@ -81,6 +81,9 @@ WORD_TEXT = "tests/test_decode_cache.py::test_format_word_reads_words_modulo_2_3
 DECODED_ONCE = "tests/test_decode_cache.py::test_engine_oracle_and_disassembler_decode_each_word_once"
 CYCLES = f"{CLOCK}::test_run_cycles_matches_step_cycle"
 BLOCKS = "tests/test_trace_blocks.py::test_trace_lines_cross_blocks_and_survive_every_ending"
+DIS_BLOCKS = "tests/test_cli.py::test_dis_formats_and_writes_one_block_at_a_time"
+REWRITTEN = "tests/test_decode_cache.py::test_a_word_rewritten_in_place_is_decoded_anew"
+SELF_MODIFYING = "tests/test_decode_cache.py::test_self_modifying_loop_matches_oracle"
 GOLDEN = "tests/test_golden_outputs.py::test_cli_outputs_match_golden_files"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
@@ -90,154 +93,171 @@ STATE = "\n" + " " * 20
 LOOP = "\n" + " " * 24
 INLINE = "\n" + " " * 28
 DEEP = "\n" + " " * 32
+# A decode cached by the address it was fetched from; a hit decodes nothing.
+CACHED = "_BY_ADDR.get(instr_pc) or _BY_ADDR.setdefault(instr_pc, decode(ir))"
 
 MUTANTS = [
     Mutant("sra-as-srl-table", CORE,
-           '("sra srai", lambda a, b: (s32(a) >> (b & 31)) & MASK32),',
-           '("sra srai", lambda a, b: a >> (b & 31)),',
+           [('("sra srai", lambda a, b: (s32(a) >> (b & 31)) & MASK32),',
+             '("sra srai", lambda a, b: a >> (b & 31)),')],
            (ALU, ORACLE)),
     Mutant("sra-as-srl-inline", CORE,
-           INLINE + "alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)",
-           INLINE + 'alu_out = ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)',
+           [(INLINE + "alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)",
+             INLINE + 'alu_out = ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)')],
            (ORACLE,)),
     Mutant("sra-as-srl-state", CORE,
-           STATE + "alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)",
-           STATE + 'alu_out = ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)',
+           [(STATE + "alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)",
+             STATE + 'alu_out = ops[m.replace("sra", "srl")](a, b if cls is _R_ALU else imm & MASK32)')],
            (ALU,)),
     Mutant("x0-writable-inline", CORE,
-           "imm & MASK32)" + INLINE + "if rd:\n",
-           "imm & MASK32)" + INLINE + "if True:\n",
+           [("imm & MASK32)" + INLINE + "if rd:\n",
+             "imm & MASK32)" + INLINE + "if True:\n")],
            (X0, ORACLE)),
     Mutant("x0-writable-state", CORE,
-           "rd = decoded[2]" + STATE + "if rd:" + STATE + "    regs[rd] = alu_out",
-           "rd = decoded[2]" + STATE + "if True:" + STATE + "    regs[rd] = alu_out",
+           [("rd = decoded[2]" + STATE + "if rd:" + STATE + "    regs[rd] = alu_out",
+             "rd = decoded[2]" + STATE + "if True:" + STATE + "    regs[rd] = alu_out")],
            (X0_STEPPED,)),
     Mutant("store-never-committed-inline", CORE,
-           "words[addr >> 2] = b  # the MemWrite and its commit",
-           "pass  # the MemWrite and its commit",
+           [("words[addr >> 2] = b  # the MemWrite and its commit",
+             "pass  # the MemWrite and its commit")],
            (ORACLE,)),
     Mutant("store-committed-one-cycle-late-state", CORE,
-           "if state is _MEM_WRITE or cycle == first:",
-           "if state is _FETCH or cycle == first:",
+           [("if state is _MEM_WRITE or cycle == first:",
+             "if state is _FETCH or cycle == first:")],
            (STORE_ENDS,)),
     Mutant("store-never-committed-state", CORE,
-           "if state is _MEM_WRITE or cycle == first:",
-           "if cycle == first:",
+           [("if state is _MEM_WRITE or cycle == first:",
+             "if cycle == first:")],
            (STORE_ENDS,)),
     Mutant("device-stamp-plus-one-inline-load", CORE,
-           "self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
-           "self.cycle_count = cycle + 1" + DEEP + "mdr = read(addr)",
+           [("self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
+             "self.cycle_count = cycle + 1" + DEEP + "mdr = read(addr)")],
            (STAMPS,)),
     Mutant("device-stamp-plus-one-inline-store", CORE,
-           "self.cycle_count = cycle" + DEEP + "write(addr",
-           "self.cycle_count = cycle + 1" + DEEP + "write(addr",
+           [("self.cycle_count = cycle" + DEEP + "write(addr",
+             "self.cycle_count = cycle + 1" + DEEP + "write(addr")],
            (STAMPS,)),
     Mutant("device-stamp-plus-one-state-load", CORE,
-           "self.cycle_count = cycle" + STATE + "mdr = read(alu_out)",
-           "self.cycle_count = cycle + 1" + STATE + "mdr = read(alu_out)",
+           [("self.cycle_count = cycle" + STATE + "mdr = read(alu_out)",
+             "self.cycle_count = cycle + 1" + STATE + "mdr = read(alu_out)")],
            (STAMPS,)),
     Mutant("device-stamp-plus-one-state-store", CORE,
-           "self.cycle_count = cycle" + STATE + "write(alu_out",
-           "self.cycle_count = cycle + 1" + STATE + "write(alu_out",
+           [("self.cycle_count = cycle" + STATE + "write(alu_out",
+             "self.cycle_count = cycle + 1" + STATE + "write(alu_out")],
            (STAMPS,)),
     Mutant("no-cycle-count-before-device-load-state", CORE,
-           "self.cycle_count = cycle" + STATE + "mdr = read(alu_out)",
-           "mdr = read(alu_out)",
+           [("self.cycle_count = cycle" + STATE + "mdr = read(alu_out)",
+             "mdr = read(alu_out)")],
            (ENTERED,)),
     Mutant("inline-crosses-limit", CORE,
-           "last = limit - 5",
-           "last = limit - 4",
+           [("last = limit - 5",
+             "last = limit - 4")],
            (ENTERED,)),
     Mutant("inline-on-first-cycle", CORE,
-           "first <= cycle <= last",
-           "first - 1 <= cycle <= last",
+           [("first <= cycle <= last",
+             "first - 1 <= cycle <= last")],
            (OUTSIDE,)),
     Mutant("fetch-fault-pc-plus-4-inline", CORE,
            # pc advanced before a fetch through the bus, so a fault there sees pc + 4
-           INLINE + "ir = read(pc)",
-           INLINE + "pc = (pc + 4) & MASK32" + INLINE + "ir = read(pc - 4)" + INLINE
-           + "pc = (pc - 4) & MASK32",
+           [(INLINE + "ir = read(pc)",
+             INLINE + "pc = (pc + 4) & MASK32" + INLINE + "ir = read(pc - 4)" + INLINE
+             + "pc = (pc - 4) & MASK32")],
            (FAULTS,)),
     Mutant("fetch-fault-pc-plus-4-state", CORE,
-           "ir = read(pc)" + STATE + "pc = (pc + 4) & MASK32",
-           "pc = (pc + 4) & MASK32" + STATE + "ir = read(instr_pc)",
+           [("ir = read(pc)" + STATE + "pc = (pc + 4) & MASK32",
+             "pc = (pc + 4) & MASK32" + STATE + "ir = read(instr_pc)")],
            (FAULTS,)),
     Mutant("pending-write-visible-to-first-fetch", CORE,
-           "self.cycle_count = cycle" + STATE + "ir = read(pc)",
-           "self.cycle_count = cycle" + STATE + "commit()" + STATE + "ir = read(pc)",
+           [("self.cycle_count = cycle" + STATE + "ir = read(pc)",
+             "self.cycle_count = cycle" + STATE + "commit()" + STATE + "ir = read(pc)")],
            (OUTSIDE,)),
     Mutant("no-state-before-decode-inline", CORE,
-           LOOP + "state = _DECODE",
-           "",
+           [(LOOP + "state = _DECODE",
+             "")],
            (FAULTS,)),
     Mutant("no-state-before-mem-read-inline", CORE,
-           DEEP + "state = _MEM_READ",
-           "",
+           [(DEEP + "state = _MEM_READ",
+             "")],
            (FAULTS,)),
     Mutant("no-state-before-mem-write-inline", CORE,
-           DEEP + "state = _MEM_WRITE",
-           "",
+           [(DEEP + "state = _MEM_WRITE",
+             "")],
            (FAULTS,)),
     Mutant("fetch-bound-past-memory-inline", CORE,
-           "if pc < size and not pc & 3:",
-           "if pc <= size and not pc & 3:",
+           [("if pc < size and not pc & 3:",
+             "if pc <= size and not pc & 3:")],
            (EDGE,)),
     Mutant("store-alignment-dropped-inline", CORE,
-           "if addr < size and not addr & 3:" + DEEP + "words[addr >> 2] = b",
-           "if addr < size:" + DEEP + "words[addr >> 2] = b",
+           [("if addr < size and not addr & 3:" + DEEP + "words[addr >> 2] = b",
+             "if addr < size:" + DEEP + "words[addr >> 2] = b")],
            (EDGE,)),
     Mutant("write-back-without-cycle-count", CORE,
-           "self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle",
-           "self.mdr = a, b, alu_out, mdr",
+           [("self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle",
+             "self.mdr = a, b, alu_out, mdr")],
            (STOPS,)),
     Mutant("write-back-without-decoded", CORE,
-           "self.ir, self.decoded = state, pc, instr_pc, ir, decoded",
-           "self.ir = state, pc, instr_pc, ir",
+           [("self.ir, self.decoded = state, pc, instr_pc, ir, decoded",
+             "self.ir = state, pc, instr_pc, ir")],
            (STOPS,)),
     Mutant("no-cycle-count-before-device-load-inline", CORE,
-           "self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
-           "mdr = read(addr)",
+           [("self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
+             "mdr = read(addr)")],
            (STAMPS,)),
     Mutant("beq-costs-4-inline", CORE,
-           "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 2\n",
-           "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 3\n",
+           [("pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 2\n",
+             "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 3\n")],
            (AGREE,)),
     Mutant("loop-runs-one-cycle-past-limit", CORE,
-           "while cycle < limit:",
-           "while cycle <= limit:",
+           [("while cycle < limit:",
+             "while cycle <= limit:")],
            (CYCLES,)),
     Mutant("retired-span-from-the-head-state", CORE,
-           "_NAMES[m][begin - start:]",
-           "_NAMES[m][:start - begin]",
+           [("_NAMES[m][begin - start:]",
+             "_NAMES[m][:start - begin]")],
            (ENTERED,)),
     Mutant("partial-span-from-the-head", CORE,
-           "names[end + start - cycle - 1:end]",
-           "names[:cycle - start + 1]",
+           [("names[end + start - cycle - 1:end]",
+             "names[:cycle - start + 1]")],
            (ENTERED,)),
     Mutant("held-inverted", CORE,
-           "return self.mode != _EXECUTING.value",
-           "return self.mode == _EXECUTING.value",
+           [("return self.mode != _EXECUTING.value",
+             "return self.mode == _EXECUTING.value")],
            (HELD,)),
     Mutant("word-fallback-unmasked", ISA,
-           'return f".word 0x{word & MASK32:08X}"',
-           'return f".word 0x{word:08X}"',
+           [('return f".word 0x{word & MASK32:08X}"',
+             'return f".word 0x{word:08X}"')],
            (WORD_TEXT,)),
     Mutant("decode-memo-bound-1024", ISA,
-           "DECODE_CACHE_SIZE = 32768",
-           "DECODE_CACHE_SIZE = 1024",
+           [("DECODE_CACHE_SIZE = 32768",
+             "DECODE_CACHE_SIZE = 1024")],
            (DECODED_ONCE,)),
     Mutant("trace-blocks-of-4096-lines", CLI,
-           "TRACE_BLOCK_LINES = 256",
-           "TRACE_BLOCK_LINES = 4096",
+           [("TRACE_BLOCK_LINES = 256",
+             "TRACE_BLOCK_LINES = 4096")],
            (BLOCKS,)),
     Mutant("trace-written-only-after-a-clean-run", CLI,
            # the trace's last block written after the run, not in a `finally`
-           "finally:\n            _write_lines(block)",
-           "except SimError:\n            raise\n        _write_lines(block)",
+           [("finally:\n            _write_lines(block)",
+             "except SimError:\n            raise\n        _write_lines(block)")],
            (BLOCKS, GOLDEN)),
+    Mutant("decode-cache-keyed-by-address", CORE,
+           # a word rewritten in place keeps the decoding of its first value
+           [("\n_NEVER, _RETIRE, _HALT = range(3)",
+             "\n_BY_ADDR = {}\n_NEVER, _RETIRE, _HALT = range(3)"),
+            (LOOP + "cls, m, rd, rs1, rs2, imm = decoded = decode(ir)",
+             LOOP + "cls, m, rd, rs1, rs2, imm = decoded = " + CACHED),
+            (STATE + "cls, m, rd, rs1, rs2, imm = decoded = decode(ir)",
+             STATE + "cls, m, rd, rs1, rs2, imm = decoded = " + CACHED)],
+           (REWRITTEN, SELF_MODIFYING)),
+    Mutant("dis-listing-in-one-write", CLI,
+           [("for i in range(0, len(image.words), TRACE_BLOCK_LINES):",
+             "for i in range(0, len(image.words) and 1):"),
+            ("disassemble(MemoryImage(image.base_address + 4 * i, block))",
+             "disassemble(image)")],
+           (DIS_BLOCKS,)),
     Mutant("slt-unsigned-oracle", CORE,
-           "val = 1 if sa < sb else 0",
-           "val = 1 if a < b else 0",
+           [("val = 1 if sa < sb else 0",
+             "val = 1 if a < b else 0")],
            (ORACLE,)),
 ]
 
@@ -258,13 +278,15 @@ def check(mutant: Mutant, checkout: Path, run: Runner = run_pytest) -> dict:
     """Apply `mutant` to `checkout`, run its tests, then tier-1 if they
     pass, and put the file back: the outcome and the seconds it took."""
     path = checkout / mutant.path
-    original = path.read_text()
-    found = original.count(mutant.old)
-    if found != 1:
-        return {"name": mutant.name, "outcome": "stale", "seconds": 0.0,
-                "why": f"old text occurs {found} times in {mutant.path}"}
+    original = text = path.read_text()
+    for i, (old, new) in enumerate(mutant.edits):
+        found = text.count(old)
+        if found != 1:
+            return {"name": mutant.name, "outcome": "stale", "seconds": 0.0,
+                    "why": f"old text {i} occurs {found} times in {mutant.path}"}
+        text = text.replace(old, new)
     began = time.perf_counter()
-    path.write_text(original.replace(mutant.old, mutant.new))
+    path.write_text(text)
     try:
         code = run(checkout, list(mutant.tests))
         if code in _BAD_SELECTION:

@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 a failed `selftest` check, 2 input errors
 unwritable `--report` or `--dump-mem` path, or a stdout closed by its
 reader, as in `rv32mc run x.hex --trace | head -1`), 3 runtime faults,
 4 cycle-budget exhaustion.  All configuration is via flags.  Each flag
-is checked once: by its argparse type, or by the object it configures
-(UnifiedMemory, EnergyModel, Core.run), and all of those checks run
+is checked once: by its argparse type, or by the code that uses it
+(`memory.check_size`, EnergyModel, Core.run), and all of those checks run
 before the first instruction is fetched.
 """
 
@@ -28,7 +28,7 @@ from .asm import assemble, disassemble, load_hex_file, save_hex_file
 from .core import DEFAULT_MAX_CYCLES, TraceSpan, _csv_tail
 from .errors import SimError
 from .harness import PeripheralMap, Simulator, execute_script, parse_script
-from .memory import DEFAULT_MEM_SIZE, UnifiedMemory
+from .memory import DEFAULT_MEM_SIZE, MemoryImage, check_size
 from .metrics import EnergyModel, HaltReason, attach_metrics, render_kv, render_text
 from .selfcheck import run_selftest
 
@@ -54,9 +54,9 @@ def integer(text: str) -> int:
 
 def _simulator(args: argparse.Namespace) -> Simulator:
     """Memory of `--mem-size` and its devices: the default map, packed just
-    above memory, or `--peripheral-map`'s.  Memory checks the size first,
-    so a bad size is not reported as a bad device."""
-    UnifiedMemory(args.mem_size)
+    above memory, or `--peripheral-map`'s.  The size is checked first, so
+    a bad size is not reported as a bad device."""
+    check_size(args.mem_size)
     if args.peripheral_map is None:
         return Simulator(args.mem_size, PeripheralMap.default(args.mem_size))
     with open(args.peripheral_map, "r", encoding="utf-8") as f:
@@ -82,13 +82,13 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 
 def _cmd_dis(args: argparse.Namespace) -> int:
     try:
-        text = disassemble(load_hex_file(args.image))
+        image = load_hex_file(args.image)
     except (OSError, ValueError, SimError) as e:
         _error("dis", e)
         return EXIT_INPUT
-    lines = text.splitlines()
-    for i in range(0, len(lines), TRACE_BLOCK_LINES):  # bounded, so a closed stdout shows
-        _write_lines(lines[i:i + TRACE_BLOCK_LINES])
+    for i in range(0, len(image.words), TRACE_BLOCK_LINES):  # bounded, so a closed stdout shows
+        block = image.words[i:i + TRACE_BLOCK_LINES]
+        sys.stdout.write(disassemble(MemoryImage(image.base_address + 4 * i, block)))
     return EXIT_OK
 
 

@@ -42,10 +42,15 @@ class MemoryImage:
         return cls(lo, [words.get(a, 0) for a in range(lo, hi + 4, 4)])
 
 
+def check_size(size_bytes: int) -> None:
+    """Refuse a memory size that is not a positive multiple of 4 bytes."""
+    if size_bytes <= 0 or size_bytes % 4:
+        raise ValueError(f"size_bytes={size_bytes} must be a positive multiple of 4")
+
+
 class UnifiedMemory:
     def __init__(self, size_bytes: int = DEFAULT_MEM_SIZE):
-        if size_bytes <= 0 or size_bytes % 4:
-            raise ValueError(f"size_bytes={size_bytes} must be a positive multiple of 4")
+        check_size(size_bytes)
         self.size_bytes = size_bytes
         self.words = [0] * (size_bytes // 4)
         self.pending_write: tuple[int, int] | None = None

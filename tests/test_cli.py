@@ -1,17 +1,20 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rv32mc import parse_hex
-from rv32mc.cli import dispatch
+from rv32mc import disassemble, load_hex_file, parse_hex
+from rv32mc.cli import TRACE_BLOCK_LINES, dispatch
 from rv32mc.harness import DEVICE_NAMES
+from rv32mc.memory import UnifiedMemory
 from rv32mc.programs import DEMO, PACER
 
 GOLDEN_DEMO_TRACE = [
@@ -259,6 +262,20 @@ def test_script_bad_mem_size_exit_code(tmp_path, capsys, size):
     assert err == f"error[input]: size_bytes={size} must be a positive multiple of 4\n"
 
 
+@pytest.mark.parametrize("command", ["run", "script"])
+def test_run_and_script_build_one_memory(demo_hex, tmp_path, capsys, monkeypatch, command):
+    # The `--mem-size` check builds no memory of its own.
+    built, init = [], UnifiedMemory.__init__
+    monkeypatch.setattr(UnifiedMemory, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    target = demo_hex
+    if command == "script":
+        target = tmp_path / "bringup.txt"
+        target.write_text("load demo.hex\nreset\nstart\nrun 8\n")
+    assert dispatch([command, str(target), "--mem-size", "8192"]) == 0
+    assert built == [(8192,)]
+
+
 @pytest.mark.parametrize(
     "flag", [["--mem-size", "4097"], ["--max-cycles", "0"], ["--pj-per-cycle", "nan"],
              ["--freq-hz", "inf"]],
@@ -501,3 +518,37 @@ def test_dis_to_closed_stdout_exits_2_with_one_output_error(tmp_path):
     assert code == 2
     assert first == b"addi x1, x0, 5\n"
     assert len(err.splitlines()) == 1 and err.startswith("error[output]: "), err
+
+
+class _Digest:
+    """A stdout that keeps a digest of what is written, not the text, and
+    the line count of each write."""
+
+    def __init__(self):
+        self.sha, self.lines = hashlib.sha256(), []
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        self.lines.append(text.count("\n"))
+
+    def flush(self):
+        pass
+
+
+def test_dis_formats_and_writes_one_block_at_a_time(tmp_path):
+    # 2^18 zero words between two instructions: 262,145 listing lines, about
+    # 4.5 MB of text, never held whole; the image's word list is 2 MiB.
+    hex_path = tmp_path / "gap.hex"
+    hex_path.write_text("00000013\n@40000\n0000006f\n")
+    out = _Digest()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert dispatch(["dis", str(hex_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = disassemble(load_hex_file(str(hex_path)))
+    assert out.sha.digest() == hashlib.sha256(expected.encode()).digest()
+    assert len(out.lines) == 1025 and max(out.lines) <= TRACE_BLOCK_LINES
+    assert peak < 8 * 2**20, peak

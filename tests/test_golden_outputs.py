@@ -6,8 +6,10 @@ image (`<name>.hex`), `dis` of it (`<name>.dis`), the `run` report in text
 (`<name>.report.txt`) and the `--dump-mem` image (`<name>.mem.hex`); the
 `asm --base 0x100` image of timing (`timing.base.hex`, whose `@` record
 heads it) and `dis` of it (`timing.base.dis`); the `selftest` stdout
-(`selftest.txt`); and two traced runs that end in the middle of an
-instruction, each as its stdout (`.out`), stderr (`.err`) and exit code
+(`selftest.txt`); the `script` stdout of `BRINGUP`, a bring-up of demo
+whose `observe` stops the core, so that a later `run` is held until
+`start` (`demo.script.txt`); and two traced runs that end in the middle
+of an instruction, each as its stdout (`.out`), stderr (`.err`) and exit code
 (`.exit`): pacer under `--max-cycles 100` (`pacer.trace-budget.*`, exit 4)
 and a load from an unmapped address, which faults in MemRead
 (`unmapped-load.hex`, `unmapped-load.trace-fault.*`, exit 3); a fault in
@@ -15,7 +17,9 @@ Decode, Fetch and MemWrite (`<name>.hex` of `FAULTS`), each traced twice
 and exiting 3: unbudgeted (`<name>.trace-fault.*`), which runs the faulting
 instruction whole, and under a budget that it starts within 5 cycles of
 (`<name>.trace-fault-budget.*`), which runs it state by state; and one bad
-input per `error[...]` kind of `BAD_INPUTS` (`<kind>-error.*`, exit 2).  A
+input per `error[...]` kind of `BAD_INPUTS` (`<kind>-error.*`, exit 2), and
+an `error[output]`: a kv `run` of demo whose `--report` path is the
+current directory (`output-error.*`, exit 2).  A
 change that alters any of these bytes on purpose regenerates them and
 names each changed file:
 
@@ -41,6 +45,8 @@ FAULTS = {
     "far-jump": ("jal x0, 0x2000\n", 6),  # Fetch
     "misaligned-store": ("addi x1, x0, 2\nsw x1, 0(x1)\njal x0, 0\n", 8),  # MemWrite
 }
+# The bring-up script of `demo.script.txt`, also run by the CI `installed` job.
+BRINGUP = "load demo.hex\nreset\nstart\nrun 8\nobserve 0 8\nrun 4\nstart\nrun 3\n"
 # One bad input per error kind whose message names no path: subcommand,
 # input file name and text, and any further arguments.
 BAD_INPUTS = {
@@ -85,6 +91,9 @@ def render_outputs(work: Path) -> dict[str, bytes]:
     outputs[base_hex.name] = base_hex.read_bytes()
     outputs["timing.base.dis"] = _stdout(["dis", str(base_hex)])
     outputs["selftest.txt"] = _stdout(["selftest"])
+    script = work / "bringup.txt"
+    script.write_text(BRINGUP)
+    outputs["demo.script.txt"] = _stdout(["script", str(script)])
     trace = ["--trace", "--format", "kv"]
     outputs.update(_ending("pacer.trace-budget",
                            ["run", str(work / "pacer.hex"), *trace, "--max-cycles", "100"]))
@@ -101,6 +110,8 @@ def render_outputs(work: Path) -> dict[str, bytes]:
         bad = work / file_name
         bad.write_text(text)
         outputs.update(_ending(f"{kind}-error", [command, str(bad), *rest]))
+    outputs.update(_ending("output-error",
+                           ["run", str(work / "demo.hex"), "--format", "kv", "--report", "."]))
     return outputs
 
 

@@ -20,8 +20,11 @@ def mutants():
 
 def test_every_old_text_occurs_exactly_once_in_the_tree(mutants):
     for m in mutants.MUTANTS:
-        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
-        assert m.old != m.new and m.tests, m.name
+        assert m.edits and m.tests, m.name
+        text = (ROOT / m.path).read_text()
+        for old, new in m.edits:
+            assert text.count(old) == 1 and old != new, (m.name, old)
+            text = text.replace(old, new)
 
 
 def test_names_are_unique_and_named_tests_exist(mutants):
@@ -54,7 +57,7 @@ def _tree(tmp_path, text="x = 1\ny = 2\n"):
 
 
 def _mutant(mutants, old="y = 2", new="y = 3"):
-    return mutants.Mutant("y-plus-one", "pkg/mod.py", old, new, ("tests/test_y.py::test_y",))
+    return mutants.Mutant("y-plus-one", "pkg/mod.py", [(old, new)], ("tests/test_y.py::test_y",))
 
 
 def test_killed_by_its_named_tests_runs_no_tier1_and_restores_the_file(mutants, tmp_path):
@@ -83,6 +86,25 @@ def test_old_text_not_found_exactly_once_is_stale_and_runs_nothing(mutants, tmp_
     assert (tree / "pkg" / "mod.py").read_text() == text
 
 
+def test_every_edit_of_an_entry_is_applied_at_once(mutants, tmp_path):
+    tree, runner = _tree(tmp_path), StubRunner("pkg/mod.py", named=1)
+    mutant = mutants.Mutant("both", "pkg/mod.py", [("x = 1", "x = 0"), ("y = 2", "y = 3")],
+                            ("tests/test_y.py",))
+    assert mutants.check(mutant, tree, runner)["outcome"] == "killed"
+    assert [text for _, _, text in runner.calls] == ["x = 0\ny = 3\n"]
+    assert (tree / "pkg" / "mod.py").read_text() == "x = 1\ny = 2\n"
+
+
+@pytest.mark.parametrize("edits", [[("x = 1", "x = 0"), ("z = 3", "z = 4")],
+                                   [("x = 1", "y = 2"), ("y = 2", "y = 3")]],
+                         ids=["second-missing", "second-twice-after-the-first"])
+def test_an_entry_with_any_old_text_not_found_once_is_stale(mutants, tmp_path, edits):
+    tree, runner = _tree(tmp_path), StubRunner("pkg/mod.py")
+    result = mutants.check(mutants.Mutant("pair", "pkg/mod.py", edits, ("t.py",)), tree, runner)
+    assert result["outcome"] == "stale" and result["why"].startswith("old text 1 ")
+    assert runner.calls == [] and (tree / "pkg" / "mod.py").read_text() == "x = 1\ny = 2\n"
+
+
 @pytest.mark.parametrize("code", [2, 3, 4, 5])
 def test_named_tests_pytest_cannot_run_are_an_error_not_a_kill(mutants, tmp_path, code):
     tree, runner = _tree(tmp_path), StubRunner("pkg/mod.py", named=code)
@@ -95,7 +117,7 @@ def test_main_exits_1_unless_every_mutant_is_killed(mutants, monkeypatch):
     exported = []
     monkeypatch.setattr(mutants, "export", lambda rev, dest: exported.append(rev) or _tree(dest))
     monkeypatch.setattr(mutants, "MUTANTS", [_mutant(mutants), mutants.Mutant(
-        "x-zero", "pkg/mod.py", "x = 1", "x = 0", ("tests/test_x.py",))])
+        "x-zero", "pkg/mod.py", [("x = 1", "x = 0")], ("tests/test_x.py",))])
     lines = []
     codes = iter([1, 0, 0])  # y-plus-one killed; x-zero passes both stages
     assert mutants.main(["--rev", "WORKTREE"], run=lambda c, a: next(codes), log=lines.append) == 1
