@@ -19,7 +19,10 @@ instruction whole, and under a budget that it starts within 5 cycles of
 (`<name>.trace-fault-budget.*`), which runs it state by state; and one bad
 input per `error[...]` kind of `BAD_INPUTS` (`<kind>-error.*`, exit 2), and
 an `error[output]`: a kv `run` of demo whose `--report` path is the
-current directory (`output-error.*`, exit 2).  A
+current directory (`output-error.*`, exit 2); and, so that nothing large
+is committed, the sha256 of the `run --trace --format kv` stdout of
+generated programs, one line per key (`traces.sha256`): `tests/progen.py`
+programs by seed, and the self-modifying MMIO loop of `test_trace_blocks`.  A
 change that alters any of these bytes on purpose regenerates them and
 names each changed file:
 
@@ -27,11 +30,16 @@ names each changed file:
 """
 
 import contextlib
+import hashlib
 import io
+import random
 import tempfile
 from pathlib import Path
 
+from progen import random_program
+from rv32mc import assemble, image_to_hex
 from rv32mc.cli import dispatch
+from test_trace_blocks import HALTS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden_outputs"
@@ -55,6 +63,8 @@ BAD_INPUTS = {
     "dis": ("dis", "bad.hex", "0000001z\n", []),  # a bad hex word
     "script": ("script", "bad.txt", "frob\n", []),  # an unknown command
 }
+# `traces.sha256` keys: progen seeds, then the self-modifying MMIO loop.
+TRACE_SEEDS = (1, 2, 3)
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -112,6 +122,15 @@ def render_outputs(work: Path) -> dict[str, bytes]:
         outputs.update(_ending(f"{kind}-error", [command, str(bad), *rest]))
     outputs.update(_ending("output-error",
                            ["run", str(work / "demo.hex"), "--format", "kv", "--report", "."]))
+    images = {f"progen-seed-{seed}": random_program(random.Random(seed)) for seed in TRACE_SEEDS}
+    images["self-modifying-loop"] = assemble(HALTS)
+    digests = []
+    for key, image in images.items():
+        traced = work / f"{key}.hex"
+        traced.write_text(image_to_hex(image))
+        trace = hashlib.sha256(_stdout(["run", str(traced), "--trace", "--format", "kv"]))
+        digests.append(f"{trace.hexdigest()}  {key}\n")
+    outputs["traces.sha256"] = "".join(digests).encode()
     return outputs
 
 

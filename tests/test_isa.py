@@ -9,7 +9,7 @@ from rv32mc.errors import (
     MisalignedImmediate,
     UnsupportedInstruction,
 )
-from rv32mc.isa import ENCODING, MNEMONIC_CLASS
+from rv32mc.isa import ENCODING, MNEMONIC_CLASS, encode_fields
 
 SHIFT_MNEMONICS = frozenset(m for m, (shape, _) in ENCODING.items() if shape == "shift")
 
@@ -147,3 +147,50 @@ def test_decode_total_over_random_words():
         accepted += 1
         assert encode(d) == word
     assert accepted > 0
+
+
+# --- diagnostics, frozen text ---
+
+@pytest.mark.parametrize("word, text", [
+    (0x02000033, "R-type funct3=0b000 funct7=0b0000001 in 0x02000033"),  # mul
+    (0x40001033, "R-type funct3=0b001 funct7=0b0100000 in 0x40001033"),  # sll with sub's funct7
+    (0x02001093, "shift funct7=0b0000001 in 0x02001093"),
+    (0x42015093, "shift funct7=0b0100001 in 0x42015093"),
+    (0x40001093, "shift funct7=0b0100000 in 0x40001093"),  # slli with srai's funct7
+    (0x00004003, "load funct3=0b100 in 0x00004003 (only lw)"),  # lbu
+    (0x00001023, "store funct3=0b001 in 0x00001023 (only sw)"),  # sh
+    (0x00001063, "branch funct3=0b001 in 0x00001063 (only beq)"),  # bne
+    (0x00008067, "opcode 0b1100111 in 0x00008067"),  # jalr
+    (0x00000000, "opcode 0b0000000 in 0x00000000"),
+    (0xFFFFFFFF, "opcode 0b1111111 in 0xFFFFFFFF"),
+])
+def test_decode_diagnostics_are_frozen(word, text):
+    with pytest.raises(UnsupportedInstruction) as exc:
+        decode(word)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("mnemonic, fields, error, text", [
+    ("addi", dict(rd=1, imm=-2049), ImmediateOutOfRange, "immediate -2049 outside [-2048, 2047]"),
+    ("addi", dict(rd=1, imm=2048), ImmediateOutOfRange, "immediate 2048 outside [-2048, 2047]"),
+    ("lw", dict(rd=1, imm=-2049), ImmediateOutOfRange, "immediate -2049 outside [-2048, 2047]"),
+    ("sw", dict(rs2=1, imm=2048), ImmediateOutOfRange, "immediate 2048 outside [-2048, 2047]"),
+    ("beq", dict(imm=-4097), ImmediateOutOfRange, "immediate -4097 outside [-4096, 4095]"),
+    ("beq", dict(imm=4096), ImmediateOutOfRange, "immediate 4096 outside [-4096, 4095]"),
+    ("jal", dict(imm=-(1 << 20) - 1), ImmediateOutOfRange,
+     "immediate -1048577 outside [-1048576, 1048575]"),
+    ("jal", dict(imm=1 << 20), ImmediateOutOfRange, "immediate 1048576 outside [-1048576, 1048575]"),
+    ("slli", dict(rd=1, imm=-1), ImmediateOutOfRange, "shift amount -1 outside [0, 31]"),
+    ("srai", dict(rd=1, imm=32), ImmediateOutOfRange, "shift amount 32 outside [0, 31]"),
+    ("beq", dict(imm=3), MisalignedImmediate, "odd branch offset 3"),
+    ("beq", dict(imm=-4095), MisalignedImmediate, "odd branch offset -4095"),
+    ("jal", dict(imm=-5), MisalignedImmediate, "odd jump offset -5"),
+    ("jal", dict(imm=(1 << 20) - 1), MisalignedImmediate, "odd jump offset 1048575"),
+])
+def test_encode_diagnostics_are_frozen(mnemonic, fields, error, text):
+    with pytest.raises(error) as exc:
+        encode_fields(mnemonic, **fields)
+    assert type(exc.value) is error and str(exc.value) == text
+    with pytest.raises(error) as exc:
+        encode(instr(mnemonic, **fields))
+    assert str(exc.value) == text
