@@ -24,7 +24,9 @@ The last mutants reach past the engine: the trace's held flag, the
 `.word` text of an undecodable word, the oracle's `slt`, the decode memo's
 bound, a decode cache keyed by address at both decode sites, the CLI's
 trace blocks, their size and the `finally` that writes the lines before a
-fault, and a `dis` listing written in one call.
+fault, and a `dis` listing written in one call.  The codec's mutants each
+change one fact of its two tables, which both directions read, so only
+the independent golden encodings can see them.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ DIS_BLOCKS = "tests/test_cli.py::test_dis_formats_and_writes_one_block_at_a_time
 REWRITTEN = "tests/test_decode_cache.py::test_a_word_rewritten_in_place_is_decoded_anew"
 SELF_MODIFYING = "tests/test_decode_cache.py::test_self_modifying_loop_matches_oracle"
 GOLDEN = "tests/test_golden_outputs.py::test_cli_outputs_match_golden_files"
+ENCODES = "tests/test_golden_encodings.py::test_encode_matches_golden"
+DECODES = "tests/test_golden_encodings.py::test_decode_matches_golden"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -259,6 +263,22 @@ MUTANTS = [
            [("val = 1 if sa < sb else 0",
              "val = 1 if a < b else 0")],
            (ORACLE,)),
+    Mutant("branch-imm-4-1-one-word-bit-up", ISA,
+           [("(1, 8, 4)",
+             "(1, 9, 4)")],
+           (ENCODES,)),
+    Mutant("decode-sign-term-dropped", ISA,
+           [("imm = -(word >> 31) << bits",
+             "imm = 0")],
+           (DECODES,)),
+    Mutant("jump-imm-19-12-one-bit-narrower", ISA,
+           [("(12, 12, 8)",
+             "(12, 12, 7)")],
+           (ENCODES,)),
+    Mutant("sra-funct7-cleared", ISA,
+           [('"sra": ("r", 0b101, 0b0100000)',
+             '"sra": ("r", 0b101, 0b0000000)')],
+           (ENCODES,)),
 ]
 
 

@@ -5,6 +5,12 @@ Decoding is strict: any funct or opcode pattern outside the subset (jalr,
 the other branches, sub-word loads/stores, lui/auipc, fence, system ops)
 raises UnsupportedInstruction, so decode∘encode round trips are exact.
 
+The format is written once, in two tables: one row per operand shape
+(class, opcode, unused fields, the immediate's bit layout) and one row per
+mnemonic (shape, funct3, funct7).  `ENCODING`, `MNEMONIC_CLASS` and the
+decode table derive from them, and `encode_fields` and `decode` each walk
+the same layout, one direction each.
+
 `decode(word)` is the bound `__getitem__` of a process-wide memo: it takes
 the word positionally only, and its own docstring is dict's.
 """
@@ -58,71 +64,71 @@ class DecodedInstruction(NamedTuple):
     imm: int = 0
 
 
-_OP_RTYPE = 0b0110011
-_OP_IALU = 0b0010011
-_OP_LOAD = 0b0000011
-_OP_STORE = 0b0100011
-_OP_BRANCH = 0b1100011
-_OP_JAL = 0b1101111
-
-# (funct3, funct7) -> mnemonic
-_R_DECODE = {
-    (0b000, 0b0000000): "add",
-    (0b000, 0b0100000): "sub",
-    (0b001, 0b0000000): "sll",
-    (0b010, 0b0000000): "slt",
-    (0b011, 0b0000000): "sltu",
-    (0b100, 0b0000000): "xor",
-    (0b101, 0b0000000): "srl",
-    (0b101, 0b0100000): "sra",
-    (0b110, 0b0000000): "or",
-    (0b111, 0b0000000): "and",
+# Operand shape -> (class, opcode, fields the shape does not encode, the
+# immediate's fields in the word as (bit of the immediate, bit of the word,
+# width), as the ISA manual's "Immediate Encoding Variants" draw them).  The
+# shape also says how the assembler writes its operands (each row's comment).
+_SHAPES: dict[str, tuple[InstrClass, int, tuple[str, ...], tuple[tuple[int, int, int], ...]]] = {
+    "r": (InstrClass.R_ALU, 0b0110011, ("imm",), ()),                # rd, rs1, rs2
+    "i": (InstrClass.I_ALU, 0b0010011, ("rs2",), ((0, 20, 12),)),     # rd, rs1, imm
+    "shift": (InstrClass.I_ALU, 0b0010011, ("rs2",), ((0, 20, 5),)),  # rd, rs1, shamt
+    "load": (InstrClass.LOAD, 0b0000011, ("rs2",), ((0, 20, 12),)),   # rd, imm(rs1)
+    "store": (InstrClass.STORE, 0b0100011, ("rd",), ((5, 25, 7), (0, 7, 5))),  # rs2, imm(rs1)
+    "branch": (InstrClass.BRANCH, 0b1100011, ("rd",),  # rs1, rs2, even offset
+               ((12, 31, 1), (5, 25, 6), (1, 8, 4), (11, 7, 1))),
+    "jump": (InstrClass.JUMP, 0b1101111, ("rs1", "rs2"),  # rd, even offset
+             ((20, 31, 1), (1, 21, 10), (11, 20, 1), (12, 12, 8))),
 }
 
-# funct3 -> mnemonic, immediate is the full 12-bit I field
-_I_DECODE = {
-    0b000: "addi",
-    0b010: "slti",
-    0b011: "sltiu",
-    0b100: "xori",
-    0b110: "ori",
-    0b111: "andi",
+# Mnemonic -> (operand shape, funct3, funct7); None where the shape has
+# immediate bits in that field's place.
+_MNEMONICS: dict[str, tuple[str, int | None, int | None]] = {
+    "add": ("r", 0b000, 0b0000000),
+    "sub": ("r", 0b000, 0b0100000),
+    "sll": ("r", 0b001, 0b0000000),
+    "slt": ("r", 0b010, 0b0000000),
+    "sltu": ("r", 0b011, 0b0000000),
+    "xor": ("r", 0b100, 0b0000000),
+    "srl": ("r", 0b101, 0b0000000),
+    "sra": ("r", 0b101, 0b0100000),
+    "or": ("r", 0b110, 0b0000000),
+    "and": ("r", 0b111, 0b0000000),
+    "addi": ("i", 0b000, None),
+    "slti": ("i", 0b010, None),
+    "sltiu": ("i", 0b011, None),
+    "xori": ("i", 0b100, None),
+    "ori": ("i", 0b110, None),
+    "andi": ("i", 0b111, None),
+    "slli": ("shift", 0b001, 0b0000000),
+    "srli": ("shift", 0b101, 0b0000000),
+    "srai": ("shift", 0b101, 0b0100000),
+    "lw": ("load", 0b010, None),
+    "sw": ("store", 0b010, None),
+    "beq": ("branch", 0b000, None),
+    "jal": ("jump", None, None),
 }
 
-# (funct3, funct7) -> mnemonic, immediate is the 5-bit shamt field
-_SHIFT_DECODE = {
-    (0b001, 0b0000000): "slli",
-    (0b101, 0b0000000): "srli",
-    (0b101, 0b0100000): "srai",
-}
-
-# Operand shape -> (class, fields the shape does not encode).  The shape
-# says which fields an instruction has, where its immediate goes in the
-# word, and how the assembler writes its operands.
-_SHAPES: dict[str, tuple[InstrClass, tuple[str, ...]]] = {
-    "r": (InstrClass.R_ALU, ("imm",)),       # rd, rs1, rs2
-    "i": (InstrClass.I_ALU, ("rs2",)),       # rd, rs1, 12-bit imm
-    "shift": (InstrClass.I_ALU, ("rs2",)),   # rd, rs1, 5-bit shamt
-    "load": (InstrClass.LOAD, ("rs2",)),     # rd, imm(rs1), I layout
-    "store": (InstrClass.STORE, ("rd",)),    # rs2, imm(rs1)
-    "branch": (InstrClass.BRANCH, ("rd",)),  # rs1, rs2, even 13-bit offset
-    "jump": (InstrClass.JUMP, ("rs1", "rs2")),  # rd, even 21-bit offset
-}
-
-# Mnemonic -> (operand shape, the bits every encoding of it shares:
-# opcode, funct3 and, for "r" and "shift", funct7).  `encode_fields` packs
-# from it and `decode` looks up its inverse.
-ENCODING: dict[str, tuple[str, int]] = {
-    **{m: ("r", f7 << 25 | f3 << 12 | _OP_RTYPE) for (f3, f7), m in _R_DECODE.items()},
-    **{m: ("i", f3 << 12 | _OP_IALU) for f3, m in _I_DECODE.items()},
-    **{m: ("shift", f7 << 25 | f3 << 12 | _OP_IALU) for (f3, f7), m in _SHIFT_DECODE.items()},
-    "lw": ("load", 0b010 << 12 | _OP_LOAD),
-    "sw": ("store", 0b010 << 12 | _OP_STORE),
-    "beq": ("branch", _OP_BRANCH),
-    "jal": ("jump", _OP_JAL),
-}
+# Mnemonic -> (operand shape, the bits every encoding of it shares).
+ENCODING: dict[str, tuple[str, int]] = {m: (shape, (f7 or 0) << 25 | (f3 or 0) << 12 | _SHAPES[shape][1])
+                                        for m, (shape, f3, f7) in _MNEMONICS.items()}
 
 MNEMONIC_CLASS: dict[str, InstrClass] = {m: _SHAPES[shape][0] for m, (shape, _) in ENCODING.items()}
+
+
+def _immediate(shape: str) -> tuple[str, int, int, int, int, tuple[tuple[int, int, int], ...]]:
+    """What its immediate is called, its range and width, the bits of it the
+    word drops, and its fields as (bit of it, bit of the word, mask)."""
+    layout = _SHAPES[shape][3]
+    bits = max((at + width for at, _, width in layout), default=0)
+    kept = sum(((1 << width) - 1) << at for at, _, width in layout)
+    fields = tuple((at, bit, (1 << width) - 1) for at, bit, width in layout)
+    if shape == "shift":
+        return "shift amount", 0, kept, bits, 0, fields
+    half = (1 << bits) >> 1
+    return "immediate", -half, half - 1, bits, ((1 << bits) - 1) & ~kept, fields
+
+
+_IMMEDIATES = {shape: _immediate(shape) for shape in _SHAPES}
 
 
 def instr(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> DecodedInstruction:
@@ -132,37 +138,37 @@ def instr(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) 
     return DecodedInstruction(MNEMONIC_CLASS[mnemonic], mnemonic, rd, rs1, rs2, imm)
 
 
-def _decode_table() -> dict[int, tuple[InstrClass, str, str | dict[int, str]]]:
-    """opcode | funct3 << 12 -> (class, shape, mnemonic), or for the
-    shapes that funct7 selects within, (class, shape, {funct7: mnemonic}).
-    jal has no funct3, so it sits under all eight."""
+def _decode_table() -> dict[int, tuple]:
+    """opcode | funct3 << 12 -> (class, mnemonic, or {funct7: mnemonic} where
+    funct7 selects it, the masks of rd, rs1 and rs2, and the immediate's
+    width and fields).  jal has no funct3, so it sits under all eight."""
     table: dict = {}
-    for m, (shape, fixed) in ENCODING.items():
-        cls = _SHAPES[shape][0]
-        for f3 in range(8) if shape == "jump" else [(fixed >> 12) & 0x7]:
-            key = (f3 << 12) | (fixed & 0x7F)
-            if shape in ("r", "shift"):
-                table.setdefault(key, (cls, shape, {}))[2][fixed >> 25] = m
+    for m, (shape, f3, f7) in _MNEMONICS.items():
+        cls, opcode, unused, _ = _SHAPES[shape]
+        masks = [0 if name in unused else 0x1F for name in ("rd", "rs1", "rs2")]
+        bits, fields = _IMMEDIATES[shape][3], _IMMEDIATES[shape][5]
+        for key in range(opcode, 0x8000, 0x1000) if f3 is None else [opcode | f3 << 12]:
+            if f7 is None:
+                table[key] = (cls, m, *masks, bits, fields)
             else:
-                table[key] = (cls, shape, m)
+                table.setdefault(key, (cls, {}, *masks, bits, fields))[1][f7] = m
     return table
 
 
 _DECODE = _decode_table()
 
-# Opcode -> (shape, mnemonic) where the subset has one funct3 of it.
-_ONLY = {fixed & 0x7F: (shape, m) for m, (shape, fixed) in ENCODING.items()
-         if shape in ("load", "store", "branch")}
+# Opcode -> (shape, mnemonic) of its last row: for I-type, a shift.
+_BY_OPCODE = {_SHAPES[shape][1]: (shape, m) for m, (shape, _, _) in _MNEMONICS.items()}
 
 
 def _unsupported(word: int) -> UnsupportedInstruction:
     opcode, funct3, funct7 = word & 0x7F, (word >> 12) & 0x7, word >> 25
-    if opcode == _OP_RTYPE:
+    shape, m = _BY_OPCODE.get(opcode, (None, None))
+    if shape == "r":
         why = f"R-type funct3={funct3:#05b} funct7={funct7:#09b} in 0x{word:08X}"
-    elif opcode == _OP_IALU:  # every funct3 is used; only a shift's funct7 can miss
+    elif shape == "shift":  # every funct3 is used; only a shift's funct7 can miss
         why = f"shift funct7={funct7:#09b} in 0x{word:08X}"
-    elif opcode in _ONLY:
-        shape, m = _ONLY[opcode]
+    elif shape:
         why = f"{shape} funct3={funct3:#05b} in 0x{word:08X} (only {m})"
     else:
         why = f"opcode {opcode:#09b} in 0x{word:08X}"
@@ -185,40 +191,15 @@ _new = functools.partial(tuple.__new__, DecodedInstruction)
 
 def _decode(word: int) -> DecodedInstruction:
     word &= MASK32
-    cls, shape, m = _DECODE.get(word & 0x707F, (None, None, None))
+    cls, m, rd, rs1, rs2, bits, fields = _DECODE.get(word & 0x707F, (None,) * 7)
     if isinstance(m, dict):
         m = m.get(word >> 25)
     if m is None:
         raise _unsupported(word)
-    rd = (word >> 7) & 0x1F
-    rs1 = (word >> 15) & 0x1F
-    rs2 = (word >> 20) & 0x1F
-    if shape == "r":
-        return _new((cls, m, rd, rs1, rs2, 0))
-    if shape == "shift":
-        return _new((cls, m, rd, rs1, 0, rs2))
-    # Every immediate's sign is bit 31: shifting the signed word right
-    # sign-extends the top field, and the other fields are OR'd below it.
-    sword = (word ^ 0x80000000) - 0x80000000
-    if shape == "i" or shape == "load":
-        return _new((cls, m, rd, rs1, 0, sword >> 20))
-    if shape == "store":
-        return _new((cls, m, 0, rs1, rs2, ((sword >> 25) << 5) | rd))
-    if shape == "branch":
-        imm = (
-            ((sword >> 31) << 12)
-            | (((word >> 7) & 0x1) << 11)
-            | (((word >> 25) & 0x3F) << 5)
-            | (((word >> 8) & 0xF) << 1)
-        )
-        return _new((cls, m, 0, rs1, rs2, imm))
-    imm = (
-        ((sword >> 31) << 20)
-        | (((word >> 12) & 0xFF) << 12)
-        | (((word >> 20) & 0x1) << 11)
-        | (((word >> 21) & 0x3FF) << 1)
-    )
-    return _new((cls, m, rd, 0, 0, imm))
+    imm = -(word >> 31) << bits  # no funct7 of the subset sets bit 31
+    for at, bit, mask in fields:
+        imm |= ((word >> bit) & mask) << at
+    return _new((cls, m, (word >> 7) & rd, (word >> 15) & rs1, (word >> 20) & rs2, imm))
 
 
 class _DecodeMemo(dict):
@@ -285,39 +266,15 @@ def encode_fields(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: i
     The immediate is range-checked here, then laid out as the shape says.
     """
     shape, word = ENCODING[mnemonic]
-    word |= (rs2 << 20) | (rs1 << 15) | (rd << 7)
-    if shape == "r":
-        return word
-    if shape == "shift":
-        if not 0 <= imm <= 31:
-            raise ImmediateOutOfRange(f"shift amount {imm} outside [0, 31]")
-        return word | (imm << 20)
-    bits = 21 if shape == "jump" else 13 if shape == "branch" else 12
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if not lo <= imm <= hi:
-        raise ImmediateOutOfRange(f"immediate {imm} outside [{lo}, {hi}]")
-    if bits > 12 and imm % 2:
-        raise MisalignedImmediate(f"odd {shape} offset {imm}")
-    imm &= (1 << bits) - 1
-    if shape == "store":
-        return word | ((imm >> 5) << 25) | ((imm & 0x1F) << 7)
-    if shape == "branch":
-        return (
-            word
-            | ((imm >> 12) << 31)
-            | (((imm >> 5) & 0x3F) << 25)
-            | (((imm >> 1) & 0xF) << 8)
-            | (((imm >> 11) & 0x1) << 7)
-        )
-    if shape == "jump":
-        return (
-            word
-            | ((imm >> 20) << 31)
-            | (((imm >> 1) & 0x3FF) << 21)
-            | (((imm >> 11) & 0x1) << 20)
-            | (((imm >> 12) & 0xFF) << 12)
-        )
-    return word | (imm << 20)  # "i" and "load"
+    what, lo, hi, _, dropped, fields = _IMMEDIATES[shape]
+    if fields:
+        if not lo <= imm <= hi:
+            raise ImmediateOutOfRange(f"{what} {imm} outside [{lo}, {hi}]")
+        if imm & dropped:
+            raise MisalignedImmediate(f"odd {shape} offset {imm}")
+        for at, bit, mask in fields:
+            word |= ((imm >> at) & mask) << bit
+    return word | (rs2 << 20) | (rs1 << 15) | (rd << 7)
 
 
 def encode(ins: DecodedInstruction) -> int:
@@ -325,7 +282,7 @@ def encode(ins: DecodedInstruction) -> int:
     m = ins.mnemonic
     if m not in ENCODING:
         raise UnsupportedInstruction(f"unknown mnemonic {m!r}")
-    cls, unused = _SHAPES[ENCODING[m][0]]
+    cls, _, unused, _ = _SHAPES[ENCODING[m][0]]
     if cls is not ins.cls:
         raise ValueError(f"{m} is {cls.value}, not {ins.cls.value}")
     for name in ("rd", "rs1", "rs2"):
