@@ -14,10 +14,13 @@ pass.  Named tests that pytest cannot select or run (exit 2-5) are an
 `error`.  The script exits 1 unless every mutant is killed.
 
 The engine's loop runs whole instructions inline and a part of one
-through its per-state branches, so each engine mutant goes into both
-copies; the ALU table and the write-back of the loop's locals are shared,
-and only the inline pass sets the loop's state before a step that can
-raise and touches memory words in place.  The inline pass hands the trace
+through its per-state branches, so each mutant of an instruction's effects
+goes into both copies; the ALU table and the write-back of the loop's
+locals are shared.  The inline pass touches only aligned memory words, in
+place: a fetch, load or store anywhere else leaves it, with the state that
+makes the access, for the per-state branches, the one copy of each bus
+access and its cycle stamp.  So the inline pass's own bus mutants are its
+address guards and the states it sets.  The inline pass hands the trace
 its instruction's whole state tuple, so only the per-state retirement and
 the partial span slice theirs.
 The last mutants reach past the engine: the trace's held flag, the
@@ -92,7 +95,7 @@ DECODES = "tests/test_golden_encodings.py::test_decode_matches_golden"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
-# memory branches.
+# address guards.
 STATE = "\n" + " " * 20
 LOOP = "\n" + " " * 24
 INLINE = "\n" + " " * 28
@@ -133,14 +136,6 @@ MUTANTS = [
            [("if state is _MEM_WRITE or cycle == first:",
              "if cycle == first:")],
            (STORE_ENDS,)),
-    Mutant("device-stamp-plus-one-inline-load", CORE,
-           [("self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
-             "self.cycle_count = cycle + 1" + DEEP + "mdr = read(addr)")],
-           (STAMPS,)),
-    Mutant("device-stamp-plus-one-inline-store", CORE,
-           [("self.cycle_count = cycle" + DEEP + "write(addr",
-             "self.cycle_count = cycle + 1" + DEEP + "write(addr")],
-           (STAMPS,)),
     Mutant("device-stamp-plus-one-state-load", CORE,
            [("self.cycle_count = cycle" + STATE + "mdr = read(alu_out)",
              "self.cycle_count = cycle + 1" + STATE + "mdr = read(alu_out)")],
@@ -161,12 +156,6 @@ MUTANTS = [
            [("first <= cycle <= last",
              "first - 1 <= cycle <= last")],
            (OUTSIDE,)),
-    Mutant("fetch-fault-pc-plus-4-inline", CORE,
-           # pc advanced before a fetch through the bus, so a fault there sees pc + 4
-           [(INLINE + "ir = read(pc)",
-             INLINE + "pc = (pc + 4) & MASK32" + INLINE + "ir = read(pc - 4)" + INLINE
-             + "pc = (pc - 4) & MASK32")],
-           (FAULTS,)),
     Mutant("fetch-fault-pc-plus-4-state", CORE,
            [("ir = read(pc)" + STATE + "pc = (pc + 4) & MASK32",
              "pc = (pc + 4) & MASK32" + STATE + "ir = read(instr_pc)")],
@@ -188,12 +177,16 @@ MUTANTS = [
              "")],
            (FAULTS,)),
     Mutant("fetch-bound-past-memory-inline", CORE,
-           [("if pc < size and not pc & 3:",
-             "if pc <= size and not pc & 3:")],
+           [("if pc >= size or pc & 3:",
+             "if pc > size or pc & 3:")],
+           (EDGE,)),
+    Mutant("load-alignment-dropped-inline", CORE,
+           [("if addr >= size or addr & 3:  # MemRead below",
+             "if addr >= size:  # MemRead below")],
            (EDGE,)),
     Mutant("store-alignment-dropped-inline", CORE,
-           [("if addr < size and not addr & 3:" + DEEP + "words[addr >> 2] = b",
-             "if addr < size:" + DEEP + "words[addr >> 2] = b")],
+           [("if addr >= size or addr & 3:  # MemWrite below",
+             "if addr >= size:  # MemWrite below")],
            (EDGE,)),
     Mutant("write-back-without-cycle-count", CORE,
            [("self.mdr, self.cycle_count = a, b, alu_out, mdr, cycle",
@@ -203,10 +196,6 @@ MUTANTS = [
            [("self.ir, self.decoded = state, pc, instr_pc, ir, decoded",
              "self.ir = state, pc, instr_pc, ir")],
            (STOPS,)),
-    Mutant("no-cycle-count-before-device-load-inline", CORE,
-           [("self.cycle_count = cycle" + DEEP + "mdr = read(addr)",
-             "mdr = read(addr)")],
-           (STAMPS,)),
     Mutant("beq-costs-4-inline", CORE,
            [("pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 2\n",
              "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 3\n")],

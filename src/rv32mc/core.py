@@ -24,8 +24,10 @@ runs whole instructions while five cycles remain before the limit (so none
 can cross it), reading and writing an aligned word of the bus's `words` in
 place (a store's write is its commit).  Otherwise one branch per FSM state
 does that state's work for one cycle: `step_cycle`, the first cycle of a
-call and a budget that ends inside an instruction.  Before any other bus
-access the loop writes `cycle_count`, so device stamps fall as per cycle.
+call, a budget that ends inside an instruction, and any instruction whose
+fetch, load or store is not an aligned memory word.  Those branches make
+every bus access, and write `cycle_count` before each, so device stamps
+fall as per cycle.
 It counts each retirement by mnemonic, commits memory only after a cycle
 that can leave a write pending, and hands a trace sink one TraceSpan per
 instruction, also for one in flight when the loop stops.
@@ -45,7 +47,7 @@ from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
 from .isa import (MASK32, MNEMONIC_CLASS, WORD_CACHE_SIZE, DecodedInstruction, InstrClass,
                   decode, format_word, s32, u32)
-from .memory import DEFAULT_MEM_SIZE, MemoryImage
+from .memory import DEFAULT_MEM_SIZE, MemoryImage, check_size
 from .metrics import HaltReason, RunReport
 
 # Cycles `Core.run` may spend before it reports budget exhaustion.
@@ -239,12 +241,10 @@ class Core:
             while cycle < limit:
                 if state is _FETCH and first <= cycle <= last:  # whole instructions
                     while cycle <= last:
+                        if pc >= size or pc & 3:  # a device or a fault: Fetch below
+                            break
                         instr_pc = pc
-                        if pc < size and not pc & 3:
-                            ir = words[pc >> 2]
-                        else:  # a device or a fault, stamped at this cycle
-                            self.cycle_count = cycle
-                            ir = read(pc)
+                        ir = words[pc >> 2]
                         pc = (pc + 4) & MASK32
                         cycle += 1
                         state = _DECODE
@@ -262,25 +262,20 @@ class Core:
                         elif cls is _LOAD:
                             alu_out = addr = (a + imm) & MASK32
                             cycle += 2
-                            if addr < size and not addr & 3:
-                                mdr = words[addr >> 2]
-                            else:
+                            if addr >= size or addr & 3:  # MemRead below
                                 state = _MEM_READ
-                                self.cycle_count = cycle
-                                mdr = read(addr)
+                                break
+                            mdr = words[addr >> 2]
                             if rd:
                                 regs[rd] = mdr
                             cycle += 2
                         elif cls is _STORE:
                             alu_out = addr = (a + imm) & MASK32
                             cycle += 2
-                            if addr < size and not addr & 3:
-                                words[addr >> 2] = b  # the MemWrite and its commit
-                            else:
+                            if addr >= size or addr & 3:  # MemWrite below
                                 state = _MEM_WRITE
-                                self.cycle_count = cycle
-                                write(addr, b, _EXECUTING)
-                                commit()
+                                break
+                            words[addr >> 2] = b  # the MemWrite and its commit
                             cycle += 1
                         else:  # jump
                             alu_out = pc  # the link: instr_pc + 4
@@ -296,7 +291,8 @@ class Core:
                         # any class but a jump or taken branch leaves pc at instr_pc + 4
                         if stop == _RETIRE or stop == _HALT and pc == instr_pc:
                             return True
-                    continue
+                    if cycle > last:  # else a fetch the pass left would re-enter it forever
+                        continue
                 # One cycle: the work of `state`; a bus access is stamped at this cycle.
                 if state is _FETCH:
                     instr_pc = pc
@@ -463,8 +459,7 @@ def reference_execute(
     independent route for every architectural effect the FSM engine
     produces, so it shares no ALU or state-sequencing code with it.
     """
-    if mem_size <= 0 or mem_size % 4:
-        raise ValueError(f"size_bytes={mem_size} must be a positive multiple of 4")
+    check_size(mem_size)
     words = [0] * (mem_size // 4)
     base, end = image.base_address, 4 * len(words)
     if image.words and (base % 4 or not 0 <= base <= end - 4 * len(image.words)):

@@ -63,8 +63,7 @@ class UnifiedMemory:
 
     def read_word(self, addr: int) -> int:
         """Committed contents at addr; a pending write is not yet visible."""
-        if addr & 3 or not 0 <= addr < self.size_bytes:
-            self._check_addr(addr)  # raises
+        self._check_addr(addr)
         return self.words[addr >> 2]
 
     def schedule_write(self, addr: int, value: int, mode: ControlMode) -> None:

@@ -100,6 +100,10 @@ def test_base_offsets_labels():
         (".org 0x100000000\naddi x2, x0, 2", BadOperand, 1),
         (".org 0xfffffffc\naddi x1, x0, 1\naddi x2, x0, 2", BadOperand, 3),
         (".word 0x1FFFFFFFF", ImmediateOutOfRange, 1),
+        ("addi x1, x0, 1:", BadOperand, 1),  # a colon that ends no label
+        ("\n.org", OperandCount, 2),
+        (".word", OperandCount, 1),
+        ("jal x0, x5", BadOperand, 1),  # a register is neither label nor offset
     ],
 )
 def test_diagnostics_carry_origin_line(src, err, line):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rv32mc import disassemble, load_hex_file, parse_hex
+from rv32mc import disassemble, load_hex_file, parse_hex, selfcheck
 from rv32mc.cli import TRACE_BLOCK_LINES, dispatch
 from rv32mc.harness import DEVICE_NAMES
 from rv32mc.memory import UnifiedMemory
@@ -244,6 +244,23 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "selftest: golden encodings: PASS" in out
     assert out.strip().endswith("selftest: PASS")
+
+
+# The codec round-trips every word it decodes, so only a wrong encoder
+# reaches the re-encode line.
+@pytest.mark.parametrize("entry, encoder, line", [
+    (("addi x1, x0, 1", 0x00100094), None,
+     "selftest: FAIL encode 'addi x1, x0, 1': got 0x00100093, want 0x00100094"),
+    (("addi x1, x0, 1", 0x00100093), lambda ins: 0, "selftest: FAIL re-encode 0x00100093"),
+    (("addi x1, x0, 0x1", 0x00100093), None, "selftest: FAIL disassemble 0x00100093"),
+], ids=["encode", "re-encode", "disassemble"])
+def test_selftest_names_a_wrong_golden_encoding(monkeypatch, entry, encoder, line):
+    monkeypatch.setattr(selfcheck, "GOLDEN_ENCODINGS", [entry])
+    if encoder is not None:
+        monkeypatch.setattr(selfcheck, "encode", encoder)
+    lines = []
+    assert not selfcheck._check_codec(lines.append)
+    assert lines == [line, "selftest: golden encodings: FAIL (1 entries)"]
 
 
 def assert_input_error(code, capsys):

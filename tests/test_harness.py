@@ -231,6 +231,15 @@ def test_device_map_validation():
         Peripheral("radio", 0x1000)
     with pytest.raises(ValueError):
         Simulator(peripherals=PeripheralMap([Peripheral("pacing", 0x800)]))
+    for base, span in ((0x1002, 16), (0x1000, 6)):
+        with pytest.raises(ValueError, match="must be multiples of 4, span positive$"):
+            Peripheral("pacing", base, span)
+    devices = PeripheralMap.default(4096)
+    with pytest.raises(KeyError):
+        devices.device("radio")
+    with pytest.raises(ValueError, match="^access must be 'read' or 'write', not 'erase'$"):
+        devices.dispatch(0x1000, "erase")
+    assert not devices.device("pacing").event_log
 
 
 def test_device_base_below_zero_is_refused_by_name():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rv32mc import CYCLE_COST, InstrClass, decode, encode, instr
+from rv32mc import CYCLE_COST, DecodedInstruction, InstrClass, decode, encode, instr
 from rv32mc.errors import (
     ImmediateOutOfRange,
     MisalignedImmediate,
@@ -88,6 +88,15 @@ def test_encode_range_errors():
 def test_encode_rejects_bad_registers():
     with pytest.raises(ValueError):
         encode(instr("add", rd=32, rs1=0, rs2=0))
+
+
+def test_unknown_mnemonics_and_a_wrong_class_are_refused():
+    with pytest.raises(UnsupportedInstruction, match="^unknown mnemonic 'mul'$"):
+        instr("mul", rd=1)
+    with pytest.raises(UnsupportedInstruction, match="^unknown mnemonic 'mul'$"):
+        encode(DecodedInstruction(InstrClass.R_ALU, "mul", 1))
+    with pytest.raises(ValueError, match="^add is r_alu, not i_alu$"):
+        encode(DecodedInstruction(InstrClass.I_ALU, "add", 1))
 
 
 def test_encode_rejects_unencodable_fields():
