@@ -22,12 +22,14 @@ makes the access, for the per-state branches, the one copy of each bus
 access and its cycle stamp.  So the inline pass's own bus mutants are its
 address guards and the states it sets.  The inline pass hands the trace
 its instruction's whole state tuple, so only the per-state retirement and
-the partial span slice theirs.
+the partial span slice theirs.  The per-state branches take each successor
+from one table, `_NEXT`, so its mutant goes into that table.
 The last mutants reach past the engine: the trace's held flag, the
 `.word` text of an undecodable word, the oracle's `slt`, the decode memo's
 bound, a decode cache keyed by address at both decode sites, the CLI's
 trace blocks, their size and the `finally` that writes the lines before a
-fault, and a `dis` listing written in one call.  The codec's mutants each
+fault, a `dis` listing written in one call, the `--mem-size` bound and
+`image_to_hex`'s base check.  The codec's mutants each
 change one fact of its two tables, which both directions read, so only
 the independent golden encodings can see them.
 """
@@ -67,6 +69,8 @@ class Mutant(NamedTuple):
 CORE = "src/rv32mc/core.py"
 ISA = "src/rv32mc/isa.py"
 CLI = "src/rv32mc/cli.py"
+MEMORY = "src/rv32mc/memory.py"
+ASM = "src/rv32mc/asm.py"
 CLOCK = "tests/test_clock.py"
 FAULTS = f"{CLOCK}::test_every_path_faults_alike_in_the_middle_of_an_instruction"
 ENTERED = f"{CLOCK}::test_traced_runs_entered_and_left_mid_instruction_give_step_cycle_records"
@@ -92,6 +96,10 @@ SELF_MODIFYING = "tests/test_decode_cache.py::test_self_modifying_loop_matches_o
 GOLDEN = "tests/test_golden_outputs.py::test_cli_outputs_match_golden_files"
 ENCODES = "tests/test_golden_encodings.py::test_encode_matches_golden"
 DECODES = "tests/test_golden_encodings.py::test_decode_matches_golden"
+BAD_MEM_SIZE = "tests/test_cli.py::test_run_bad_flag_exit_code"
+ORACLE_MEM_SIZE = "tests/test_oracle.py::test_oracle_refuses_a_memory_size_memory_refuses"
+AT_THE_BOUND = "tests/test_cli.py::test_mem_size_at_the_bound_runs"
+HEX_BASE = "tests/test_hex_fast_path.py::test_image_to_hex_refuses_a_base_the_format_cannot_hold"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -212,6 +220,10 @@ MUTANTS = [
            [("names[end + start - cycle - 1:end]",
              "names[:cycle - start + 1]")],
            (ENTERED,)),
+    Mutant("load-takes-the-store-successor-after-mem-addr", CORE,
+           [("for m, names in _NAMES.items()}\n",
+             'for m, names in _NAMES.items()}\n_NEXT["lw"][_MEM_ADDR] = _MEM_WRITE\n')],
+           (CYCLES,)),
     Mutant("held-inverted", CORE,
            [("return self.mode != _EXECUTING.value",
              "return self.mode == _EXECUTING.value")],
@@ -248,6 +260,18 @@ MUTANTS = [
             ("disassemble(MemoryImage(image.base_address + 4 * i, block))",
              "disassemble(image)")],
            (DIS_BLOCKS,)),
+    Mutant("mem-size-bound-dropped", MEMORY,
+           [("if size_bytes > MAX_MEM_SIZE:",
+             "if False:")],
+           (BAD_MEM_SIZE, ORACLE_MEM_SIZE)),
+    Mutant("mem-size-bound-refuses-itself", MEMORY,
+           [("if size_bytes > MAX_MEM_SIZE:",
+             "if size_bytes >= MAX_MEM_SIZE:")],
+           (AT_THE_BOUND,)),
+    Mutant("image-to-hex-base-check-dropped", ASM,
+           [("if base < 0 or base % 4 or base + 4 * max(len(words), 1) > 1 << 32:",
+             "if False:")],
+           (HEX_BASE,)),
     Mutant("slt-unsigned-oracle", CORE,
            [("val = 1 if sa < sb else 0",
              "val = 1 if a < b else 0")],

@@ -193,14 +193,19 @@ def disassemble(image: MemoryImage) -> str:
 # --- hex image files ---
 
 def image_to_hex(image: MemoryImage) -> str:
-    words = image.words
+    """The image as text `parse_hex` reads back: its base must be a word
+    address, and its last word (or its base, if empty) below 2^32."""
+    base, words = image.base_address, image.words
+    if base < 0 or base % 4 or base + 4 * max(len(words), 1) > 1 << 32:
+        raise ValueError(f"base {base:#x} with {len(words)} words: an image must start at "
+                         f"a word address and end at or below 0x100000000")
     try:
         body = struct.pack(f">{len(words)}I", *words).hex("\n", 4)
     except struct.error:
         i = next(i for i, w in enumerate(words) if not (isinstance(w, int) and 0 <= w <= MASK32))
-        raise ValueError(f"word at {image.base_address + 4 * i:#x} is {words[i]!r}, "
+        raise ValueError(f"word at {base + 4 * i:#x} is {words[i]!r}, "
                          f"outside 0..0xffffffff") from None
-    head = f"@{image.base_address >> 2:x}\n" if image.base_address else ""
+    head = f"@{base >> 2:x}\n" if base else ""
     return head + body + ("\n" if body else "")
 
 

@@ -14,7 +14,8 @@ reader, as in `rv32mc run x.hex --trace | head -1`), 3 runtime faults,
 4 cycle-budget exhaustion.  All configuration is via flags.  Each flag
 is checked once: by its argparse type, or by the code that uses it
 (`memory.check_size`, EnergyModel, Core.run), and all of those checks run
-before the first instruction is fetched.
+before the first instruction is fetched.  `--mem-size` is at most 16 MiB
+(`memory.MAX_MEM_SIZE`), refused before any memory is built.
 """
 
 from __future__ import annotations

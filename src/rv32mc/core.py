@@ -23,9 +23,10 @@ has run (so a write scheduled from outside has committed), an inner loop
 runs whole instructions while five cycles remain before the limit (so none
 can cross it), reading and writing an aligned word of the bus's `words` in
 place (a store's write is its commit).  Otherwise one branch per FSM state
-does that state's work for one cycle: `step_cycle`, the first cycle of a
-call, a budget that ends inside an instruction, and any instruction whose
-fetch, load or store is not an aligned memory word.  Those branches make
+does that state's work for one cycle, and the class's `_SEQUENCE` names the
+state after it: `step_cycle`, the first cycle of a call, a budget that ends
+inside an instruction, and any instruction whose fetch, load or store is
+not an aligned memory word.  Those branches make
 every bus access, and write `cycle_count` before each, so device stamps
 fall as per cycle.
 It counts each retirement by mnemonic, commits memory only after a cycle
@@ -86,8 +87,9 @@ _SEQUENCE = {cls: (_FETCH, _DECODE, *rest) for cls, rest in {
 _HEAD = (_FETCH, _DECODE)  # every class's, before Decode names the class
 
 # State names by mnemonic (string keys hash in C, and `InstrClass` hashes
-# its name in Python).
+# its name in Python), and the state after each: Fetch after the last.
 _NAMES = {m: _SEQUENCE[cls] for m, cls in MNEMONIC_CLASS.items()}
+_NEXT = {m: dict(zip(names, names[1:] + (_FETCH,))) for m, names in _NAMES.items()}
 
 # ALU operator by mnemonic; an I-type op takes its immediate as operand b.
 # Operands are 32-bit unsigned register values.
@@ -230,7 +232,7 @@ class Core:
         Memory commits after a MemWrite cycle, and after the first cycle for
         a write scheduled from outside before it.  Whole instructions and
         single states run on the same locals, written to the core once."""
-        regs, by_mnemonic, ops = self._regs, self.by_mnemonic, _ALU_OPS
+        regs, by_mnemonic, ops, after = self._regs, self.by_mnemonic, _ALU_OPS, _NEXT
         read, write, commit, words = bus.read_word, bus.schedule_write, bus.commit_cycle, bus.words
         size = 4 * len(words)
         state, pc, instr_pc, ir, decoded = self.fsm, self.pc, self.instr_pc, self.ir, self.decoded
@@ -299,48 +301,38 @@ class Core:
                     self.cycle_count = cycle
                     ir = read(pc)
                     pc = (pc + 4) & MASK32
-                    next_state = _DECODE
                 elif state is _DECODE:
                     cls, m, rd, rs1, rs2, imm = decoded = decode(ir)
                     a, b = regs[rs1], regs[rs2]
-                    next_state = _NAMES[m][2]
                 elif state is _EXECUTE:
                     cls, m, rd, rs1, rs2, imm = decoded
                     alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)
-                    next_state = _ALU_WRITEBACK
                 elif state is _ALU_WRITEBACK:
                     rd = decoded[2]
                     if rd:
                         regs[rd] = alu_out
-                    next_state = _FETCH
                 elif state is _MEM_ADDR:
                     alu_out = (a + decoded[5]) & MASK32
-                    next_state = _MEM_READ if decoded[0] is _LOAD else _MEM_WRITE
                 elif state is _MEM_READ:
                     self.cycle_count = cycle
                     mdr = read(alu_out)
-                    next_state = _LOAD_WRITEBACK
                 elif state is _LOAD_WRITEBACK:
                     rd = decoded[2]
                     if rd:
                         regs[rd] = mdr
-                    next_state = _FETCH
                 elif state is _MEM_WRITE:
                     self.cycle_count = cycle
                     write(alu_out, b, _EXECUTING)
-                    next_state = _FETCH
                 elif state is _BRANCH_COMPLETION:
                     if a == b:
                         pc = (instr_pc + decoded[5]) & MASK32
-                    next_state = _FETCH
                 else:  # JumpLink
                     alu_out = (instr_pc + 4) & MASK32
                     pc = (instr_pc + decoded[5]) & MASK32
-                    next_state = _ALU_WRITEBACK
                 cycle += 1
                 if state is _MEM_WRITE or cycle == first:
                     commit()
-                state = next_state
+                state = after[decoded[1]][state] if state is not _FETCH else _DECODE
                 if state is not _FETCH:
                     continue
                 m = decoded[1]

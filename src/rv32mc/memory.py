@@ -23,6 +23,7 @@ from .errors import (
 from .isa import MASK32, u32
 
 DEFAULT_MEM_SIZE = 4096  # bytes
+MAX_MEM_SIZE = 0x1000000  # bytes: 16 MiB, a list of 4M words
 
 
 @dataclass
@@ -43,9 +44,12 @@ class MemoryImage:
 
 
 def check_size(size_bytes: int) -> None:
-    """Refuse a memory size that is not a positive multiple of 4 bytes."""
+    """Refuse a memory size that is not a positive multiple of 4 bytes, or
+    that is above MAX_MEM_SIZE, before any memory of that size is built."""
     if size_bytes <= 0 or size_bytes % 4:
         raise ValueError(f"size_bytes={size_bytes} must be a positive multiple of 4")
+    if size_bytes > MAX_MEM_SIZE:
+        raise ValueError(f"size_bytes={size_bytes} is above the {MAX_MEM_SIZE:#x}-byte maximum")
 
 
 class UnifiedMemory:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -270,13 +271,21 @@ def assert_input_error(code, capsys):
     return err
 
 
-@pytest.mark.parametrize("size", ["4097", "0", "-4"])
+# A size above the 16 MiB bound, and the message that names the bound.
+TOO_BIG = "0x1000004"
+TOO_BIG_ERROR = "error[input]: size_bytes=16777220 is above the 0x1000000-byte maximum\n"
+
+
+@pytest.mark.parametrize("size", ["4097", "0", "-4", TOO_BIG])
 def test_script_bad_mem_size_exit_code(tmp_path, capsys, size):
     script = tmp_path / "s.txt"
     script.write_text("reset\n")
     err = assert_input_error(dispatch(["script", str(script), "--mem-size", size]), capsys)
     # Memory checks the size before a device is placed above it.
-    assert err == f"error[input]: size_bytes={size} must be a positive multiple of 4\n"
+    if size == TOO_BIG:
+        assert err == TOO_BIG_ERROR
+    else:
+        assert err == f"error[input]: size_bytes={size} must be a positive multiple of 4\n"
 
 
 @pytest.mark.parametrize("command", ["run", "script"])
@@ -295,12 +304,43 @@ def test_run_and_script_build_one_memory(demo_hex, tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "flag", [["--mem-size", "4097"], ["--max-cycles", "0"], ["--pj-per-cycle", "nan"],
-             ["--freq-hz", "inf"]],
+             ["--freq-hz", "inf"], ["--mem-size", TOO_BIG]],
 )
 def test_run_bad_flag_exit_code(demo_hex, capsys, flag):
     err = assert_input_error(dispatch(["run", str(demo_hex), *flag]), capsys)
-    if flag[0] == "--mem-size":  # checked by memory, before a device is placed above it
+    if flag == ["--mem-size", TOO_BIG]:
+        assert err == TOO_BIG_ERROR
+    elif flag[0] == "--mem-size":  # checked by memory, before a device is placed above it
         assert err == f"error[input]: size_bytes={flag[1]} must be a positive multiple of 4\n"
+
+
+def test_any_mem_size_exits_0_or_2_and_memory_stays_bounded(demo_hex, capsys):
+    # A size far above the bound is refused before memory of that size is built.
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.integers(1, 4096).map(lambda w: 4 * w),  # valid, up to 16 KiB
+        st.integers(-2**64, 0),
+        st.integers(1, 2**64).filter(lambda n: n % 4),
+        st.integers(0x1000001, 0x1000400),  # just above the bound
+        st.integers(2**40, 2**64),  # no machine could build these
+    ))
+    def run(size):
+        code = dispatch(["run", str(demo_hex), "--mem-size", str(size)])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error[input]: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
+    run()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024
+
+
+def test_mem_size_at_the_bound_runs(demo_hex, capsys):
+    assert dispatch(["run", str(demo_hex), "--mem-size", "0x1000000"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

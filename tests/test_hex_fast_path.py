@@ -104,11 +104,18 @@ def longhand_image_to_hex(image: MemoryImage) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-_image = st.builds(
-    MemoryImage,
-    st.one_of(st.just(0), st.integers(1, 0xFFFFFFFF).map(lambda w: 4 * w)),
-    st.lists(_word, max_size=64),
+_words = st.lists(_word, max_size=64)
+# Any word-aligned base up to word address 0xFFFFFFFF: the text of most
+# of these places words past the last word address.
+_any_image = st.builds(
+    MemoryImage, st.one_of(st.just(0), st.integers(1, 0xFFFFFFFF).map(lambda w: 4 * w)), _words
 )
+# Images the format can hold: a word-aligned base, the last word below 2^32.
+_image = _words.flatmap(lambda words: st.builds(
+    MemoryImage,
+    st.one_of(st.just(0), st.integers(1, 2**30 - max(len(words), 1)).map(lambda w: 4 * w)),
+    st.just(words),
+))
 
 
 def _mutate(line: str, kind: str, at: int) -> str:
@@ -127,8 +134,8 @@ def _mutate(line: str, kind: str, at: int) -> str:
 
 @st.composite
 def _image_text(draw):
-    """`image_to_hex` of a random image, as written or with one flaw."""
-    text = image_to_hex(draw(_image))
+    """The text of a random image, as written or with one flaw."""
+    text = longhand_image_to_hex(draw(_any_image))
     kind = draw(st.sampled_from([
         None, "digit", "newline", "space", "crlf", "comment", "short", "long",
         "comment line", "no final newline",
@@ -154,6 +161,24 @@ def test_block_form_reads_as_the_per_line_format(text):
 @given(_image)
 def test_image_to_hex_writes_the_per_word_form(image):
     assert image_to_hex(image) == longhand_image_to_hex(image)
+
+
+@given(_image)
+def test_image_to_hex_reads_back_as_written(image):
+    back = parse_hex(image_to_hex(image))
+    # An image with no words reads back empty at 0, as any empty text does.
+    assert (back.base_address, back.words) == (
+        (image.base_address, image.words) if image.words else (0, []))
+
+
+@pytest.mark.parametrize("base, words", [
+    (2, [1]), (-4, [1]), (0xFFFFFFFC, [1, 2]), (1 << 34, [1]), (1 << 32, []),
+])
+def test_image_to_hex_refuses_a_base_the_format_cannot_hold(base, words):
+    with pytest.raises(ValueError) as e:
+        image_to_hex(MemoryImage(base, words))
+    assert str(e.value) == (f"base {base:#x} with {len(words)} words: an image must start "
+                            f"at a word address and end at or below 0x100000000")
 
 
 @pytest.mark.parametrize("word", [-1, 2**32])

@@ -101,7 +101,7 @@ def test_oracle_refuses_images_that_do_not_fit(base, addr):
     assert exc.value.addr == addr
 
 
-@pytest.mark.parametrize("mem_size", [4097, 4094, 0, -4])
+@pytest.mark.parametrize("mem_size", [4097, 4094, 0, -4, 0x1000004])
 def test_oracle_refuses_a_memory_size_memory_refuses(mem_size):
     # At 4097 the aligned load at 4096 would pass the range test but not exist.
     with pytest.raises(ValueError) as memory:
