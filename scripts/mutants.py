@@ -8,10 +8,12 @@ Each entry of `MUTANTS` replaces one or more exact texts, in order, each
 by its own new text, in one file of that export; an old text that does not
 occur exactly once when its turn comes makes the mutant `stale`, a failure
 and not a skip, so it cannot pass unnoticed.  The entry's named tests run
-first, and the whole tier-1 suite only if they all pass; then the file is
-put back.  A mutant is `killed` when a run fails and `survived` when both
-pass.  Named tests that pytest cannot select or run (exit 2-5) are an
-`error`.  The script exits 1 unless every mutant is killed.
+first, and the whole tier-1 suite only if they all pass, less
+`SELF_CHECK`, which every mutant fails because its old text is gone from
+the tree; then the file is put back.  A mutant is `killed` when a run
+fails and `survived` when both pass.  Named tests that pytest cannot
+select or run (exit 2-5) are an `error`.  The script exits 1 unless every
+mutant is killed.
 
 The engine's loop runs whole instructions inline and a part of one
 through its per-state branches, so each mutant of an instruction's effects
@@ -25,6 +27,7 @@ its instruction's whole state tuple, so only the per-state retirement and
 the partial span slice theirs.  The per-state branches take each successor
 from one table, `_NEXT`, so its mutant goes into that table.
 The last mutants reach past the engine: the trace's held flag, the
+retired flag of a span's CSV lines, the bound of the trace's caches, the
 `.word` text of an undecodable word, the oracle's `slt`, the decode memo's
 bound, a decode cache keyed by address at both decode sites, the CLI's
 trace blocks, their size and the `finally` that writes the lines before a
@@ -48,7 +51,8 @@ from typing import Callable, NamedTuple
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench import export  # noqa: E402
 
-TIER1 = ["--continue-on-collection-errors"]
+SELF_CHECK = "tests/test_mutants_script.py::test_every_old_text_occurs_exactly_once_in_the_tree"
+TIER1 = ["--continue-on-collection-errors", "--deselect", SELF_CHECK]
 # Seconds one pytest run of a mutant may take; a mutant that hangs the
 # engine is killed by the timeout.
 TIMEOUT = 600
@@ -100,6 +104,8 @@ BAD_MEM_SIZE = "tests/test_cli.py::test_run_bad_flag_exit_code"
 ORACLE_MEM_SIZE = "tests/test_oracle.py::test_oracle_refuses_a_memory_size_memory_refuses"
 AT_THE_BOUND = "tests/test_cli.py::test_mem_size_at_the_bound_runs"
 HEX_BASE = "tests/test_hex_fast_path.py::test_image_to_hex_refuses_a_base_the_format_cannot_hold"
+BUDGET = f"{CLOCK}::test_no_run_spends_more_cycles_than_its_budget"
+SECOND_RUN = "tests/test_trace_blocks.py::test_a_second_traced_run_in_one_process_renders_from_the_cache"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -159,7 +165,7 @@ MUTANTS = [
     Mutant("inline-crosses-limit", CORE,
            [("last = limit - 5",
              "last = limit - 4")],
-           (ENTERED,)),
+           (BUDGET,)),
     Mutant("inline-on-first-cycle", CORE,
            [("first <= cycle <= last",
              "first - 1 <= cycle <= last")],
@@ -228,6 +234,18 @@ MUTANTS = [
            [("return self.mode != _EXECUTING.value",
              "return self.mode == _EXECUTING.value")],
            (HELD,)),
+    Mutant("trace-retired-flag-on-every-line", CORE,
+           [('{tail}0" for state in head]',
+             "{tail}{'01'[retired]}\" for state in head]")],
+           (BLOCKS,)),
+    Mutant("trace-retired-flag-on-no-line", CORE,
+           [("{tail}{'01'[retired]}\")",
+             '{tail}0")')],
+           (BLOCKS,)),
+    Mutant("trace-cache-bound-1024", ISA,
+           [("WORD_CACHE_SIZE = 2048",
+             "WORD_CACHE_SIZE = 1024")],
+           (SECOND_RUN,)),
     Mutant("word-fallback-unmasked", ISA,
            [('return f".word 0x{word & MASK32:08X}"',
              'return f".word 0x{word:08X}"')],

@@ -7,7 +7,8 @@ Grammar, one statement per line:
     [label:] .word VALUE            emit a raw 32-bit word
 
 Registers are x0..x31 only.  Immediates are decimal or 0x hex, optionally
-signed.  Branch and jump targets are labels (resolved pc-relative) or
+signed; a decimal has no leading zero before a nonzero digit (`010` is
+refused, not read as octal).  Branch and jump targets are labels (resolved pc-relative) or
 signed byte-offset literals.  Memory operands are written OFFSET(xN).
 
 Hex image files carry one 8-digit word per line, lowest address first,
@@ -45,8 +46,9 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.]*)\s*:\s*(.*)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
 _REGS = {f"x{n}": n for n in range(32)}
 _LAST_WORD = MASK32 & ~3  # the highest word address
-_IMM_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|[0-9]+)$")
-_MEM_RE = re.compile(r"^([+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+))\s*\(\s*(x\d+)\s*\)$")
+_NUMBER = r"[+-]?(?:0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+)"
+_IMM_RE = re.compile(rf"^{_NUMBER}$")
+_MEM_RE = re.compile(rf"^({_NUMBER})\s*\(\s*(x\d+)\s*\)$")
 # Hex image lines: a word, or `@` and a word address, unsigned hex only.
 _HEX_WORD_RE = re.compile(r"[0-9a-fA-F]{1,8}")
 _HEX_ADDR_RE = re.compile(r"@[0-9a-fA-F]{1,8}")

@@ -26,7 +26,7 @@ import os
 import sys
 
 from .asm import assemble, disassemble, load_hex_file, save_hex_file
-from .core import DEFAULT_MAX_CYCLES, TraceSpan, _csv_tail
+from .core import DEFAULT_MAX_CYCLES, TraceSpan, csv_suffixes
 from .errors import SimError
 from .harness import PeripheralMap, Simulator, execute_script, parse_script
 from .memory import DEFAULT_MEM_SIZE, MemoryImage, check_size
@@ -107,14 +107,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace = None
     if args.trace:
         def trace(span: TraceSpan) -> None:
-            # `as_csv` of each record of the span, inline: a call per line costs a frame.
             cycle, pc, ir, states, retired = span
-            tail = _csv_tail(pc, ir)
-            *head, last = states
-            for state in head:
-                block.append(f"{cycle},executing,{state},{tail}0")
+            for suffix in csv_suffixes("executing", pc, ir, states, retired):
+                block.append(f"{cycle}{suffix}")
                 cycle += 1
-            block.append(f"{cycle},executing,{last},{tail}{'01'[retired]}")
             if len(block) >= TRACE_BLOCK_LINES:  # a span adds at most 5
                 _write_lines(block[:TRACE_BLOCK_LINES])
                 del block[:TRACE_BLOCK_LINES]

@@ -145,13 +145,16 @@ class TraceRecord(NamedTuple):
 
     def as_csv(self) -> str:
         cycle, mode, state, pc, ir, retired = self
-        return f"{cycle},{mode},{state},{_csv_tail(pc, ir)}{('0', '1')[retired]}"
+        return f"{cycle}{csv_suffixes(mode, pc, ir, (state,), retired)[0]}"
 
 
 @functools.lru_cache(maxsize=WORD_CACHE_SIZE)
-def _csv_tail(pc: int, ir: int) -> str:
-    """The CSV fields an instruction repeats on each of its cycles."""
-    return f"{pc:08x},{ir:08x},{format_word(ir)},"
+def csv_suffixes(mode: str, pc: int, ir: int, states: tuple[str, ...], retired: bool) -> tuple[str, ...]:
+    """Each cycle's trace CSV line after its cycle number, the one home of the
+    layout; only the last can be retired.  Cached: a loop repeats its spans."""
+    tail = f"{pc:08x},{ir:08x},{format_word(ir)},"
+    *head, last = states
+    return (*[f",{mode},{state},{tail}0" for state in head], f",{mode},{last},{tail}{'01'[retired]}")
 
 
 class TraceSpan(NamedTuple):

@@ -179,9 +179,9 @@ def _unsupported(word: int) -> UnsupportedInstruction:
 # is decoded once per process.  Keyed by word value, so code that rewrites
 # itself decodes the new word; a full memo is emptied before it grows.
 DECODE_CACHE_SIZE = 32768
-# Distinct words each per-word `lru_cache` (`format_word` and the trace's
-# CSV tail) remembers, least recently used first out.
-WORD_CACHE_SIZE = 1024
+# Entries each trace-path `lru_cache` (`format_word`, `core.csv_suffixes`)
+# remembers, least recently used first out: more than a long loop's spans.
+WORD_CACHE_SIZE = 2048
 
 
 # `decode` gives every field, so it builds its result directly: the

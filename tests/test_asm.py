@@ -104,6 +104,12 @@ def test_base_offsets_labels():
         ("\n.org", OperandCount, 2),
         (".word", OperandCount, 1),
         ("jal x0, x5", BadOperand, 1),  # a register is neither label nor offset
+        # a decimal with a leading zero, which `int(tok, 0)` refuses
+        ("\naddi x1, x0, 01", BadOperand, 2),
+        ("lw x1, 010(x2)", BadOperand, 1),
+        ("\n\n.org 08", BadOperand, 3),
+        ("beq x0, x0, 08", BadOperand, 1),
+        (".word 01", BadOperand, 1),
     ],
 )
 def test_diagnostics_carry_origin_line(src, err, line):
@@ -111,6 +117,11 @@ def test_diagnostics_carry_origin_line(src, err, line):
         assemble(src)
     assert exc.value.line == line
     assert f"line {line}" in str(exc.value)
+
+
+def test_zero_and_hex_with_leading_zeros_still_assemble():
+    assert assemble("addi x1, x0, 00\nlw x1, -00(x2)\naddi x1, x0, 0x01").words == \
+        assemble("addi x1, x0, 0\nlw x1, 0(x2)\naddi x1, x0, 1").words
 
 
 def test_last_word_address_is_placed():

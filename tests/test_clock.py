@@ -140,6 +140,17 @@ def test_every_path_stops_alike_at_every_cycle_offset(name):
                 assert counts_agree(sim.core)
 
 
+@pytest.mark.parametrize("bus", BUSES)
+def test_no_run_spends_more_cycles_than_its_budget(bus):
+    # Loads take five cycles, the most of any class: a whole instruction
+    # begun too close to the limit would run past it.
+    image = assemble("loop: lw x1, 0(x0)\naddi x2, x2, 1\nlw x3, 4(x0)\njal x0, loop\n")
+    for max_cycles in range(1, 120):
+        sim = started(image, bus)
+        report = sim.core.run(sim.bus, max_cycles=max_cycles)
+        assert report.total_cycles == sim.core.cycle_count <= max_cycles, max_cycles
+
+
 FAULTS = {
     # x1 = 0x2000: above memory and past the last default device
     "unmapped-load": ("addi x1, x0, 1\nslli x1, x1, 13\nlw x2, 0(x1)\njal x0, 0\n",

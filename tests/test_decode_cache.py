@@ -85,14 +85,17 @@ patch:  addi x4, x4, 1
 
 
 def test_more_distinct_words_than_a_word_cache_holds_run_to_the_halt():
-    words = [encode(instr("addi", rd=1, rs1=1, imm=k)) for k in range(WORD_CACHE_SIZE + 100)]
-    mem = UnifiedMemory(8192)
+    # `addi xN, xN, k` over N = 1..31, so the 12-bit immediate stays small.
+    n = WORD_CACHE_SIZE + 100
+    words = [encode(instr("addi", rd=1 + k % 31, rs1=1 + k % 31, imm=k // 31)) for k in range(n)]
+    assert len(set(words)) == n > WORD_CACHE_SIZE
+    mem = UnifiedMemory(16384)
     mem.load_image(MemoryImage(0, words + [encode(instr("jal", imm=0))]), ControlMode.PROGRAMMING)
     core = Core()
     core.apply_control(ie=0, reset=1)
     core.apply_control(ie=1, reset=0)
     assert core.run(mem).halt_reason is HaltReason.SELF_LOOP
-    assert core.regs[1] == sum(range(WORD_CACHE_SIZE + 100))
+    assert sum(core.regs.snapshot()) == sum(k // 31 for k in range(n))
 
 
 def test_decoded_follows_ir_after_every_decode():

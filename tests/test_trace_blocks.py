@@ -4,8 +4,8 @@ Whatever ends the run - the halt policy, the cycle budget in the middle
 of an instruction, or a fault - stdout ahead of the report holds one line
 per executed cycle, in order.  The expected lines are rendered here from
 `Core.step_cycle` records field by field, not through `TraceRecord.as_csv`,
-and `as_csv` itself, which caches the fields an instruction repeats, is
-held to that longhand.
+and `as_csv` itself, which reads the cached suffix of a one-state span,
+is held to that longhand.
 """
 
 import contextlib
@@ -14,6 +14,7 @@ import pytest
 
 from rv32mc import ControlMode, PeripheralMap, Simulator, assemble, decode, image_to_hex
 from rv32mc.cli import TRACE_BLOCK_LINES, dispatch
+from rv32mc.core import csv_suffixes
 from rv32mc.errors import SimError, UnsupportedInstruction
 from rv32mc.isa import WORD_CACHE_SIZE, format_instruction
 
@@ -117,14 +118,27 @@ def test_trace_lines_cross_blocks_and_survive_every_ending(tmp_path, source, max
 
 
 def test_as_csv_matches_longhand_past_the_cache_bound():
-    # Each pass patches its `addi`, so every pass adds a new (pc, ir) pair.
-    passes = WORD_CACHE_SIZE + 100
-    source = HALTS.replace("addi  x2, x0, 40", f"addi  x2, x0, {passes}")
-    sim, records = started(source), []
+    # Straight-line `addi xN, xN, k` over N = 1..31: every word a new (pc, ir) pair.
+    words = WORD_CACHE_SIZE + 100
+    source = "".join(f"addi x{1 + k % 31}, x{1 + k % 31}, {k // 31}\n" for k in range(words))
+    sim, records = Simulator(16384), []
+    sim.program_and_start(assemble(source + "done: jal x0, done\n"))
     sim.core.run(sim.bus, trace=lambda span: records.extend(span.records()))
-    assert len({(r.pc, r.ir) for r in records}) > passes > WORD_CACHE_SIZE
+    assert len({(r.pc, r.ir) for r in records}) > words > WORD_CACHE_SIZE
     for rec in records:
         assert rec.as_csv() + "\n" == render(rec)
+
+
+def test_a_second_traced_run_in_one_process_renders_from_the_cache(tmp_path):
+    # 1,100 passes, each patching its `addi`: more distinct spans than the
+    # 1,024 the cache once held, so an LRU of that bound misses them all again.
+    source = HALTS.replace("addi  x2, x0, 40", "addi  x2, x0, 1100")
+    csv_suffixes.cache_clear()
+    first = cli_run(tmp_path, source)
+    misses = csv_suffixes.cache_info().misses
+    second = cli_run(tmp_path, source)
+    assert first[0] == second[0] == 0 and first[1].writes == second[1].writes
+    assert misses > 1024 and csv_suffixes.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("lines", [(0, 0, 0), (0, 0, 1), (0, 1, 0)],
