@@ -31,8 +31,9 @@ retired flag of a span's CSV lines, the bound of the trace's caches, the
 `.word` text of an undecodable word, the oracle's `slt`, the decode memo's
 bound, a decode cache keyed by address at both decode sites, the CLI's
 trace blocks, their size and the `finally` that writes the lines before a
-fault, a `dis` listing written in one call, the `--mem-size` bound and
-`image_to_hex`'s base check.  The codec's mutants each
+fault, a `dis` listing written in one call, the `--mem-size` bound,
+`image_to_hex`'s base check, and the assembler's second walk, which must
+get each branch and jump and each statement that raised.  The codec's mutants each
 change one fact of its two tables, which both directions read, so only
 the independent golden encodings can see them.
 """
@@ -106,6 +107,8 @@ AT_THE_BOUND = "tests/test_cli.py::test_mem_size_at_the_bound_runs"
 HEX_BASE = "tests/test_hex_fast_path.py::test_image_to_hex_refuses_a_base_the_format_cannot_hold"
 BUDGET = f"{CLOCK}::test_no_run_spends_more_cycles_than_its_budget"
 SECOND_RUN = "tests/test_trace_blocks.py::test_a_second_traced_run_in_one_process_renders_from_the_cache"
+TWO_ERRORS = "tests/test_asm.py::test_a_source_with_two_errors_reports_the_same_one"
+FORWARD_LABELS = "tests/test_asm.py::test_backward_and_forward_labels"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -290,6 +293,17 @@ MUTANTS = [
            [("if base < 0 or base % 4 or base + 4 * max(len(words), 1) > 1 << 32:",
              "if False:")],
            (HEX_BASE,)),
+    Mutant("raised-statement-dropped", ASM,
+           [("except (AsmError, EncodeError):  # raised again by the second walk, in line order\n"
+             "                deferred.append((lineno, addr, mnemonic, rest, runs[-1]))",
+             "except (AsmError, EncodeError):\n                pass")],
+           (TWO_ERRORS,)),
+    Mutant("branches-encoded-in-pass-1", ASM,
+           [("            deferred.append((lineno, addr, mnemonic, rest, runs[-1]))\n"
+             "            words.append(0)\n        else:",
+             "            words.append(_encode_statement(lineno, addr, mnemonic, rest, labels))\n"
+             "        else:")],
+           (FORWARD_LABELS,)),
     Mutant("slt-unsigned-oracle", CORE,
            [("val = 1 if sa < sb else 0",
              "val = 1 if a < b else 0")],

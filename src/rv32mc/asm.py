@@ -1,4 +1,4 @@
-"""Two-pass assembler, disassembler, and the hex image file format.
+"""Assembler, disassembler, and the hex image file format.
 
 Grammar, one statement per line:
 
@@ -46,6 +46,7 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.]*)\s*:\s*(.*)$")
 _IDENT_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
 _REGS = {f"x{n}": n for n in range(32)}
 _LAST_WORD = MASK32 & ~3  # the highest word address
+_TARGETED = {m for m, (shape, _) in ENCODING.items() if shape in ("branch", "jump")}
 _NUMBER = r"[+-]?(?:0[xX][0-9a-fA-F]+|[1-9][0-9]*|0+)"
 _IMM_RE = re.compile(rf"^{_NUMBER}$")
 _MEM_RE = re.compile(rf"^({_NUMBER})\s*\(\s*(x\d+)\s*\)$")
@@ -73,15 +74,17 @@ def _parse_imm(tok: str, line: int) -> int:
 def assemble(source: str, base: int = 0) -> MemoryImage:
     """Assemble source text into a memory image.
 
-    Pass 1 places statements and collects labels; pass 2 encodes.  The
-    image starts at the first emitted word; `.org` gaps are zero-filled.
+    Each statement is encoded as it is read, into its run of words between
+    zero-filled `.org` gaps; branches, jumps and statements that raised
+    wait for a second walk in line order, after every first-walk check.
     """
     if base % 4 or not 0 <= base <= MASK32:
         raise BadOperand(f"base address {base:#x} is not a word-aligned 32-bit address")
 
     labels: dict[str, int] = {}
-    stmts: list[tuple[int, int, str, str]] = []  # (line, address, mnemonic, operands)
-    addr = base
+    runs: list[tuple[int, list[int]]] = []  # (address, words) of each run between `.org` gaps
+    deferred: list[tuple] = []  # (line, address, mnemonic, operands, run) for the second walk
+    addr, end = base, -1  # end: the address after the last statement placed
 
     for lineno, text in enumerate(source.splitlines(), start=1):
         if "#" in text or "//" in text:
@@ -119,23 +122,35 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
             raise OperandCount(".word needs a value", line=lineno)
         if addr > _LAST_WORD:
             raise BadOperand(f"statement at {addr:#x} is past the last word address", line=lineno)
-        stmts.append((lineno, addr, mnemonic, rest))
-        addr += 4
-
-    emitted: dict[int, int] = {}
-    for lineno, addr, mnemonic, rest in stmts:
-        if mnemonic == ".word":
-            value = _parse_imm(rest, lineno)
-            if not -(1 << 31) <= value < (1 << 32):
-                raise ImmediateOutOfRange(f".word value {value} needs more than 32 bits", line=lineno)
-            emitted[addr] = value & 0xFFFFFFFF
+        if addr != end:  # the first statement, or the first past an `.org` gap
+            runs.append((addr, words := []))
+        if mnemonic in _TARGETED:  # its label may be defined further down
+            deferred.append((lineno, addr, mnemonic, rest, runs[-1]))
+            words.append(0)
         else:
-            emitted[addr] = _encode_statement(lineno, addr, mnemonic, rest, labels)
-    return MemoryImage.gather(emitted, base)
+            try:
+                words.append(_encode_statement(lineno, addr, mnemonic, rest, labels))
+            except (AsmError, EncodeError):  # raised again by the second walk, in line order
+                deferred.append((lineno, addr, mnemonic, rest, runs[-1]))
+                words.append(0)
+        addr = end = addr + 4
+
+    for lineno, addr, mnemonic, rest, (first, run) in deferred:
+        run[(addr - first) // 4] = _encode_statement(lineno, addr, mnemonic, rest, labels)
+    start, words = runs[0] if runs else (base, [])
+    for addr, run in runs[1:]:
+        words += [0] * ((addr - start) // 4 - len(words))
+        words += run
+    return MemoryImage(start, words)
 
 
 def _encode_statement(line: int, addr: int, m: str, rest: str, labels: dict[str, int]) -> int:
-    """Parse the operands of `m` as its operand shape writes them, then pack."""
+    """Parse the operands of `m`, a mnemonic or `.word`, as its shape writes them, then pack."""
+    if m == ".word":
+        value = _parse_imm(rest, line)
+        if not -(1 << 31) <= value < (1 << 32):
+            raise ImmediateOutOfRange(f".word value {value} needs more than 32 bits", line=line)
+        return value & MASK32
     if m not in ENCODING:
         raise UnknownMnemonic(f"unknown mnemonic {m!r}", line=line)
     shape = ENCODING[m][0]

@@ -461,7 +461,7 @@ def reference_execute(
         # The first word that does not fit: the base, or the end of memory.
         raise OutOfRange("image does not fit oracle memory",
                          addr=base if base % 4 or not 0 <= base < end else end)
-    words[base >> 2:(base >> 2) + len(image.words)] = [u32(w) for w in image.words]
+    words[base >> 2:(base >> 2) + len(image.words)] = [w & MASK32 for w in image.words]
 
     regs = [0] * 32
     pc = 0

@@ -5,8 +5,8 @@ Writes are synchronous: schedule_write records at most one pending write,
 which commit_cycle applies at the cycle boundary.  Writes are gated by the
 control mode, so observation mode can never mutate memory.
 
-MemoryImage is the one place an image's layout is decided: the assembler
-and the hex reader both hand it their words by address.
+MemoryImage is one contiguous block of words; `gather` lays one out from
+words by address for the hex reader's line-by-line path.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,6 +76,33 @@ def test_org_gap_zero_filled():
     assert image.words == [0x00100093, 0, 0, 0, 7]
 
 
+def test_forward_labels_resolve_across_org_gaps():
+    src = "jal x0, far\n.org 0x10\nbeq x0, x0, far\n.org 0x20\n.org 0x20\nfar: jal x0, far\n"
+    image = assemble(src, base=0)
+    beq = assemble("beq x0, x0, 16").words[0]
+    assert image.words == [encode_jal_offset(0x20), 0, 0, 0, beq, 0, 0, 0, encode_jal_offset(0)]
+
+
+@pytest.mark.parametrize(
+    "src,err,line",
+    [
+        ("addi x1, x0, 1\n.org 0x1000000\naddi x2, x0, zz", BadOperand, 3),
+        ("addi x1, x0, 1\n.org 0x1000000\nbeq x0, x0, nowhere", UndefinedLabel, 3),
+        ("addi x1, x0, 1\n.org 0x1000000\naddi x2, x0, 2\nx:\nx:", DuplicateLabel, 5),
+    ],
+)
+def test_an_error_past_an_org_gap_is_reported_before_the_gap_is_filled(src, err, line):
+    # Filling the 4M-word gap first would take 32 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(err) as exc:
+            assemble(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == line and peak < 2**20
+
+
 def test_base_offsets_labels():
     # label resolution is pc-relative, so the encoding is base-independent
     src = "top: jal x0, top"
@@ -117,6 +146,44 @@ def test_diagnostics_carry_origin_line(src, err, line):
         assemble(src)
     assert exc.value.line == line
     assert f"line {line}" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "src,err,line",
+    [
+        # an error of the first walk (labels, `.org`, placement) wins over any
+        # operand error above it; then the first failing statement by line
+        ("addi x1, x0, zz\nx:\nx:", DuplicateLabel, 3),
+        ("beq x0, x0, nowhere\naddi x1, x0, zz", UndefinedLabel, 1),
+        ("addi x1, x0, zz\nbeq x0, x0, nowhere", BadOperand, 1),
+        ("addi x1, x0, 5000\n.org 2", MisalignedImmediate, 2),
+        ("frob x1\njal x0, y\ny:", UnknownMnemonic, 1),
+        (".word 0x1FFFFFFFF\nlw x1, 3(x9", ImmediateOutOfRange, 1),
+    ],
+)
+def test_a_source_with_two_errors_reports_the_same_one(src, err, line):
+    with pytest.raises(err) as exc:
+        assemble(src)
+    assert exc.value.line == line
+
+
+def test_assemble_holds_under_200_bytes_per_statement():
+    # The listing of a 10,000-word image of every shape, branches and jumps
+    # included: the traced peak covers the lines, the result and whatever
+    # else assembling holds at once.
+    src = "".join(f"addi x{k % 32}, x{k % 7}, {k % 4096 - 2048}\nsw x{k % 32}, {k % 2048 - 1024}(x3)\n"
+                  f"beq x{k % 5}, x{k % 3}, {-8 * (k % 64)}\njal x{k % 32}, {8 * (k % 512)}\n"
+                  f"lw x{k % 9}, {k % 1000}(x{k % 32})\n" for k in range(2000))
+    image = assemble(src)
+    listing = disassemble(image)
+    tracemalloc.start()
+    try:
+        again = assemble(listing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(image.words) == 10_000 and again.words == image.words
+    assert peak <= 200 * 10_000
 
 
 def test_zero_and_hex_with_leading_zeros_still_assemble():
