@@ -27,11 +27,13 @@ its instruction's whole state tuple, so only the per-state retirement and
 the partial span slice theirs.  The per-state branches take each successor
 from one table, `_NEXT`, so its mutant goes into that table.
 The last mutants reach past the engine: the trace's held flag, the
-retired flag of a span's CSV lines, the bound of the trace's caches, the
-`.word` text of an undecodable word, the oracle's `slt`, the decode memo's
-bound, a decode cache keyed by address at both decode sites, the CLI's
-trace blocks, their size and the `finally` that writes the lines before a
-fault, a `dis` listing written in one call, the `--mem-size` bound,
+retired flag of a span's CSV lines, the bound of the trace's span cache,
+the `.word` text of an undecodable word, the oracle's `slt`, the decode
+memo's bound, a decode cache keyed by address at both decode sites, the
+CLI's trace blocks, their size and the `finally` that writes the lines
+before a fault, a `dis` listing written in one call, a listing of each
+distinct word once instead of each word of the image, the `--mem-size`
+bound, the last word address as the bound of an empty range,
 `image_to_hex`'s base check, and the assembler's second walk, which must
 get each branch and jump and each statement that raised.  The codec's mutants each
 change one fact of its two tables, which both directions read, so only
@@ -107,6 +109,8 @@ AT_THE_BOUND = "tests/test_cli.py::test_mem_size_at_the_bound_runs"
 HEX_BASE = "tests/test_hex_fast_path.py::test_image_to_hex_refuses_a_base_the_format_cannot_hold"
 BUDGET = f"{CLOCK}::test_no_run_spends_more_cycles_than_its_budget"
 SECOND_RUN = "tests/test_trace_blocks.py::test_a_second_traced_run_in_one_process_renders_from_the_cache"
+DIS_EXAMPLES = "tests/test_asm.py::test_disassemble_examples"
+EMPTY_PAST_LAST_WORD = "tests/test_cli.py::test_script_observe_of_nothing_past_the_last_word_exit_code"
 TWO_ERRORS = "tests/test_asm.py::test_a_source_with_two_errors_reports_the_same_one"
 FORWARD_LABELS = "tests/test_asm.py::test_backward_and_forward_labels"
 
@@ -245,9 +249,9 @@ MUTANTS = [
            [("{tail}{'01'[retired]}\")",
              '{tail}0")')],
            (BLOCKS,)),
-    Mutant("trace-cache-bound-1024", ISA,
-           [("WORD_CACHE_SIZE = 2048",
-             "WORD_CACHE_SIZE = 1024")],
+    Mutant("trace-cache-bound-1024", CORE,
+           [("SPAN_CACHE_SIZE = 2048",
+             "SPAN_CACHE_SIZE = 1024")],
            (SECOND_RUN,)),
     Mutant("word-fallback-unmasked", ISA,
            [('return f".word 0x{word & MASK32:08X}"',
@@ -281,6 +285,10 @@ MUTANTS = [
             ("disassemble(MemoryImage(image.base_address + 4 * i, block))",
              "disassemble(image)")],
            (DIS_BLOCKS,)),
+    Mutant("listing-of-distinct-words", ASM,
+           [("map(table.__getitem__, image.words)",
+             "table.values()")],
+           (DIS_EXAMPLES, DIS_BLOCKS)),
     Mutant("mem-size-bound-dropped", MEMORY,
            [("if size_bytes > MAX_MEM_SIZE:",
              "if False:")],
@@ -289,6 +297,10 @@ MUTANTS = [
            [("if size_bytes > MAX_MEM_SIZE:",
              "if size_bytes >= MAX_MEM_SIZE:")],
            (AT_THE_BOUND,)),
+    Mutant("empty-range-bound-dropped", MEMORY,
+           [("not addr <= addr + nbytes <= (self.size_bytes if nbytes else MASK32)",
+             "nbytes and not addr <= addr + nbytes <= self.size_bytes")],
+           (EMPTY_PAST_LAST_WORD,)),
     Mutant("image-to-hex-base-check-dropped", ASM,
            [("if base < 0 or base % 4 or base + 4 * max(len(words), 1) > 1 << 32:",
              "if False:")],

@@ -203,8 +203,11 @@ def _branch_offset(tok: str, line: int, addr: int, labels: dict[str, int]) -> in
 
 
 def disassemble(image: MemoryImage) -> str:
-    """Canonical source for an image; undecodable words become `.word`."""
-    return "\n".join([*map(format_word, image.words), ""])
+    """Canonical source for an image; undecodable words become `.word`.
+    Each distinct word is formatted once: formatting a `.org` gap's zeros
+    one by one would raise and catch `UnsupportedInstruction` for each."""
+    table = {word: format_word(word) for word in set(image.words)}
+    return "\n".join([*map(table.__getitem__, image.words), ""])
 
 
 # --- hex image files ---
@@ -256,7 +259,10 @@ def parse_hex(text: str) -> MemoryImage:
             raise AsmError(f"word at {addr:#x} is past the last word address", line=lineno)
         words[addr] = int(line, 16)
         addr += 4
-    return MemoryImage.gather(words, 0)
+    if not words:
+        return MemoryImage(0, [])
+    lo, hi = min(words), max(words)  # one block between them, gaps zero-filled
+    return MemoryImage(lo, [words.get(a, 0) for a in range(lo, hi + 4, 4)])
 
 
 def load_hex_file(path: str) -> MemoryImage:

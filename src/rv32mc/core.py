@@ -46,8 +46,8 @@ from typing import Callable, NamedTuple, Protocol
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
-from .isa import (MASK32, MNEMONIC_CLASS, WORD_CACHE_SIZE, DecodedInstruction, InstrClass,
-                  decode, format_word, s32, u32)
+from .isa import (MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass, decode, format_word,
+                  s32, u32)
 from .memory import DEFAULT_MEM_SIZE, MemoryImage, check_size
 from .metrics import HaltReason, RunReport
 
@@ -148,7 +148,12 @@ class TraceRecord(NamedTuple):
         return f"{cycle}{csv_suffixes(mode, pc, ir, (state,), retired)[0]}"
 
 
-@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+# Spans (one instruction's consecutive cycles) `csv_suffixes` remembers,
+# least recently used first out: more than a long loop's spans.
+SPAN_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
 def csv_suffixes(mode: str, pc: int, ir: int, states: tuple[str, ...], retired: bool) -> tuple[str, ...]:
     """Each cycle's trace CSV line after its cycle number, the one home of the
     layout; only the last can be retired.  Cached: a loop repeats its spans."""

@@ -179,9 +179,6 @@ def _unsupported(word: int) -> UnsupportedInstruction:
 # is decoded once per process.  Keyed by word value, so code that rewrites
 # itself decodes the new word; a full memo is emptied before it grows.
 DECODE_CACHE_SIZE = 32768
-# Entries each trace-path `lru_cache` (`format_word`, `core.csv_suffixes`)
-# remembers, least recently used first out: more than a long loop's spans.
-WORD_CACHE_SIZE = 2048
 
 
 # `decode` gives every field, so it builds its result directly: the
@@ -244,14 +241,8 @@ def format_instruction(ins: DecodedInstruction) -> str:
     return f"{m} x{rd}, {imm}"
 
 
-@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def format_word(word: int) -> str:
-    """Canonical text for any word; one outside the subset becomes `.word`.
-
-    Cached by word value, `WORD_CACHE_SIZE` of them: a trace
-    renders the same `ir` on each cycle of its instruction, and code that
-    rewrites itself renders the new word.
-    """
+    """Canonical text for any word; one outside the subset becomes `.word`."""
     try:
         return format_instruction(decode(word))
     except UnsupportedInstruction:

@@ -5,8 +5,7 @@ Writes are synchronous: schedule_write records at most one pending write,
 which commit_cycle applies at the cycle boundary.  Writes are gated by the
 control mode, so observation mode can never mutate memory.
 
-MemoryImage is one contiguous block of words; `gather` lays one out from
-words by address for the hex reader's line-by-line path.
+MemoryImage is one contiguous block of words.
 """
 
 from __future__ import annotations
@@ -32,15 +31,6 @@ class MemoryImage:
 
     base_address: int
     words: list[int] = field(default_factory=list)
-
-    @classmethod
-    def gather(cls, words: dict[int, int], base: int) -> MemoryImage:
-        """One block from the lowest to the highest byte address in `words`
-        (address -> word), gaps zero-filled; empty at `base` if none."""
-        if not words:
-            return cls(base, [])
-        lo, hi = min(words), max(words)
-        return cls(lo, [words.get(a, 0) for a in range(lo, hi + 4, 4)])
 
 
 def check_size(size_bytes: int) -> None:
@@ -87,11 +77,12 @@ class UnifiedMemory:
     def check_range(self, addr: int, nbytes: int, what: str) -> None:
         """The one rule for a byte range an outside caller may touch: raise
         unless [addr, addr+nbytes) is word-aligned and lies inside memory.
-        An empty range is valid at any aligned address >= 0; `what` names
-        the range in the error."""
+        An empty range is valid at any aligned address from 0 to the last
+        word address, 2^32 - 4, the highest a hex `@` record can name;
+        `what` names the range in the error."""
         if addr % 4 or nbytes % 4:
             raise MisalignedAccess(f"{what} [{addr:#x}, +{nbytes}) must be word-aligned", addr=addr)
-        if addr < 0 or nbytes and not addr <= addr + nbytes <= self.size_bytes:
+        if addr < 0 or not addr <= addr + nbytes <= (self.size_bytes if nbytes else MASK32):
             raise OutOfRange(f"{what} beyond {self.size_bytes}-byte memory", addr=addr)
 
     def check_fits(self, image: MemoryImage) -> None:

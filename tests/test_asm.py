@@ -204,6 +204,9 @@ def test_duplicate_label_even_when_empty():
 def test_disassemble_examples():
     assert disassemble(MemoryImage(0, [0x00500093])) == "addi x1, x0, 5\n"
     assert disassemble(MemoryImage(0, [0xFFFFFFFF])) == ".word 0xFFFFFFFF\n"
+    # Repeated and unsupported words, each formatted once, listed in image order.
+    assert disassemble(MemoryImage(0, [0, 0x00500093, 0, 0x00500093, -1])) == (
+        ".word 0x00000000\naddi x1, x0, 5\n.word 0x00000000\naddi x1, x0, 5\n.word 0xFFFFFFFF\n")
 
 
 def test_disassemble_store_and_load_forms():

@@ -461,6 +461,19 @@ def test_script_observe_beyond_memory_exit_code(demo_hex, tmp_path, capsys):
     assert code == 2
 
 
+def test_script_observe_of_nothing_past_the_last_word_exit_code(tmp_path, capsys):
+    # An empty range at 2^32 has no `@` record to echo it: refused at parse.
+    script = tmp_path / "far.txt"
+    script.write_text("observe 0x100000000 0\n")
+    code = dispatch(["script", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[script]: line 1: addr=0x100000000: observe range beyond 4096-byte memory\n"
+    )
+    assert code == 2
+
+
 def test_script_load_of_bad_hex_names_script_line_and_file(tmp_path, capsys):
     (tmp_path / "bad.hex").write_text("zz\n")
     script = tmp_path / "bad.txt"

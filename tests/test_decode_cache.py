@@ -1,11 +1,11 @@
-"""`isa.decode` and `isa.format_word` cache by word value, each within a
-fixed bound.
+"""`isa.decode` caches by word value, within a fixed bound.
 
 `decode` is the bound `__getitem__` of one process-wide memo of
 `DECODE_CACHE_SIZE` words, so the engine, the oracle and `disassemble`
-decode each distinct word of an image once between them; `format_word` is
-an `lru_cache` of `WORD_CACHE_SIZE` words.  The engine keeps no cache of
-its own: it reads each instruction from its decode.
+decode each distinct word of an image once between them; `format_word`
+keeps no cache, and `disassemble` formats each distinct word of its image
+once.  The engine keeps no cache of its own: it reads each instruction
+from its decode.
 """
 
 import random
@@ -16,7 +16,8 @@ from rv32mc import ControlMode, Core, HaltReason, MemoryImage, UnifiedMemory, as
 from rv32mc import disassemble, encode, instr, isa, reference_execute
 from rv32mc.errors import UnsupportedInstruction
 from rv32mc.memory import DEFAULT_MEM_SIZE
-from rv32mc.isa import DECODE_CACHE_SIZE, ENCODING, MASK32, WORD_CACHE_SIZE, format_word
+from rv32mc.core import SPAN_CACHE_SIZE
+from rv32mc.isa import DECODE_CACHE_SIZE, ENCODING, MASK32, format_word
 from rv32mc.programs import PROGRAMS
 
 # Rewrites the immediate of its own `addi` before every pass: the word at
@@ -86,9 +87,9 @@ patch:  addi x4, x4, 1
 
 def test_more_distinct_words_than_a_word_cache_holds_run_to_the_halt():
     # `addi xN, xN, k` over N = 1..31, so the 12-bit immediate stays small.
-    n = WORD_CACHE_SIZE + 100
+    n = SPAN_CACHE_SIZE + 100
     words = [encode(instr("addi", rd=1 + k % 31, rs1=1 + k % 31, imm=k // 31)) for k in range(n)]
-    assert len(set(words)) == n > WORD_CACHE_SIZE
+    assert len(set(words)) == n > SPAN_CACHE_SIZE
     mem = UnifiedMemory(16384)
     mem.load_image(MemoryImage(0, words + [encode(instr("jal", imm=0))]), ControlMode.PROGRAMMING)
     core = Core()
@@ -188,12 +189,6 @@ def test_patched_addi_renders_its_new_immediate_each_pass():
 def test_unsupported_word_renders_as_data_every_time():
     for _ in range(3):
         assert format_word(0xFFFFFFFF) == ".word 0xFFFFFFFF"
-
-
-def test_format_word_cache_stays_within_its_bound():
-    for k in range(WORD_CACHE_SIZE + 100):
-        format_word(encode(instr("addi", rd=k % 32, rs1=0, imm=k // 32)))
-    assert format_word.cache_info().currsize <= WORD_CACHE_SIZE
 
 
 @pytest.mark.parametrize("word", [-1, 2**32 + 0xFFFFFFFF, 0x00500093 + 2**32])

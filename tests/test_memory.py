@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rv32mc import ControlMode, MemoryImage, UnifiedMemory
+from rv32mc import ControlMode, MemoryImage, UnifiedMemory, parse_hex
 from rv32mc.errors import (
     DoubleWritePerCycle,
     MisalignedAccess,
@@ -192,7 +192,7 @@ def test_empty_image_loads_at_any_aligned_base(base):
     assert mem.words == [0] * 1024
 
 
-def test_gather_zero_fills_between_lowest_and_highest_address():
-    image = MemoryImage.gather({0x18: 3, 0x10: 1}, 0)
-    assert (image.base_address, image.words) == (0x10, [1, 0, 3])
-    assert MemoryImage.gather({}, 0x40) == MemoryImage(0x40, [])
+def test_parse_hex_zero_fills_between_lowest_and_highest_address():
+    # Out-of-order `@` records take the hex reader's line-by-line path.
+    assert parse_hex("@6\n3\n@4\n1\n") == MemoryImage(0x10, [1, 0, 3])
+    assert parse_hex("@10\n# nothing\n") == MemoryImage(0, [])

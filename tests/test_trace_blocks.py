@@ -14,9 +14,9 @@ import pytest
 
 from rv32mc import ControlMode, PeripheralMap, Simulator, assemble, decode, image_to_hex
 from rv32mc.cli import TRACE_BLOCK_LINES, dispatch
-from rv32mc.core import csv_suffixes
+from rv32mc.core import SPAN_CACHE_SIZE, csv_suffixes
 from rv32mc.errors import SimError, UnsupportedInstruction
-from rv32mc.isa import WORD_CACHE_SIZE, format_instruction
+from rv32mc.isa import format_instruction
 
 # Writes each pass's number to the pacing DATA register, then rewrites the
 # immediate of its own `addi` for the next pass: about 32 cycles a pass.
@@ -119,12 +119,12 @@ def test_trace_lines_cross_blocks_and_survive_every_ending(tmp_path, source, max
 
 def test_as_csv_matches_longhand_past_the_cache_bound():
     # Straight-line `addi xN, xN, k` over N = 1..31: every word a new (pc, ir) pair.
-    words = WORD_CACHE_SIZE + 100
+    words = SPAN_CACHE_SIZE + 100
     source = "".join(f"addi x{1 + k % 31}, x{1 + k % 31}, {k // 31}\n" for k in range(words))
     sim, records = Simulator(16384), []
     sim.program_and_start(assemble(source + "done: jal x0, done\n"))
     sim.core.run(sim.bus, trace=lambda span: records.extend(span.records()))
-    assert len({(r.pc, r.ir) for r in records}) > words > WORD_CACHE_SIZE
+    assert len({(r.pc, r.ir) for r in records}) > words > SPAN_CACHE_SIZE
     for rec in records:
         assert rec.as_csv() + "\n" == render(rec)
 
