@@ -15,14 +15,16 @@ median time of perfbench's calibration kernel over the traced pipelines,
 which is pure Python and imports nothing from rv32mc, so no change to the
 program can move it.
 
-Apart from the benchmark, `rv32mc run --trace` is timed as a fresh
-process per side (`cli`): on the traced_mmio image of the trace seed
-(`--format kv`, a loop that reuses its words) and on the toolchain_image
-hex of that seed (straight-line code, no word reused), both written by the
-parent's generator and assembler.  Each command runs `CLI_REPS` times per
-side, alternating, stdout to /dev/null; the JSON holds the wall times, their
-median and quartiles per side, the exit codes, and the sha256 of one more
-run's stdout per side.  They carry no verdict.
+Apart from the benchmark, each `rv32mc` command is timed as a fresh
+process per side (`cli`): `run --trace` on the traced_mmio image of the
+trace seed (`--format kv`, a loop that reuses its words) and on the
+toolchain_image hex of that seed (straight-line code, no word reused);
+`asm` of that toolchain_image source (its hex to stdout), `dis` and an
+untraced `run --format kv` of its hex; and `selftest`.  The sources and
+images are written by the parent's generator and assembler.  Each command
+runs `CLI_REPS` times per side, alternating, stdout to /dev/null; the JSON
+holds the wall times, their median and quartiles per side, the exit codes,
+and the sha256 of one more run's stdout per side.  They carry no verdict.
 
 The JSON holds both revisions, each with its source size (`src_loc`,
 the newlines in `src/rv32mc/*.py`, as `wc -l` counts them) and its knobs
@@ -69,8 +71,8 @@ TRACE_SECONDS = 10
 
 Runner = Callable[[Path, str, int, float, int], dict]
 CLI_REPS = 7
-# Run in a checkout: writes the two hex images of a seed with its generator
-# and prints the memory size toolchain_image needs.
+# Run in a checkout: writes the two sources and hex images of a seed with its
+# generator and prints the memory size toolchain_image needs.
 _WRITE_IMAGES = """
 import sys
 sys.path[:0] = ["src", "perfbench"]
@@ -78,6 +80,7 @@ import rv32mc, workgen
 dest, seed = sys.argv[1], int(sys.argv[2])
 images = {"traced_mmio": workgen.traced_mmio(seed), "toolchain_image": workgen.toolchain_image(seed)}
 for name, fw in images.items():
+    open(f"{dest}/{name}.s", "w").write(fw.source)
     open(f"{dest}/{name}.hex", "w").write(rv32mc.image_to_hex(rv32mc.assemble(fw.source)))
 print(images["toolchain_image"].mem_size)
 """
@@ -234,14 +237,18 @@ def bench_workload(spec: dict, workload: str, dirs: dict[str, Path], seeds: list
 
 
 def cli_commands(checkout: Path, dest: Path, seed: int) -> dict[str, list[str]]:
-    """The `rv32mc` arguments of each timed command, after writing its image
+    """The `rv32mc` arguments of each timed command, after writing its input
     into `dest` with the generator and assembler of `checkout`."""
     mem_size = subprocess.run([sys.executable, "-c", _WRITE_IMAGES, str(dest), str(seed)],
                               cwd=checkout, check=True, capture_output=True, text=True).stdout.strip()
+    image = str(dest / "toolchain_image.hex")
     return {
         "traced_mmio_run_trace_kv": ["run", str(dest / "traced_mmio.hex"), "--trace", "--format", "kv"],
-        "toolchain_image_run_trace": ["run", str(dest / "toolchain_image.hex"), "--trace",
-                                      "--mem-size", mem_size],
+        "toolchain_image_run_trace": ["run", image, "--trace", "--mem-size", mem_size],
+        "toolchain_image_asm": ["asm", str(dest / "toolchain_image.s"), "-o", "/dev/stdout"],
+        "toolchain_image_dis": ["dis", image],
+        "toolchain_image_run_kv": ["run", image, "--format", "kv", "--mem-size", mem_size],
+        "selftest": ["selftest"],
     }
 
 

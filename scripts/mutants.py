@@ -26,18 +26,20 @@ address guards and the states it sets.  The inline pass hands the trace
 its instruction's whole state tuple, so only the per-state retirement and
 the partial span slice theirs.  The per-state branches take each successor
 from one table, `_NEXT`, so its mutant goes into that table.
-The last mutants reach past the engine: the trace's held flag, the
-retired flag of a span's CSV lines, the bound of the trace's span cache,
-the `.word` text of an undecodable word, the oracle's `slt`, the decode
-memo's bound, a decode cache keyed by address at both decode sites, the
-CLI's trace blocks, their size and the `finally` that writes the lines
-before a fault, a `dis` listing written in one call, a listing of each
-distinct word once instead of each word of the image, the `--mem-size`
-bound, the last word address as the bound of an empty range,
-`image_to_hex`'s base check, and the assembler's second walk, which must
-get each branch and jump and each statement that raised.  The codec's mutants each
-change one fact of its two tables, which both directions read, so only
-the independent golden encodings can see them.
+The last mutants reach past the engine: the trace's held flag, a held
+clock that runs the engine, held cycles counted as executing, a device
+map that names one device twice, the retired flag of a span's CSV lines,
+the bound of the trace's span cache, the `.word` text of an undecodable
+word, the oracle's `slt`, the decode memo's bound, a decode cache keyed
+by address at both decode sites, the CLI's trace blocks, their size and
+the `finally` that writes the lines before a fault, a `dis` listing
+written in one call, a listing of each distinct word once instead of
+each word of the image, the `--mem-size` bound, the last word address as
+the bound of an empty range, `image_to_hex`'s base check, and the
+assembler's second walk, which must get each branch and jump and each
+statement that raised. The codec's mutants each change one fact of its
+two tables, which both directions read, so only the independent golden
+encodings can see them.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ ISA = "src/rv32mc/isa.py"
 CLI = "src/rv32mc/cli.py"
 MEMORY = "src/rv32mc/memory.py"
 ASM = "src/rv32mc/asm.py"
+HARNESS = "src/rv32mc/harness.py"
 CLOCK = "tests/test_clock.py"
 FAULTS = f"{CLOCK}::test_every_path_faults_alike_in_the_middle_of_an_instruction"
 ENTERED = f"{CLOCK}::test_traced_runs_entered_and_left_mid_instruction_give_step_cycle_records"
@@ -113,6 +116,9 @@ DIS_EXAMPLES = "tests/test_asm.py::test_disassemble_examples"
 EMPTY_PAST_LAST_WORD = "tests/test_cli.py::test_script_observe_of_nothing_past_the_last_word_exit_code"
 TWO_ERRORS = "tests/test_asm.py::test_a_source_with_two_errors_reports_the_same_one"
 FORWARD_LABELS = "tests/test_asm.py::test_backward_and_forward_labels"
+HELD_RUN = "tests/test_harness.py::test_script_run_counts_held_cycles"
+HELD_RESET = "tests/test_harness.py::test_observe_under_held_reset_changes_nothing"
+DEVICE_MAP = "tests/test_harness.py::test_device_map_validation"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -241,6 +247,18 @@ MUTANTS = [
            [("return self.mode != _EXECUTING.value",
              "return self.mode == _EXECUTING.value")],
            (HELD,)),
+    Mutant("held-clock-runs-the-engine", CORE,
+           [("if self.mode is _EXECUTING:\n            self._cycles(bus, self.cycle_count + cycles,",
+             "if True:\n            self._cycles(bus, self.cycle_count + cycles,")],
+           (HELD_RUN, HELD_RESET)),
+    Mutant("held-cycles-counted-as-executing", HARNESS,
+           [("return executed, cycles - executed",
+             "return cycles, 0")],
+           (HELD_RUN, HELD_RESET)),
+    Mutant("repeated-device-name-accepted", HARNESS,
+           [("if any(d.name == e.name for e in self.devices[:i]):",
+             "if False:")],
+           (DEVICE_MAP,)),
     Mutant("trace-retired-flag-on-every-line", CORE,
            [('{tail}0" for state in head]',
              "{tail}{'01'[retired]}\" for state in head]")],

@@ -192,7 +192,6 @@ class CoreSnapshot:
     mode: str
     cycle_count: int
     retired_count: int
-    held_cycles: int
 
 
 class Core:
@@ -211,7 +210,7 @@ class Core:
             self.fsm = _FETCH
             self.ir = self.a = self.b = self.alu_out = self.mdr = self.instr_pc = 0
             self.decoded: DecodedInstruction | None = None
-            self.cycle_count = self.held_cycles = 0
+            self.cycle_count = 0
             self.by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)  # retirements
         return self.mode
 
@@ -227,7 +226,6 @@ class Core:
             mode=self.mode.value,
             cycle_count=self.cycle_count,
             retired_count=self.retired_count,
-            held_cycles=self.held_cycles,
         )
 
     # --- cycle-level stepping ---
@@ -369,12 +367,10 @@ class Core:
         """Advance `cycles` (>= 0) clocks without records.
 
         Outside executing mode the clock is held: no architectural or
-        microarchitectural state changes.
+        microarchitectural state changes, so `snapshot()` is unchanged.
         """
-        if self.mode is not _EXECUTING:
-            self.held_cycles += cycles
-            return
-        self._cycles(bus, self.cycle_count + cycles, None, _NEVER)
+        if self.mode is _EXECUTING:
+            self._cycles(bus, self.cycle_count + cycles, None, _NEVER)
 
     def step_cycle(self, bus: Bus) -> TraceRecord:
         """Advance one clock and describe it; a held cycle changes nothing."""
@@ -382,7 +378,6 @@ class Core:
             spans: list[TraceSpan] = []
             self._cycles(bus, self.cycle_count + 1, spans.append)
             return spans[0].records()[0]
-        self.held_cycles += 1
         state, mode = self.fsm, self.mode
         pc = self.pc if state is _FETCH else self.instr_pc
         return TraceRecord(self.cycle_count, mode.value, state, pc, self.ir, False)
@@ -421,7 +416,6 @@ class Core:
         if self.mode is not _EXECUTING:
             raise NotExecuting(f"core is in {self.mode.value} mode")
         start_cycles = self.cycle_count
-        start_held = self.held_cycles
         before = dict(self.by_mnemonic)
         halted = self._cycles(bus, start_cycles + max_cycles, trace, _HALT)
         retired = {cls: 0 for cls in InstrClass}
@@ -429,7 +423,6 @@ class Core:
             retired[MNEMONIC_CLASS[m]] += n - before[m]
         return RunReport(
             total_cycles=self.cycle_count - start_cycles,
-            held_cycles=self.held_cycles - start_held,
             retired=retired,
             halt_reason=HaltReason.SELF_LOOP if halted else HaltReason.CYCLE_BUDGET_EXHAUSTED,
             final_state=self.snapshot(),

@@ -82,6 +82,9 @@ class Peripheral:
 class PeripheralMap:
     def __init__(self, devices: Iterable[Peripheral]):
         self.devices = list(devices)
+        for i, d in enumerate(self.devices):
+            if any(d.name == e.name for e in self.devices[:i]):
+                raise ValueError(f"device {d.name!r} is named twice")
         spans = sorted((d.base, d.base + d.span, d.name) for d in self.devices)
         for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
             if start_b < end_a:
@@ -212,9 +215,9 @@ class Simulator:
             self.stop()
 
     def pulse_reset(self) -> None:
-        """Assert reset across one clock edge, then release into observation."""
+        """Assert reset, then release into observation; reset acts as the
+        line is driven, and a clock under it would be held, changing nothing."""
         self.core.apply_control(ie=0, reset=1)
-        self.core._clock(self.bus)
         self.stop()
 
     def start(self) -> None:
@@ -229,10 +232,10 @@ class Simulator:
         """Clock `cycles` times in the current mode; (executing, held) counts."""
         if cycles < 0:
             raise ValueError(f"cycles={cycles} must not be negative")
-        core = self.core
-        c0, h0 = core.cycle_count, core.held_cycles
-        core._clock(self.bus, cycles)
-        return core.cycle_count - c0, core.held_cycles - h0
+        start = self.core.cycle_count
+        self.core._clock(self.bus, cycles)  # one mode throughout; a fault raises
+        executed = self.core.cycle_count - start
+        return executed, cycles - executed
 
     def program_and_start(self, image: MemoryImage) -> None:
         """Canonical bring-up: load, reset to pc=0, then enable execution."""

@@ -83,7 +83,9 @@ class UnifiedMemory:
         if addr % 4 or nbytes % 4:
             raise MisalignedAccess(f"{what} [{addr:#x}, +{nbytes}) must be word-aligned", addr=addr)
         if addr < 0 or not addr <= addr + nbytes <= (self.size_bytes if nbytes else MASK32):
-            raise OutOfRange(f"{what} beyond {self.size_bytes}-byte memory", addr=addr)
+            bound = (f"{self.size_bytes}-byte memory" if nbytes or addr < 0
+                     else "the last word address 0xfffffffc")
+            raise OutOfRange(f"{what} beyond {bound}", addr=addr)
 
     def check_fits(self, image: MemoryImage) -> None:
         """check_range over the bytes the image covers."""

@@ -3,8 +3,8 @@
 CPI is exact rational arithmetic over retired instructions.  Energy is a
 first-order cycles-times-constant model: the defaults are 17.18 pJ/cycle
 at a 50 MHz clock, which work out to 859 uW of average power under the
-continuous-execution assumption.  Held (non-executing) cycles are reported
-separately and never enter the energy total.
+continuous-execution assumption.  A report covers a run's executing
+cycles; held ones are what `Simulator.run_cycles` and the script echo count.
 
 The report is one ordered field list (`_fields`): one entry per text line,
 holding the line's label and value and the key=value pairs it stands for.
@@ -45,7 +45,6 @@ class EnergyModel:
 @dataclass
 class RunReport:
     total_cycles: int
-    held_cycles: int
     retired: dict[InstrClass, int]
     halt_reason: HaltReason
     final_state: "CoreSnapshot"
@@ -90,7 +89,6 @@ def _fields(report: RunReport) -> list[tuple[str, object, tuple[tuple[str, objec
     fields = [
         ("halt reason", reason, (("halt_reason", reason),)),
         ("cycles", report.total_cycles, (("total_cycles", report.total_cycles),)),
-        ("held cycles", report.held_cycles, (("held_cycles", report.held_cycles),)),
         ("retired", report.retired_total, (("retired_total", report.retired_total),)),
     ]
     for cls in InstrClass:

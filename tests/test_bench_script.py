@@ -181,11 +181,15 @@ def test_cli_commands_alternate_sides_and_keep_times_codes_and_digests(bench):
 
 def test_cli_commands_run_the_generated_images_in_fresh_processes(bench, tmp_path):
     commands = bench.cli_commands(ROOT, tmp_path, 3)
-    assert list(commands) == ["traced_mmio_run_trace_kv", "toolchain_image_run_trace"]
+    assert list(commands) == ["traced_mmio_run_trace_kv", "toolchain_image_run_trace",
+                              "toolchain_image_asm", "toolchain_image_dis",
+                              "toolchain_image_run_kv", "selftest"]
     assert commands["traced_mmio_run_trace_kv"] == [
         "run", str(tmp_path / "traced_mmio.hex"), "--trace", "--format", "kv"]
     assert commands["toolchain_image_run_trace"][:3] == [
         "run", str(tmp_path / "toolchain_image.hex"), "--trace"]
+    _, code, hex_text = bench.run_cli(ROOT, commands["toolchain_image_asm"], subprocess.PIPE)
+    assert code == 0 and hex_text == (tmp_path / "toolchain_image.hex").read_bytes()
     demo = tmp_path / "demo.hex"
     demo.write_text("00500093\n0000006f\n")
     wall, code, out = bench.run_cli(ROOT, ["run", str(demo), "--trace"], subprocess.PIPE)

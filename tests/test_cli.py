@@ -347,8 +347,10 @@ def test_mem_size_at_the_bound_runs(demo_hex, capsys):
     "devices",
     ["[1]", '[{"base": 8192}]', '[{"name": "pacing", "base": 1e999}]',
      '[{"name": "pacing", "base": 8192, "span": true}]', '{"device": []}', "[{",
-     "[" * 100_000 + "]" * 100_000],
-    ids=["int", "no-name", "inf-base", "bool-span", "no-devices-key", "bad-json", "deep"],
+     "[" * 100_000 + "]" * 100_000,
+     '[{"name": "pacing", "base": 8192}, {"name": "pacing", "base": 8208}]'],
+    ids=["int", "no-name", "inf-base", "bool-span", "no-devices-key", "bad-json", "deep",
+         "repeated-name"],
 )
 def test_bad_device_map_exit_code(demo_hex, tmp_path, capsys, devices):
     pmap = tmp_path / "devices.json"
@@ -469,7 +471,8 @@ def test_script_observe_of_nothing_past_the_last_word_exit_code(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error[script]: line 1: addr=0x100000000: observe range beyond 4096-byte memory\n"
+        "error[script]: line 1: addr=0x100000000:"
+        " observe range beyond the last word address 0xfffffffc\n"
     )
     assert code == 2
 

@@ -57,13 +57,8 @@ def test_non_executing_modes_hold_the_clock():
         mem_before = list(mem.words)
         rec = core.step_cycle(mem)
         assert rec.held and not rec.retired
-        after = core.snapshot()
-        assert after.pc == before.pc
-        assert after.regs == before.regs
-        assert after.cycle_count == before.cycle_count
-        assert after.retired_count == before.retired_count
+        assert core.snapshot() == before
         assert mem.words == mem_before
-    assert core.held_cycles == 3
 
 
 # --- per-class execution ---

@@ -138,11 +138,12 @@ def test_observe_range_errors():
 def test_observe_under_held_reset_changes_nothing():
     sim = Simulator()
     sim.core.apply_control(ie=0, reset=1)
+    before = sim.core.snapshot()
     assert sim.run_cycles(5) == (0, 5)
     result = sim.observe(0, 8)
     assert not result.execution_stopped
-    assert sim.core.held_cycles == 5  # reset was not asserted a second time
     assert sim.core.mode is ControlMode.RESET_HOLD
+    assert sim.core.snapshot() == before
 
 
 @pytest.mark.parametrize("lines", [(1, 0, 0), (0, 0, 0)], ids=["executing", "observation"])
@@ -227,6 +228,9 @@ def test_unmapped_vs_out_of_range_are_distinct():
 def test_device_map_validation():
     with pytest.raises(ValueError):
         PeripheralMap([Peripheral("pacing", 0x1000), Peripheral("sensing", 0x1008)])
+    # `device("pacing")` would find one of the two and miss the other's accesses.
+    with pytest.raises(ValueError, match="^device 'pacing' is named twice$"):
+        PeripheralMap([Peripheral("pacing", 0x2000), Peripheral("pacing", 0x2010)])
     with pytest.raises(ValueError):
         Peripheral("radio", 0x1000)
     with pytest.raises(ValueError):
@@ -386,7 +390,7 @@ def test_execute_script_end_to_end(tmp_path):
 
 def _assert_untouched(sim):
     assert sim.core.mode is ControlMode.OBSERVATION
-    assert sim.core.held_cycles == 0
+    assert sim.core.snapshot() == Core().snapshot()
     assert not any(sim.mem.words)
 
 

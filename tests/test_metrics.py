@@ -18,11 +18,10 @@ from rv32mc import (
 from rv32mc.errors import NoInstructionsRetired
 
 
-def make_report(retired, total_cycles, held=0):
+def make_report(retired, total_cycles):
     core = Core()
     return RunReport(
         total_cycles=total_cycles,
-        held_cycles=held,
         retired=retired,
         halt_reason=HaltReason.SELF_LOOP,
         final_state=core.snapshot(),
@@ -87,12 +86,6 @@ def test_unit_algebra_consistency():
     assert math.isclose(back, energy, rel_tol=1e-9)
 
 
-def test_held_cycles_energy_opt_in():
-    model = EnergyModel(pj_per_cycle=2.0, freq_hz=1e6)
-    report = make_report({InstrClass.JUMP: 1}, 4, held=6)
-    assert estimate_energy(report, model)[0] == 8.0
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         EnergyModel(pj_per_cycle=0)
@@ -126,7 +119,6 @@ def test_report_totals_match_engine():
     assert report.total_cycles == sum(
         CYCLE_COST[c] * n for c, n in report.retired.items()
     )
-    assert report.held_cycles == 0
     assert compute_cpi(report) == Fraction(13, 3)
 
 
@@ -139,7 +131,7 @@ def _kv_keys(report):
 
 
 def test_no_retirements_means_no_cpi_in_either_format():
-    report = attach_metrics(make_report({}, 0, held=3), EnergyModel())
+    report = attach_metrics(make_report({}, 0), EnergyModel())
     assert report.cpi is None
     assert "cpi" not in _text_labels(report)
     assert not {"cpi", "cpi_exact"} & set(_kv_keys(report))
