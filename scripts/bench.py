@@ -16,15 +16,21 @@ which is pure Python and imports nothing from rv32mc, so no change to the
 program can move it.
 
 Apart from the benchmark, each `rv32mc` command is timed as a fresh
-process per side (`cli`): `run --trace` on the traced_mmio image of the
-trace seed (`--format kv`, a loop that reuses its words) and on the
-toolchain_image hex of that seed (straight-line code, no word reused);
+process per side (`cli`): an untraced `run` of `firmware/demo.s`'s image,
+which halts after a few cycles, so it is start-up alone; `run --trace`
+on the traced_mmio image of the trace seed (`--format kv`, a loop that
+reuses its words) and on the toolchain_image hex of that seed
+(straight-line code, no word reused);
 `asm` of that toolchain_image source (its hex to stdout), `dis` and an
 untraced `run --format kv` of its hex; and `selftest`.  The sources and
 images are written by the parent's generator and assembler.  Each command
 runs `CLI_REPS` times per side, alternating, stdout to /dev/null; the JSON
 holds the wall times, their median and quartiles per side, the exit codes,
 and the sha256 of one more run's stdout per side.  They carry no verdict.
+The children, these and perfbench's, inherit this process's environment,
+and `dont_write_bytecode` records their `sys.flags.dont_write_bytecode`:
+when it is 1, every fresh process compiles the modules it imports, as
+perfbench's `setup_s` process does, so the figures include compiling.
 
 The JSON holds both revisions, each with its source size (`src_loc`,
 the newlines in `src/rv32mc/*.py`, as `wc -l` counts them) and its knobs
@@ -72,7 +78,8 @@ TRACE_SECONDS = 10
 Runner = Callable[[Path, str, int, float, int], dict]
 CLI_REPS = 7
 # Run in a checkout: writes the two sources and hex images of a seed with its
-# generator and prints the memory size toolchain_image needs.
+# generator, and the hex image of firmware/demo.s, and prints the memory size
+# toolchain_image needs.
 _WRITE_IMAGES = """
 import sys
 sys.path[:0] = ["src", "perfbench"]
@@ -82,6 +89,8 @@ images = {"traced_mmio": workgen.traced_mmio(seed), "toolchain_image": workgen.t
 for name, fw in images.items():
     open(f"{dest}/{name}.s", "w").write(fw.source)
     open(f"{dest}/{name}.hex", "w").write(rv32mc.image_to_hex(rv32mc.assemble(fw.source)))
+demo = open("firmware/demo.s").read()
+open(f"{dest}/demo.hex", "w").write(rv32mc.image_to_hex(rv32mc.assemble(demo)))
 print(images["toolchain_image"].mem_size)
 """
 # Run in a checkout: prints its `public_params` (see above).
@@ -97,7 +106,7 @@ def count(fn):
         return 0
 
 n = 0
-for obj in map(rv32mc.__dict__.get, rv32mc.__all__):
+for obj in (getattr(rv32mc, name) for name in rv32mc.__all__):
     if not isinstance(obj, type):
         n += count(obj)
     elif not issubclass(obj, enum.Enum):
@@ -243,6 +252,7 @@ def cli_commands(checkout: Path, dest: Path, seed: int) -> dict[str, list[str]]:
                               cwd=checkout, check=True, capture_output=True, text=True).stdout.strip()
     image = str(dest / "toolchain_image.hex")
     return {
+        "demo_run": ["run", str(dest / "demo.hex")],
         "traced_mmio_run_trace_kv": ["run", str(dest / "traced_mmio.hex"), "--trace", "--format", "kv"],
         "toolchain_image_run_trace": ["run", image, "--trace", "--mem-size", mem_size],
         "toolchain_image_asm": ["asm", str(dest / "toolchain_image.s"), "-o", "/dev/stdout"],
@@ -259,6 +269,12 @@ def run_cli(checkout: Path, argv: list[str], stdout=subprocess.DEVNULL) -> tuple
     proc = subprocess.run([sys.executable, "-c", "from rv32mc.cli import main; main()", *argv],
                           cwd=checkout, env=env, stdout=stdout, stderr=subprocess.DEVNULL)
     return time.perf_counter() - start, proc.returncode, proc.stdout or b""
+
+
+def dont_write_bytecode() -> int:
+    """`sys.flags.dont_write_bytecode` of a child of this process."""
+    return int(subprocess.run([sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"],
+                              check=True, capture_output=True, text=True).stdout)
 
 
 def bench_cli(dirs: dict[str, Path], commands: dict[str, list[str]], reps: int = CLI_REPS,
@@ -298,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "revisions": revisions,
             "python": platform.python_version(), "nproc": os.cpu_count(),
-            "platform": platform.platform(),
+            "platform": platform.platform(), "dont_write_bytecode": dont_write_bytecode(),
             "settings": {"seconds": seconds, "trace_seconds": TRACE_SECONDS,
                          "pairs": len(args.seeds), "order": "parent first in even pairs"},
             "workloads": {

@@ -37,9 +37,10 @@ written in one call, a listing of each distinct word once instead of
 each word of the image, the `--mem-size` bound, the last word address as
 the bound of an empty range, `image_to_hex`'s base check, and the
 assembler's second walk, which must get each branch and jump and each
-statement that raised. The codec's mutants each change one fact of its
-two tables, which both directions read, so only the independent golden
-encodings can see them.
+statement that raised, an eager import of the bring-up harness at the top
+of the CLI, and a package that answers a name it does not export. The
+codec's mutants each change one fact of its two tables, which both
+directions read, so only the independent golden encodings can see them.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ CLI = "src/rv32mc/cli.py"
 MEMORY = "src/rv32mc/memory.py"
 ASM = "src/rv32mc/asm.py"
 HARNESS = "src/rv32mc/harness.py"
+INIT = "src/rv32mc/__init__.py"
 CLOCK = "tests/test_clock.py"
 FAULTS = f"{CLOCK}::test_every_path_faults_alike_in_the_middle_of_an_instruction"
 ENTERED = f"{CLOCK}::test_traced_runs_entered_and_left_mid_instruction_give_step_cycle_records"
@@ -119,6 +121,10 @@ FORWARD_LABELS = "tests/test_asm.py::test_backward_and_forward_labels"
 HELD_RUN = "tests/test_harness.py::test_script_run_counts_held_cycles"
 HELD_RESET = "tests/test_harness.py::test_observe_under_held_reset_changes_nothing"
 DEVICE_MAP = "tests/test_harness.py::test_device_map_validation"
+IMPORTS = "tests/test_imports.py"
+CLI_IMPORTS = f"{IMPORTS}::test_the_package_and_its_cli_load_only_the_cli_and_errors"
+COMMAND_IMPORTS = f"{IMPORTS}::test_a_command_imports_only_what_it_runs"
+UNKNOWN_NAME = f"{IMPORTS}::test_an_unknown_name_raises_attribute_error_naming_it"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -334,6 +340,14 @@ MUTANTS = [
              "            words.append(_encode_statement(lineno, addr, mnemonic, rest, labels))\n"
              "        else:")],
            (FORWARD_LABELS,)),
+    Mutant("cli-imports-the-harness-eagerly", CLI,
+           [("from .errors import SimError\n",
+             "from .errors import SimError\nfrom .harness import PeripheralMap, Simulator\n")],
+           (CLI_IMPORTS, COMMAND_IMPORTS)),
+    Mutant("unknown-export-reads-none", INIT,
+           [("raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")",
+             "return None")],
+           (UNKNOWN_NAME,)),
     Mutant("slt-unsigned-oracle", CORE,
            [("val = 1 if sa < sb else 0",
              "val = 1 if a < b else 0")],

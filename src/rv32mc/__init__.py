@@ -6,59 +6,36 @@ with asynchronous reads and synchronous writes.  Execution is gated by
 external IE/reset control lines, so firmware can be loaded, observed,
 and started deterministically; a separate functional model cross-checks
 every architectural effect.
+
+Each export is imported from its module on first use, so a process loads
+only the modules whose names it reads.
 """
 
-from .asm import assemble, disassemble, image_to_hex, load_hex_file, parse_hex, save_hex_file
-from .control import ControlMode
-from .core import (
-    Core,
-    CoreSnapshot,
-    OracleResult,
-    RegisterFile,
-    TraceRecord,
-    TraceSpan,
-    reference_execute,
-)
-from .errors import SimError
-from .harness import (
-    ObserveResult,
-    Peripheral,
-    PeripheralMap,
-    Simulator,
-    SystemBus,
-    execute_script,
-    parse_script,
-)
-from .isa import (
-    CYCLE_COST,
-    DecodedInstruction,
-    InstrClass,
-    decode,
-    encode,
-    instr,
-)
-from .memory import MemoryImage, UnifiedMemory
-from .metrics import (
-    EnergyModel,
-    HaltReason,
-    RunReport,
-    attach_metrics,
-    compute_cpi,
-    estimate_energy,
-    render_kv,
-    render_text,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "assemble", "disassemble", "image_to_hex", "load_hex_file", "parse_hex",
-    "save_hex_file", "ControlMode", "Core", "CoreSnapshot", "OracleResult",
-    "RegisterFile", "TraceRecord", "TraceSpan", "reference_execute",
-    "SimError", "ObserveResult", "Peripheral", "PeripheralMap", "Simulator",
-    "SystemBus", "execute_script", "parse_script", "CYCLE_COST",
-    "DecodedInstruction", "InstrClass", "decode", "encode", "instr",
-    "MemoryImage", "UnifiedMemory",
-    "EnergyModel", "HaltReason", "RunReport", "attach_metrics", "compute_cpi",
-    "estimate_energy", "render_kv", "render_text",
-]
+_EXPORTS = {
+    "asm": ("assemble", "disassemble", "image_to_hex", "load_hex_file", "parse_hex",
+            "save_hex_file"),
+    "control": ("ControlMode",),
+    "core": ("Core", "CoreSnapshot", "OracleResult", "RegisterFile", "TraceRecord", "TraceSpan",
+             "reference_execute"),
+    "errors": ("SimError",),
+    "harness": ("ObserveResult", "Peripheral", "PeripheralMap", "Simulator", "SystemBus",
+                "execute_script", "parse_script"),
+    "isa": ("CYCLE_COST", "DecodedInstruction", "InstrClass", "decode", "encode", "instr"),
+    "memory": ("MemoryImage", "UnifiedMemory"),
+    "metrics": ("EnergyModel", "HaltReason", "RunReport", "attach_metrics", "compute_cpi",
+                "estimate_energy", "render_kv", "render_text"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the module that owns export `name` and keep its value here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value

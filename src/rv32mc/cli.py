@@ -16,22 +16,23 @@ is checked once: by its argparse type, or by the code that uses it
 (`memory.check_size`, EnergyModel, Core.run), and all of those checks run
 before the first instruction is fetched.  `--mem-size` is at most 16 MiB
 (`memory.MAX_MEM_SIZE`), refused before any memory is built.
+
+Each command imports the modules it runs in its own body, so a process
+loads only those: `asm` and `dis` never load the harness or the selftest.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .asm import assemble, disassemble, load_hex_file, save_hex_file
-from .core import DEFAULT_MAX_CYCLES, TraceSpan, csv_suffixes
 from .errors import SimError
-from .harness import PeripheralMap, Simulator, execute_script, parse_script
-from .memory import DEFAULT_MEM_SIZE, MemoryImage, check_size
-from .metrics import EnergyModel, HaltReason, attach_metrics, render_kv, render_text
-from .selfcheck import run_selftest
+
+if TYPE_CHECKING:
+    from .core import TraceSpan
+    from .harness import Simulator
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -57,9 +58,12 @@ def _simulator(args: argparse.Namespace) -> Simulator:
     """Memory of `--mem-size` and its devices: the default map, packed just
     above memory, or `--peripheral-map`'s.  The size is checked first, so
     a bad size is not reported as a bad device."""
+    from .harness import PeripheralMap, Simulator
+    from .memory import check_size
     check_size(args.mem_size)
     if args.peripheral_map is None:
         return Simulator(args.mem_size, PeripheralMap.default(args.mem_size))
+    import json
     with open(args.peripheral_map, "r", encoding="utf-8") as f:
         return Simulator(args.mem_size, PeripheralMap.from_config(json.load(f)))
 
@@ -71,6 +75,7 @@ def _write_lines(lines: list[str]) -> None:
 
 
 def _cmd_asm(args: argparse.Namespace) -> int:
+    from .asm import assemble, save_hex_file
     try:
         with open(args.source, "r", encoding="utf-8") as f:
             image = assemble(f.read(), base=args.base)
@@ -82,6 +87,8 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 
 
 def _cmd_dis(args: argparse.Namespace) -> int:
+    from .asm import disassemble, load_hex_file
+    from .memory import MemoryImage
     try:
         image = load_hex_file(args.image)
     except (OSError, ValueError, SimError) as e:
@@ -94,6 +101,9 @@ def _cmd_dis(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .asm import load_hex_file, save_hex_file
+    from .core import csv_suffixes
+    from .metrics import EnergyModel, HaltReason, attach_metrics, render_kv, render_text
     try:
         energy = EnergyModel(args.pj_per_cycle, args.freq_hz)
         image = load_hex_file(args.image)
@@ -147,6 +157,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_script(args: argparse.Namespace) -> int:
+    from .harness import execute_script, parse_script
     try:
         sim = _simulator(args)
     except ValueError as e:
@@ -168,10 +179,14 @@ def _cmd_script(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selfcheck import run_selftest
     return EXIT_OK if run_selftest(write=print) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core import DEFAULT_MAX_CYCLES
+    from .memory import DEFAULT_MEM_SIZE
+    from .metrics import EnergyModel
     parser = argparse.ArgumentParser(
         prog="rv32mc",
         description="Cycle-accurate multi-cycle RV32I controller-core simulator",

@@ -152,6 +152,29 @@ def test_public_params_counts_functions_constructors_and_public_methods(bench, t
     assert bench.public_params(tmp_path) == 4
 
 
+def test_public_params_reads_exports_a_package_resolves_on_first_use(bench, tmp_path):
+    pkg = tmp_path / "src" / "rv32mc"
+    pkg.mkdir(parents=True)
+    (pkg / "defs.py").write_text(
+        "import enum\n"
+        "def f(a, b=1): pass\n"
+        "class C:\n"
+        "    def __init__(self, x): pass\n"
+        "    def m(self, y=2): pass\n"
+        "class E(enum.Enum):\n"
+        "    A = 1\n"
+        "LIMIT = 3\n")
+    (pkg / "__init__.py").write_text(
+        "import importlib\n"
+        "__all__ = ['f', 'C', 'E', 'LIMIT']\n"
+        "def __getattr__(name):\n"
+        "    if name not in __all__:\n"
+        "        raise AttributeError(name)\n"
+        "    return getattr(importlib.import_module('.defs', __name__), name)\n")
+    # The package's namespace holds none of the four until each is read.
+    assert bench.public_params(tmp_path) == 4
+
+
 def test_cli_commands_alternate_sides_and_keep_times_codes_and_digests(bench):
     calls = []
 
@@ -181,9 +204,10 @@ def test_cli_commands_alternate_sides_and_keep_times_codes_and_digests(bench):
 
 def test_cli_commands_run_the_generated_images_in_fresh_processes(bench, tmp_path):
     commands = bench.cli_commands(ROOT, tmp_path, 3)
-    assert list(commands) == ["traced_mmio_run_trace_kv", "toolchain_image_run_trace",
+    assert list(commands) == ["demo_run", "traced_mmio_run_trace_kv", "toolchain_image_run_trace",
                               "toolchain_image_asm", "toolchain_image_dis",
                               "toolchain_image_run_kv", "selftest"]
+    assert commands["demo_run"] == ["run", str(tmp_path / "demo.hex")]
     assert commands["traced_mmio_run_trace_kv"] == [
         "run", str(tmp_path / "traced_mmio.hex"), "--trace", "--format", "kv"]
     assert commands["toolchain_image_run_trace"][:3] == [
