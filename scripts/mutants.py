@@ -38,7 +38,8 @@ each word of the image, the `--mem-size` bound, the last word address as
 the bound of an empty range, `image_to_hex`'s base check, and the
 assembler's second walk, which must get each branch and jump and each
 statement that raised, an eager import of the bring-up harness at the top
-of the CLI, and a package that answers a name it does not export. The
+of the CLI, a record of the harness that is a dataclass again, and a
+package that answers a name it does not export. The
 codec's mutants each change one fact of its two tables, which both
 directions read, so only the independent golden encodings can see them.
 """
@@ -331,11 +332,11 @@ MUTANTS = [
            (HEX_BASE,)),
     Mutant("raised-statement-dropped", ASM,
            [("except (AsmError, EncodeError):  # raised again by the second walk, in line order\n"
-             "                deferred.append((lineno, addr, mnemonic, rest, runs[-1]))",
+             "                deferred.append((lineno, addr, text, runs[-1]))",
              "except (AsmError, EncodeError):\n                pass")],
            (TWO_ERRORS,)),
     Mutant("branches-encoded-in-pass-1", ASM,
-           [("            deferred.append((lineno, addr, mnemonic, rest, runs[-1]))\n"
+           [("            deferred.append((lineno, addr, text, runs[-1]))\n"
              "            words.append(0)\n        else:",
              "            words.append(_encode_statement(lineno, addr, mnemonic, rest, labels))\n"
              "        else:")],
@@ -344,6 +345,12 @@ MUTANTS = [
            [("from .errors import SimError\n",
              "from .errors import SimError\nfrom .harness import PeripheralMap, Simulator\n")],
            (CLI_IMPORTS, COMMAND_IMPORTS)),
+    Mutant("access-record-a-dataclass-again", HARNESS,
+           [("from typing import Any, Callable, Iterable, NamedTuple\n",
+             "import dataclasses\nfrom typing import Any, Callable, Iterable, NamedTuple\n"),
+            ("class AccessRecord(NamedTuple):\n",
+             "@dataclasses.dataclass(frozen=True)\nclass AccessRecord:\n")],
+           (COMMAND_IMPORTS,)),
     Mutant("unknown-export-reads-none", INIT,
            [("raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")",
              "return None")],

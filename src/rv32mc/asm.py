@@ -39,7 +39,7 @@ from .errors import (
     UnknownMnemonic,
 )
 from .isa import ENCODING, MASK32, encode_fields, format_word
-from .memory import MemoryImage
+from .memory import MAX_MEM_SIZE, MemoryImage
 
 _COMMENT_RE = re.compile(r"#.*|//.*")
 _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.]*)\s*:\s*(.*)$")
@@ -77,14 +77,16 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
     Each statement is encoded as it is read, into its run of words between
     zero-filled `.org` gaps; branches, jumps and statements that raised
     wait for a second walk in line order, after every first-walk check.
+    An image that spans more than the largest memory is refused before
+    its gaps are filled, naming the line of its last statement.
     """
     if base % 4 or not 0 <= base <= MASK32:
         raise BadOperand(f"base address {base:#x} is not a word-aligned 32-bit address")
 
     labels: dict[str, int] = {}
     runs: list[tuple[int, list[int]]] = []  # (address, words) of each run between `.org` gaps
-    deferred: list[tuple] = []  # (line, address, mnemonic, operands, run) for the second walk
-    addr, end = base, -1  # end: the address after the last statement placed
+    deferred: list[tuple] = []  # (line, address, statement text, run) for the second walk
+    addr, end, last = base, -1, 0  # end: the address after the last statement; last: its line
 
     for lineno, text in enumerate(source.splitlines(), start=1):
         if "#" in text or "//" in text:
@@ -125,19 +127,25 @@ def assemble(source: str, base: int = 0) -> MemoryImage:
         if addr != end:  # the first statement, or the first past an `.org` gap
             runs.append((addr, words := []))
         if mnemonic in _TARGETED:  # its label may be defined further down
-            deferred.append((lineno, addr, mnemonic, rest, runs[-1]))
+            deferred.append((lineno, addr, text, runs[-1]))
             words.append(0)
         else:
             try:
                 words.append(_encode_statement(lineno, addr, mnemonic, rest, labels))
             except (AsmError, EncodeError):  # raised again by the second walk, in line order
-                deferred.append((lineno, addr, mnemonic, rest, runs[-1]))
+                deferred.append((lineno, addr, text, runs[-1]))
                 words.append(0)
         addr = end = addr + 4
+        last = lineno
 
-    for lineno, addr, mnemonic, rest, (first, run) in deferred:
-        run[(addr - first) // 4] = _encode_statement(lineno, addr, mnemonic, rest, labels)
+    for lineno, addr, text, (first, run) in deferred:  # split again, so no parts are held
+        mnemonic, *rest = text.split(None, 1)
+        run[(addr - first) // 4] = _encode_statement(lineno, addr, mnemonic.lower(), "".join(rest),
+                                                     labels)
     start, words = runs[0] if runs else (base, [])
+    if end - start > MAX_MEM_SIZE:
+        raise BadOperand(f"statements from {start:#x} to {end:#x} span more than the "
+                         f"{MAX_MEM_SIZE >> 20} MiB of the largest memory", line=last)
     for addr, run in runs[1:]:
         words += [0] * ((addr - start) // 4 - len(words))
         words += run
@@ -231,12 +239,14 @@ def image_to_hex(image: MemoryImage) -> str:
 
 def parse_hex(text: str) -> MemoryImage:
     """Inverse of image_to_hex; sparse records are zero-filled between.  An
-    `@` record or a word at byte address 2^32 or above is refused."""
+    `@` record or a word at byte address 2^32 or above is refused, and so
+    is an image that spans more than the largest memory."""
     head, body = text.partition("\n")[::2] if text.startswith("@") else ("", text)
     n = len(body) // 9
-    if (len(body) == 9 * n and body[8::9] == "\n" * n and body.count("\n") == n
-            and _HEX_BLOCK_RE.fullmatch(body) and (not head or _HEX_ADDR_RE.fullmatch(head)
-                                                   and int(head[1:], 16) + max(n, 1) <= 1 << 30)):
+    if (len(body) == 9 * n and n <= MAX_MEM_SIZE >> 2 and body[8::9] == "\n" * n
+            and body.count("\n") == n and _HEX_BLOCK_RE.fullmatch(body)
+            and (not head or _HEX_ADDR_RE.fullmatch(head)
+                 and int(head[1:], 16) + max(n, 1) <= 1 << 30)):
         # image_to_hex's own form: every other character is a proven hex digit.
         block = list(struct.unpack(f">{n}I", bytes.fromhex(body)))
         return MemoryImage(int(head[1:], 16) * 4 if head and block else 0, block)
@@ -261,8 +271,11 @@ def parse_hex(text: str) -> MemoryImage:
         addr += 4
     if not words:
         return MemoryImage(0, [])
-    lo, hi = min(words), max(words)  # one block between them, gaps zero-filled
-    return MemoryImage(lo, [words.get(a, 0) for a in range(lo, hi + 4, 4)])
+    lo, end = min(words), max(words) + 4  # one block between them, gaps zero-filled
+    if end - lo > MAX_MEM_SIZE:
+        raise AsmError(f"words from {lo:#x} to {end:#x} span more than the "
+                       f"{MAX_MEM_SIZE >> 20} MiB of the largest memory")
+    return MemoryImage(lo, [words.get(a, 0) for a in range(lo, end, 4)])
 
 
 def load_hex_file(path: str) -> MemoryImage:

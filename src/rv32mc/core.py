@@ -41,7 +41,6 @@ semantics - used to cross-check the engine's architectural effects.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol
 
 from .control import ControlMode, mode_from_lines
@@ -184,8 +183,7 @@ _record = functools.partial(tuple.__new__, TraceRecord)
 _span = functools.partial(tuple.__new__, TraceSpan)
 
 
-@dataclass(frozen=True)
-class CoreSnapshot:
+class CoreSnapshot(NamedTuple):
     pc: int
     regs: tuple[int, ...]
     fsm: str
@@ -219,14 +217,8 @@ class Core:
         return sum(self.by_mnemonic.values())
 
     def snapshot(self) -> CoreSnapshot:
-        return CoreSnapshot(
-            pc=self.pc,
-            regs=self.regs.snapshot(),
-            fsm=self.fsm,
-            mode=self.mode.value,
-            cycle_count=self.cycle_count,
-            retired_count=self.retired_count,
-        )
+        return CoreSnapshot(self.pc, self.regs.snapshot(), self.fsm, self.mode.value,
+                            self.cycle_count, self.retired_count)
 
     # --- cycle-level stepping ---
 
@@ -431,8 +423,7 @@ class Core:
 
 # --- functional reference oracle ---
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     regs: tuple[int, ...]
     memory: list[int]
     pc: int

@@ -27,8 +27,7 @@ format, so it can be fed straight back to `load`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .asm import image_to_hex, load_hex_file
 from .control import WRITE_MODES, ControlMode
@@ -47,33 +46,26 @@ DEVICE_NAMES = ("pacing", "sensing", "egm", "telemetry", "battery")
 DEVICE_SPAN = 16
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
     cycle: int
     access: str  # "read" | "write"
     addr: int
     value: int
 
 
-@dataclass
 class Peripheral:
-    name: str
-    base: int
-    span: int = DEVICE_SPAN
-    # word index -> value; unwritten registers read 0
-    regs: dict[int, int] = field(init=False, default_factory=dict)
-    event_log: list[AccessRecord] = field(init=False, default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.name not in DEVICE_NAMES:
-            raise ValueError(f"unknown device {self.name!r}; expected one of {DEVICE_NAMES}")
-        if self.base < 0:
-            raise ValueError(f"device {self.name!r}: base {self.base} is below address 0")
-        if self.base % 4 or self.span % 4 or self.span <= 0:
+    def __init__(self, name: str, base: int, span: int = DEVICE_SPAN):
+        if name not in DEVICE_NAMES:
+            raise ValueError(f"unknown device {name!r}; expected one of {DEVICE_NAMES}")
+        if base < 0:
+            raise ValueError(f"device {name!r}: base {base} is below address 0")
+        if base % 4 or span % 4 or span <= 0:
             raise ValueError(
-                f"{self.name}: base {self.base:#x} and span {self.span} must be"
-                " multiples of 4, span positive"
+                f"{name}: base {base:#x} and span {span} must be multiples of 4, span positive"
             )
+        self.name, self.base, self.span = name, base, span
+        self.regs: dict[int, int] = {}  # word index -> value; unwritten registers read 0
+        self.event_log: list[AccessRecord] = []
 
     def writes(self) -> list[AccessRecord]:
         return [r for r in self.event_log if r.access == "write"]
@@ -176,8 +168,7 @@ class SystemBus:
         self.peripherals.dispatch(addr, "write", value=value, cycle=self.core.cycle_count)
 
 
-@dataclass(frozen=True)
-class ObserveResult:
+class ObserveResult(NamedTuple):
     image: MemoryImage
     execution_stopped: bool
 
@@ -258,8 +249,7 @@ class Simulator:
 
 # --- bring-up scripts ---
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One script command with its parsed arguments."""
 
     command: str

@@ -10,7 +10,7 @@ MemoryImage is one contiguous block of words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .control import WRITE_MODES, ControlMode
 from .errors import (
@@ -25,12 +25,11 @@ DEFAULT_MEM_SIZE = 4096  # bytes
 MAX_MEM_SIZE = 0x1000000  # bytes: 16 MiB, a list of 4M words
 
 
-@dataclass
-class MemoryImage:
+class MemoryImage(NamedTuple):
     """Contiguous block of words placed at a word-aligned byte address."""
 
     base_address: int
-    words: list[int] = field(default_factory=list)
+    words: list[int]
 
 
 def check_size(size_bytes: int) -> None:

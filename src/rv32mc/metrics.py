@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -32,25 +31,30 @@ class HaltReason(enum.Enum):
     CYCLE_BUDGET_EXHAUSTED = "cycle_budget_exhausted"
 
 
-@dataclass
 class EnergyModel:
-    pj_per_cycle: float = 17.18
-    freq_hz: float = 50e6
+    # The defaults' one home: `cli.build_parser` reads them here.
+    pj_per_cycle = 17.18
+    freq_hz = 50e6
 
-    def __post_init__(self) -> None:
-        if not (0 < self.pj_per_cycle < math.inf and 0 < self.freq_hz < math.inf):
+    def __init__(self, pj_per_cycle: float = pj_per_cycle, freq_hz: float = freq_hz):
+        if not (0 < pj_per_cycle < math.inf and 0 < freq_hz < math.inf):
             raise ValueError("energy model constants must be positive and finite")
+        self.pj_per_cycle, self.freq_hz = pj_per_cycle, freq_hz
 
 
-@dataclass
 class RunReport:
-    total_cycles: int
-    retired: dict[InstrClass, int]
-    halt_reason: HaltReason
-    final_state: "CoreSnapshot"
-    cpi: Fraction | None = None
-    energy_pj: float | None = None
-    avg_power_uw: float | None = None
+    """A run's counts; `attach_metrics` fills `cpi`, `energy_pj` and `avg_power_uw`."""
+
+    def __init__(self, total_cycles: int, retired: dict[InstrClass, int],
+                 halt_reason: HaltReason, final_state: CoreSnapshot):
+        self.total_cycles, self.retired = total_cycles, retired
+        self.halt_reason, self.final_state = halt_reason, final_state
+        self.cpi: Fraction | None = None
+        self.energy_pj: float | None = None
+        self.avg_power_uw: float | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RunReport and vars(other) == vars(self)
 
     @property
     def retired_total(self) -> int:

@@ -89,6 +89,9 @@ def test_forward_labels_resolve_across_org_gaps():
         ("addi x1, x0, 1\n.org 0x1000000\naddi x2, x0, zz", BadOperand, 3),
         ("addi x1, x0, 1\n.org 0x1000000\nbeq x0, x0, nowhere", UndefinedLabel, 3),
         ("addi x1, x0, 1\n.org 0x1000000\naddi x2, x0, 2\nx:\nx:", DuplicateLabel, 5),
+        # a span no memory can hold, refused at its last statement: a 2^30-word gap
+        ("addi x1, x0, 1\n.org 0xfffffff8\naddi x1, x0, 1", BadOperand, 3),
+        ("addi x1, x0, 1\n.org 0x1000000\naddi x2, x0, 2\n# end", BadOperand, 3),
     ],
 )
 def test_an_error_past_an_org_gap_is_reported_before_the_gap_is_filled(src, err, line):
@@ -101,6 +104,28 @@ def test_an_error_past_an_org_gap_is_reported_before_the_gap_is_filled(src, err,
     finally:
         tracemalloc.stop()
     assert exc.value.line == line and peak < 2**20
+
+
+def test_an_image_may_span_the_largest_memory_and_no_more():
+    # The span runs from the first word to the end of the last, gaps
+    # included; it need not start at address 0.
+    from rv32mc.errors import AsmError
+    from rv32mc.memory import MAX_MEM_SIZE
+
+    first = 0x100
+    for last, fits in ((first + MAX_MEM_SIZE - 4, True), (first + MAX_MEM_SIZE, False)):
+        source = f".org {first:#x}\naddi x1, x0, 1\n.org {last:#x}\naddi x2, x0, 2\n"
+        text = f"@{first >> 2:x}\n00100093\n@{last >> 2:x}\n00200113\n"
+        if fits:
+            for image in (assemble(source), parse_hex(text)):
+                assert image.base_address == first and 4 * len(image.words) == MAX_MEM_SIZE
+                assert image.words[-1] == 0x00200113
+        else:
+            with pytest.raises(BadOperand, match="16 MiB") as exc:
+                assemble(source)
+            assert exc.value.line == 4
+            with pytest.raises(AsmError, match="16 MiB"):
+                parse_hex(text)
 
 
 def test_base_offsets_labels():

@@ -127,6 +127,25 @@ def test_hex_past_2_32_exit_code(tmp_path, capsys, text):
         assert "past the last word address" in err, argv
 
 
+def test_an_image_spanning_more_than_the_largest_memory_exit_code(tmp_path, capsys):
+    # Each spans 4 GiB; zero-filled, its gap alone would be a 2^30-entry list.
+    source, image, script = tmp_path / "far.s", tmp_path / "far.hex", tmp_path / "far.txt"
+    source.write_text("addi x1, x0, 1\n.org 0xfffffff8\naddi x1, x0, 1\n")
+    image.write_text("00000000\n@3fffffff\n00000001\n")
+    script.write_text("load far.hex\n")
+    for argv in (["asm", str(source), "-o", str(tmp_path / "out.hex")], ["dis", str(image)],
+                 ["run", str(image)], ["script", str(script)]):
+        tracemalloc.start()
+        try:
+            code = dispatch(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = assert_input_error(code, capsys)
+        assert "16 MiB of the largest memory" in err and peak < 2 * 2**20, (argv, peak)
+    assert not (tmp_path / "out.hex").exists()
+
+
 def test_image_beyond_memory_exit_code(tmp_path, capsys):
     # Parses, but its one word lands at 0x1000, past the default 4 KiB memory.
     far = tmp_path / "far.hex"

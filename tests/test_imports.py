@@ -79,20 +79,26 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
     ("asm", "rv32mc.asm", {"rv32mc.harness", "rv32mc.selfcheck"}),
     ("dis", "rv32mc.asm", {"rv32mc.harness", "rv32mc.selfcheck"}),
     ("run", "rv32mc.harness", {"rv32mc.selfcheck"}),
+    ("script", "rv32mc.harness", {"rv32mc.selfcheck"}),
+    ("selftest", "rv32mc.selfcheck", set()),
 ])
 def test_a_command_imports_only_what_it_runs(tmp_path, command, runs, never):
-    hex_path = tmp_path / "demo.hex"
-    if command == "asm":
-        argv = ["asm", str(ROOT / "firmware" / "demo.s"), "-o", str(hex_path)]
-    else:
-        hex_path.write_text("00500093\n0000006f\n")
-        argv = [command, str(hex_path)]
+    # No record of the package is a dataclass, so no command pays for
+    # `dataclasses` or the `inspect` it imports.
+    hex_path, script_path = tmp_path / "demo.hex", tmp_path / "bringup.txt"
+    hex_path.write_text("00500093\n0000006f\n")
+    script_path.write_text("load demo.hex\nreset\nstart\nrun 8\nobserve 0 8\n")
+    argv = {"asm": ["asm", str(ROOT / "firmware" / "demo.s"), "-o", str(tmp_path / "out.hex")],
+            "script": ["script", str(script_path)], "selftest": ["selftest"]}.get(
+        command, [command, str(hex_path)])
     code, loaded = _fresh(
         "import contextlib, io\n"
         "from rv32mc.cli import dispatch\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = dispatch(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('rv32mc.'))]))",
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.startswith('rv32mc.') or m in ('dataclasses', 'inspect'))]))",
         *argv)
     assert code == 0 and runs in loaded
     assert never.isdisjoint(loaded)
+    assert not {"dataclasses", "inspect"} & set(loaded), loaded
