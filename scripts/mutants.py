@@ -38,8 +38,10 @@ each word of the image, the `--mem-size` bound, the last word address as
 the bound of an empty range, `image_to_hex`'s base check, and the
 assembler's second walk, which must get each branch and jump and each
 statement that raised, an eager import of the bring-up harness at the top
-of the CLI, a record of the harness that is a dataclass again, and a
-package that answers a name it does not export. The
+of the CLI, a record of the harness that is a dataclass again, a
+package that answers a name it does not export, the system bus's memory
+bound one word short, a device write it no longer gates by mode, and a
+device that reaches past the 32-bit address space. The
 codec's mutants each change one fact of its two tables, which both
 directions read, so only the independent golden encodings can see them.
 """
@@ -122,6 +124,8 @@ FORWARD_LABELS = "tests/test_asm.py::test_backward_and_forward_labels"
 HELD_RUN = "tests/test_harness.py::test_script_run_counts_held_cycles"
 HELD_RESET = "tests/test_harness.py::test_observe_under_held_reset_changes_nothing"
 DEVICE_MAP = "tests/test_harness.py::test_device_map_validation"
+BOUNDARY = "tests/test_harness.py::test_system_bus_owns_the_memory_device_boundary"
+MMIO_GATED = "tests/test_harness.py::test_mmio_write_forbidden_in_observation"
 IMPORTS = "tests/test_imports.py"
 CLI_IMPORTS = f"{IMPORTS}::test_the_package_and_its_cli_load_only_the_cli_and_errors"
 COMMAND_IMPORTS = f"{IMPORTS}::test_a_command_imports_only_what_it_runs"
@@ -351,6 +355,20 @@ MUTANTS = [
             ("class AccessRecord(NamedTuple):\n",
              "@dataclasses.dataclass(frozen=True)\nclass AccessRecord:\n")],
            (COMMAND_IMPORTS,)),
+    Mutant("memory-top-word-routed-to-devices", HARNESS,
+           [("if 0 <= addr < self.size_bytes:\n            return super().read_word(addr)",
+             "if 0 <= addr < self.size_bytes - 4:\n            return super().read_word(addr)")],
+           (BOUNDARY,)),
+    Mutant("device-write-ungated", HARNESS,
+           [("        if mode not in WRITE_MODES:\n"
+             "            raise WriteForbiddenInMode(f\"write while in {mode.value} mode\", addr=addr)\n"
+             "        self.peripherals.dispatch(",
+             "        self.peripherals.dispatch(")],
+           (MMIO_GATED,)),
+    Mutant("device-past-the-address-space-accepted", HARNESS,
+           [("if base + span > 1 << 32:",
+             "if False:")],
+           (DEVICE_MAP,)),
     Mutant("unknown-export-reads-none", INIT,
            [("raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")",
              "return None")],

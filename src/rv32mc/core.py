@@ -41,29 +41,17 @@ semantics - used to cross-check the engine's architectural effects.
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple, Protocol
+from typing import Callable, NamedTuple
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
 from .isa import (MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass, decode, format_word,
                   s32, u32)
-from .memory import DEFAULT_MEM_SIZE, MemoryImage, check_size
+from .memory import DEFAULT_MEM_SIZE, MemoryImage, UnifiedMemory, check_size
 from .metrics import HaltReason, RunReport
 
 # Cycles `Core.run` may spend before it reports budget exhaustion.
 DEFAULT_MAX_CYCLES = 1_000_000
-
-
-class Bus(Protocol):
-    """What the core needs from its memory system: `words` is the committed
-    word list of memory [0, 4*len(words)), which the engine reads and writes
-    in place; any other address goes through the methods."""
-
-    words: list[int]
-
-    def read_word(self, addr: int) -> int: ...
-    def schedule_write(self, addr: int, value: int, mode: ControlMode) -> None: ...
-    def commit_cycle(self) -> None: ...
 
 
 # FSM states, each its trace name; the engine holds these objects and
@@ -222,8 +210,8 @@ class Core:
 
     # --- cycle-level stepping ---
 
-    def _cycles(self, bus: Bus, limit: float, trace: Callable[[TraceSpan], None] | None,
-                stop: int = _RETIRE) -> bool:
+    def _cycles(self, bus: UnifiedMemory, limit: float,
+                trace: Callable[[TraceSpan], None] | None, stop: int = _RETIRE) -> bool:
         """Run executing cycles until `cycle_count` reaches `limit` (False)
         or a retirement meets `stop` (True); `trace` gets a TraceSpan at each
         retirement, and at the return or fault one of any cycles since.
@@ -355,7 +343,7 @@ class Core:
                 end = names.index(state)  # the position of the state that runs next
                 trace(_span((start, instr_pc, ir, names[end + start - cycle - 1:end], False)))
 
-    def _clock(self, bus: Bus, cycles: int = 1) -> None:
+    def _clock(self, bus: UnifiedMemory, cycles: int = 1) -> None:
         """Advance `cycles` (>= 0) clocks without records.
 
         Outside executing mode the clock is held: no architectural or
@@ -364,7 +352,7 @@ class Core:
         if self.mode is _EXECUTING:
             self._cycles(bus, self.cycle_count + cycles, None, _NEVER)
 
-    def step_cycle(self, bus: Bus) -> TraceRecord:
+    def step_cycle(self, bus: UnifiedMemory) -> TraceRecord:
         """Advance one clock and describe it; a held cycle changes nothing."""
         if self.mode is _EXECUTING:
             spans: list[TraceSpan] = []
@@ -376,7 +364,7 @@ class Core:
 
     # --- instruction-level stepping ---
 
-    def step_instruction(self, bus: Bus) -> tuple[DecodedInstruction, int]:
+    def step_instruction(self, bus: UnifiedMemory) -> tuple[DecodedInstruction, int]:
         """Run cycles until one instruction retires; (instruction, cycles)."""
         if self.mode is not _EXECUTING:
             raise NotExecuting(f"core is in {self.mode.value} mode")
@@ -387,7 +375,7 @@ class Core:
 
     def run(
         self,
-        bus: Bus,
+        bus: UnifiedMemory,
         max_cycles: int = DEFAULT_MAX_CYCLES,
         trace: Callable[[TraceSpan], None] | None = None,
     ) -> RunReport:

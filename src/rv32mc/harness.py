@@ -3,11 +3,11 @@
 Drives the IE / reset / WriteData sequence that separates programming from
 execution, provides read-only observation of memory, and routes core
 accesses that fall above memory to stub peripherals (pacing, sensing, egm,
-telemetry, battery).  `SystemBus` owns that boundary: memory is [0, size)
-and every device sits above it.  Every word of a device's span (16 bytes
-by default) is a sparse register that reads 0 until written; the first
-three are named CONTROL (0x0), STATUS (0x4) and DATA (0x8).  Every access
-is logged with a cycle stamp.
+telemetry, battery).  `SystemBus` owns that boundary: it is a memory of
+[0, size), and every device sits above it.  Every word of a device's span
+(16 bytes by default) is a sparse register that reads 0 until written; the
+first three are named CONTROL (0x0), STATUS (0x4) and DATA (0x8).  Every
+access is logged with a cycle stamp.
 
 Bring-up is built from six Simulator primitives, and bring-up scripts
 are line-oriented, one primitive per command:
@@ -63,6 +63,8 @@ class Peripheral:
             raise ValueError(
                 f"{name}: base {base:#x} and span {span} must be multiples of 4, span positive"
             )
+        if base + span > 1 << 32:
+            raise ValueError(f"device {name!r}: [{base:#x}, +{span}) ends past 2^32")
         self.name, self.base, self.span = name, base, span
         self.regs: dict[int, int] = {}  # word index -> value; unwritten registers read 0
         self.event_log: list[AccessRecord] = []
@@ -139,29 +141,27 @@ class PeripheralMap:
         return value
 
 
-class SystemBus:
-    """The one address decoder: [0, mem.size_bytes) is memory, and every
-    other address goes to a device, stamped with the core's cycle count.
-    Devices have no write port, so the commit and `words` are memory's own."""
+class SystemBus(UnifiedMemory):
+    """The one address decoder, a memory with devices above it: [0, size_bytes)
+    is memory, and every other address goes to a device, stamped with the
+    core's cycle count.  Devices have no write port: the commit is memory's."""
 
-    def __init__(self, mem: UnifiedMemory, peripherals: PeripheralMap, core: Core):
+    def __init__(self, size_bytes: int, peripherals: PeripheralMap, core: Core):
+        super().__init__(size_bytes)
         for d in peripherals.devices:
-            if d.base < mem.size_bytes:
+            if d.base < size_bytes:
                 raise ValueError(f"device {d.name!r} overlaps memory")
-        self.mem = mem
         self.peripherals = peripherals
         self.core = core
-        self.commit_cycle = mem.commit_cycle
-        self.words = mem.words
 
     def read_word(self, addr: int) -> int:
-        if 0 <= addr < self.mem.size_bytes:
-            return self.mem.read_word(addr)
+        if 0 <= addr < self.size_bytes:
+            return super().read_word(addr)
         return self.peripherals.dispatch(addr, "read", cycle=self.core.cycle_count)
 
     def schedule_write(self, addr: int, value: int, mode: ControlMode) -> None:
-        if 0 <= addr < self.mem.size_bytes:
-            self.mem.schedule_write(addr, value, mode)
+        if 0 <= addr < self.size_bytes:
+            super().schedule_write(addr, value, mode)
             return
         if mode not in WRITE_MODES:
             raise WriteForbiddenInMode(f"write while in {mode.value} mode", addr=addr)
@@ -176,7 +176,8 @@ class ObserveResult(NamedTuple):
 class Simulator:
     """One core + one unified memory (+ optional peripherals).
 
-    Without peripherals the core's bus is the memory itself.
+    The core's bus is the memory itself: a bare UnifiedMemory, or with
+    peripherals a SystemBus, which is one.
 
     Bring-up goes through six primitives - load, pulse_reset, start, stop,
     run_cycles and observe - that each drive the control lines themselves.
@@ -186,12 +187,10 @@ class Simulator:
     def __init__(
         self, mem_size_bytes: int = DEFAULT_MEM_SIZE, peripherals: PeripheralMap | None = None
     ):
-        self.mem = UnifiedMemory(mem_size_bytes)
         self.core = Core()
         self.peripherals = peripherals
-        self.bus: UnifiedMemory | SystemBus = (
-            self.mem if peripherals is None else SystemBus(self.mem, peripherals, self.core)
-        )
+        self.mem = self.bus = (UnifiedMemory(mem_size_bytes) if peripherals is None
+                               else SystemBus(mem_size_bytes, peripherals, self.core))
 
     def load(self, image: MemoryImage) -> int:
         """Write an image in programming mode; returns the words written.

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -96,6 +97,7 @@ def test_forward_labels_resolve_across_org_gaps():
 )
 def test_an_error_past_an_org_gap_is_reported_before_the_gap_is_filled(src, err, line):
     # Filling the 4M-word gap first would take 32 MiB.
+    gc.collect()
     tracemalloc.start()
     try:
         with pytest.raises(err) as exc:
@@ -201,6 +203,7 @@ def test_assemble_holds_under_200_bytes_per_statement():
                   f"lw x{k % 9}, {k % 1000}(x{k % 32})\n" for k in range(2000))
     image = assemble(src)
     listing = disassemble(image)
+    gc.collect()
     tracemalloc.start()
     try:
         again = assemble(listing)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -135,6 +136,7 @@ def test_an_image_spanning_more_than_the_largest_memory_exit_code(tmp_path, caps
     script.write_text("load far.hex\n")
     for argv in (["asm", str(source), "-o", str(tmp_path / "out.hex")], ["dis", str(image)],
                  ["run", str(image)], ["script", str(script)]):
+        gc.collect()
         tracemalloc.start()
         try:
             code = dispatch(argv)
@@ -367,9 +369,10 @@ def test_mem_size_at_the_bound_runs(demo_hex, capsys):
     ["[1]", '[{"base": 8192}]', '[{"name": "pacing", "base": 1e999}]',
      '[{"name": "pacing", "base": 8192, "span": true}]', '{"device": []}', "[{",
      "[" * 100_000 + "]" * 100_000,
-     '[{"name": "pacing", "base": 8192}, {"name": "pacing", "base": 8208}]'],
+     '[{"name": "pacing", "base": 8192}, {"name": "pacing", "base": 8208}]',
+     '[{"name": "pacing", "base": 4294967296}]'],
     ids=["int", "no-name", "inf-base", "bool-span", "no-devices-key", "bad-json", "deep",
-         "repeated-name"],
+         "repeated-name", "past-address-space"],
 )
 def test_bad_device_map_exit_code(demo_hex, tmp_path, capsys, devices):
     pmap = tmp_path / "devices.json"
@@ -633,6 +636,7 @@ def test_dis_formats_and_writes_one_block_at_a_time(tmp_path):
     hex_path = tmp_path / "gap.hex"
     hex_path.write_text("00000013\n@40000\n0000006f\n")
     out = _Digest()
+    gc.collect()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(out):

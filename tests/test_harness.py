@@ -28,7 +28,7 @@ from rv32mc.errors import (
     UnsupportedInstruction,
     WriteForbiddenInMode,
 )
-from rv32mc.harness import Peripheral
+from rv32mc.harness import DEVICE_SPAN, Peripheral
 from rv32mc.programs import PACER
 
 DEMO = "addi x1, x0, 5\njal x0, 0\n"
@@ -238,6 +238,13 @@ def test_device_map_validation():
     for base, span in ((0x1002, 16), (0x1000, 6)):
         with pytest.raises(ValueError, match="must be multiples of 4, span positive$"):
             Peripheral("pacing", base, span)
+    # No 32-bit address reaches a device past 2^32; one ending there is reachable.
+    for base, span in ((1 << 32, 16), (0xFFFFFFF0, 20), (1 << 70, 16)):
+        with pytest.raises(
+            ValueError, match=rf"^device 'pacing': \[{base:#x}, \+{span}\) ends past 2\^32$"
+        ):
+            Peripheral("pacing", base, span)
+    assert Peripheral("pacing", 0xFFFFFFF0).base + DEVICE_SPAN == 1 << 32
     devices = PeripheralMap.default(4096)
     with pytest.raises(KeyError):
         devices.device("radio")
@@ -258,13 +265,23 @@ def test_system_bus_owns_the_memory_device_boundary():
     with pytest.raises(ValueError, match="^device 'pacing' overlaps memory$"):
         Simulator(peripherals=low)
     with pytest.raises(ValueError, match="^device 'pacing' overlaps memory$"):
-        SystemBus(UnifiedMemory(4096), low, Core())
+        SystemBus(4096, low, Core())
     core = Core()
-    bus = SystemBus(UnifiedMemory(4096), PeripheralMap.default(4096), core)
+    bus = SystemBus(4096, PeripheralMap.default(4096), core)
     core.cycle_count = 41
     assert bus.read_word(0xFFC) == 0  # the last memory word
     assert bus.read_word(0x1000) == 0  # the first device word, stamped by the core
     assert [r.cycle for r in bus.peripherals.device("pacing").event_log] == [41]
+    # A memory with devices above it is a memory: one object is both.
+    for sim in (Simulator(), Simulator(peripherals=PeripheralMap.default(4096))):
+        assert sim.bus is sim.mem and isinstance(sim.mem, UnifiedMemory)
+    image = MemoryImage(0xFF8, [7, 0xFFFFFFFF])
+    assert bus.load_image(image, ControlMode.PROGRAMMING) == 2
+    assert bus.dump_image(0xFF8, 2) == image and bus.read_word(0xFFC) == 0xFFFFFFFF
+    sim = Simulator(peripherals=PeripheralMap.default(4096))
+    sim.load(image)
+    assert sim.observe(0xFF8, 8).image == image
+    assert sim.mem.read_word(0x1000) == 0  # a device address reaches the device
 
 
 def test_simulator_with_devices_is_freed_without_the_cycle_collector():
@@ -316,10 +333,12 @@ def test_peripheral_isolation():
 
 
 def test_device_span_does_not_allocate_registers():
+    gc.collect()
     tracemalloc.start()
     try:
-        sim = Simulator(peripherals=PeripheralMap([Peripheral("egm", 0x1000, span=2**40)]))
-        top = 0x1000 + 2**40 - 4
+        egm = Peripheral("egm", 0x1000, span=2**32 - 0x1000)  # the largest span at 0x1000
+        sim = Simulator(peripherals=PeripheralMap([egm]))
+        top = 2**32 - 4
         assert sim.bus.read_word(top) == 0  # unwritten registers read 0
         sim.bus.schedule_write(top, 0xABCD, ControlMode.EXECUTING)
         assert sim.bus.read_word(top) == 0xABCD

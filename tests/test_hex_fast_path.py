@@ -5,6 +5,7 @@ text exactly as a plain per-line reading of the format does, errors
 included.  `image_to_hex` packs all words at once and must write what a
 per-word writer does."""
 
+import gc
 import re
 import tracemalloc
 
@@ -193,6 +194,7 @@ def test_block_read_keeps_no_state_per_line():
     # line: about 8 MiB more at this size.
     words = [(i * 0x9E3779B1) & 0xFFFFFFFF for i in range(0x10000)]
     text = image_to_hex(MemoryImage(0x400, words))
+    gc.collect()
     tracemalloc.start()
     try:
         image = parse_hex(text)
