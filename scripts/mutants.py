@@ -26,6 +26,11 @@ address guards and the states it sets.  The inline pass hands the trace
 its instruction's whole state tuple, so only the per-state retirement and
 the partial span slice theirs.  The per-state branches take each successor
 from one table, `_NEXT`, so its mutant goes into that table.
+An untraced run has a third route, the blocks it compiles from hot code:
+their mutants change one generated effect of each class (an ALU op, the
+load, the store, the side-exit beq and the jal's link), drop the check of a
+block's words on entry, compile one entry early, recompile an entry once
+more than the cap, and let a block run past the cycle limit.
 The last mutants reach past the engine: the trace's held flag, a held
 clock that runs the engine, held cycles counted as executing, a device
 map that names one device twice, the retired flag of a span's CSV lines,
@@ -130,6 +135,11 @@ IMPORTS = "tests/test_imports.py"
 CLI_IMPORTS = f"{IMPORTS}::test_the_package_and_its_cli_load_only_the_cli_and_errors"
 COMMAND_IMPORTS = f"{IMPORTS}::test_a_command_imports_only_what_it_runs"
 UNKNOWN_NAME = f"{IMPORTS}::test_an_unknown_name_raises_attribute_error_naming_it"
+BLOCKS_TWIN = "tests/test_blocks.py::test_hot_loops_agree_with_the_traced_run_and_the_oracle"
+BLOCK_HEAT = "tests/test_blocks.py::test_an_entry_is_translated_once_at_the_heat_threshold"
+BLOCK_CAP = ("tests/test_blocks.py::"
+             "test_an_addi_patched_every_pass_is_left_to_the_pass_after_the_recompile_cap")
+BLOCK_CUTS = f"{CLOCK}::test_a_hot_loop_cut_at_every_offset_and_resumed_ends_as_one_run"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -143,8 +153,8 @@ CACHED = "_BY_ADDR.get(instr_pc) or _BY_ADDR.setdefault(instr_pc, decode(ir))"
 
 MUTANTS = [
     Mutant("sra-as-srl-table", CORE,
-           [('("sra srai", lambda a, b: (s32(a) >> (b & 31)) & MASK32),',
-             '("sra srai", lambda a, b: a >> (b & 31)),')],
+           [('("sra srai", "(({a} ^ 0x80000000) - 0x80000000 >> ({b} & 31)) & 0xFFFFFFFF"),',
+             '("sra srai", "{a} >> ({b} & 31)"),')],
            (ALU, ORACLE)),
     Mutant("sra-as-srl-inline", CORE,
            [(INLINE + "alu_out = ops[m](a, b if cls is _R_ALU else imm & MASK32)",
@@ -235,8 +245,8 @@ MUTANTS = [
              "self.ir = state, pc, instr_pc, ir")],
            (STOPS,)),
     Mutant("beq-costs-4-inline", CORE,
-           [("pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 2\n",
-             "pc = (instr_pc + imm) & MASK32" + INLINE + "cycle += 3\n")],
+           [("entered = hot" + INLINE + "cycle += 2\n",
+             "entered = hot" + INLINE + "cycle += 3\n")],
            (AGREE,)),
     Mutant("loop-runs-one-cycle-past-limit", CORE,
            [("while cycle < limit:",
@@ -254,6 +264,42 @@ MUTANTS = [
            [("for m, names in _NAMES.items()}\n",
              'for m, names in _NAMES.items()}\n_NEXT["lw"][_MEM_ADDR] = _MEM_WRITE\n')],
            (CYCLES,)),
+    Mutant("block-alu-operands-swapped", CORE,
+           [('_ALU_EXPR[m].format(a=f"regs[{rs1}]", b=operand)',
+             '_ALU_EXPR[m].format(a=operand, b=f"regs[{rs1}]")')],
+           (BLOCKS_TWIN,)),
+    Mutant("block-load-reads-the-next-word", CORE,
+           [('lines.append(f"{to}mdr = words[x{k} >> 2]")',
+             'lines.append(f"{to}mdr = words[(x{k} >> 2) + 1]")')],
+           (BLOCKS_TWIN,)),
+    Mutant("block-store-writes-its-base", CORE,
+           [('lines.append(f"words[x{k} >> 2] = regs[{rs2}]")',
+             'lines.append(f"words[x{k} >> 2] = regs[{rs1}]")')],
+           (BLOCKS_TWIN,)),
+    Mutant("block-side-exit-inverted", CORE,
+           [('lines.append(f"if regs[{rs1}] == regs[{rs2}]: {leave((pc + imm) & MASK32)}")',
+             'lines.append(f"if regs[{rs1}] != regs[{rs2}]: {leave((pc + imm) & MASK32)}")')],
+           (BLOCKS_TWIN,)),
+    Mutant("block-jal-links-past-the-next-word", CORE,
+           [("alu, after = pc + 4, (pc + imm) & MASK32",
+             "alu, after = pc + 8, (pc + imm) & MASK32")],
+           (BLOCKS_TWIN,)),
+    Mutant("block-entry-unchecked", CORE,
+           [("if words[lo:hi] != snap:",
+             "if False:")],
+           (BLOCK_CAP,)),
+    Mutant("block-heat-one-entry-early", CORE,
+           [("BLOCK_HEAT = 64",
+             "BLOCK_HEAT = 63")],
+           (BLOCK_HEAT,)),
+    Mutant("block-recompiled-once-more", CORE,
+           [("BLOCK_RECOMPILES = 2",
+             "BLOCK_RECOMPILES = 3")],
+           (BLOCK_CAP,)),
+    Mutant("block-cost-ignored", CORE,
+           [("if cycle + cost > last or not (",
+             "if cycle > last or not (")],
+           (BLOCK_CUTS,)),
     Mutant("held-inverted", CORE,
            [("return self.mode != _EXECUTING.value",
              "return self.mode == _EXECUTING.value")],

@@ -33,6 +33,32 @@ It counts each retirement by mnemonic, commits memory only after a cycle
 that can leave a write pending, and hands a trace sink one TraceSpan per
 instruction, also for one in flight when the loop stops.
 
+An untraced run that stops at the halt rule or at its limit alone (`run`,
+`Simulator.run_cycles`) has a third route, for hot loops.  The inline
+pass counts the entries to each word address at a taken branch or jump;
+the `BLOCK_HEAT`th entry translates the code there, once, into one Python
+function (`_translate`, by `compile`), a block, kept on the core by its
+entry address.  A block runs straight-line code to a jal, a self-loop
+beq or `BLOCK_LENGTH` instructions, each effect one line with its
+registers, immediate, link and target as constants; a beq is a side exit.
+Each exit counts its retirements by mnemonic and returns the cycle sum,
+and the next block is looked up at the exit's pc, until an exit falls
+through to the next word.  Its contract with the other two routes:
+- a block runs only if its whole cycle sum fits before `limit - 5`, so
+  the inline pass's budget rule holds;
+- on every entry it checks that its words still equal those it was made
+  from; an entry whose words changed is translated again, at most
+  `BLOCK_RECOMPILES` times, and then left to the inline pass;
+- a load or store of anything but an aligned memory word exits before it,
+  with every instruction ahead of it retired, so device accesses and their
+  stamps stay in the per-state branches; a store into the block's own words
+  exits after it; translation ends before a word that does not decode, so
+  no fault is raised in a block;
+- after a block, ir, instr_pc, decoded, a, b, alu_out and mdr are what
+  the inline pass would leave.
+Traced runs and single steps never run blocks, so every trace is the
+inline pass's and the per-state branches'.
+
 reference_execute is a deliberately separate functional model - one
 instruction per step, no FSM, no cycle accounting, its own operator
 semantics - used to cross-check the engine's architectural effects.
@@ -46,7 +72,7 @@ from typing import Callable, NamedTuple
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
 from .isa import (MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass, decode, format_word,
-                  s32, u32)
+                  u32)
 from .memory import DEFAULT_MEM_SIZE, MemoryImage, UnifiedMemory, check_size
 from .metrics import HaltReason, RunReport
 
@@ -78,24 +104,107 @@ _HEAD = (_FETCH, _DECODE)  # every class's, before Decode names the class
 _NAMES = {m: _SEQUENCE[cls] for m, cls in MNEMONIC_CLASS.items()}
 _NEXT = {m: dict(zip(names, names[1:] + (_FETCH,))) for m, names in _NAMES.items()}
 
-# ALU operator by mnemonic; an I-type op takes its immediate as operand b.
-# Operands are 32-bit unsigned register values.
-_ALU_OPS: dict[str, Callable[[int, int], int]] = {
-    m: op
-    for names, op in (
-        ("add addi", lambda a, b: (a + b) & MASK32),
-        ("sub", lambda a, b: (a - b) & MASK32),
-        ("sll slli", lambda a, b: (a << (b & 31)) & MASK32),
-        ("slt slti", lambda a, b: int(s32(a) < s32(b))),
-        ("sltu sltiu", lambda a, b: int(a < b)),
-        ("xor xori", lambda a, b: a ^ b),
-        ("srl srli", lambda a, b: a >> (b & 31)),
-        ("sra srai", lambda a, b: (s32(a) >> (b & 31)) & MASK32),
-        ("or ori", lambda a, b: a | b),
-        ("and andi", lambda a, b: a & b),
+# Each ALU op as a Python expression of its 32-bit unsigned operands; an
+# I-type op takes its immediate as operand b.  The one home of the engine's
+# ALU: the inline pass and the per-state branches call it as a function,
+# and a block writes it out with register reads and constants as operands.
+_ALU_EXPR = {
+    m: expr
+    for names, expr in (
+        ("add addi", "({a} + {b}) & 0xFFFFFFFF"),
+        ("sub", "({a} - {b}) & 0xFFFFFFFF"),
+        ("sll slli", "({a} << ({b} & 31)) & 0xFFFFFFFF"),
+        ("slt slti", "1 if ({a} ^ 0x80000000) < ({b} ^ 0x80000000) else 0"),
+        ("sltu sltiu", "1 if {a} < {b} else 0"),
+        ("xor xori", "{a} ^ {b}"),
+        ("srl srli", "{a} >> ({b} & 31)"),
+        ("sra srai", "(({a} ^ 0x80000000) - 0x80000000 >> ({b} & 31)) & 0xFFFFFFFF"),
+        ("or ori", "{a} | {b}"),
+        ("and andi", "{a} & {b}"),
     )
     for m in names.split()
 }
+_ALU_OPS: dict[str, Callable[[int, int], int]] = {
+    m: eval("lambda a, b: " + expr.format(a="a", b="b")) for m, expr in _ALU_EXPR.items()
+}
+
+# The block route.  Entries to one word address, counted at taken branches
+# and jumps, before an untraced run translates the code there into a block;
+# how often an entry whose words changed is translated again before it is
+# left to the inline pass; and the most instructions one block holds.
+BLOCK_HEAT = 64
+BLOCK_RECOMPILES = 2
+BLOCK_LENGTH = 64
+
+
+def _translate(words: list[int], entry: int, compiles: int) -> tuple | None:
+    """The block at word address `entry` (see the module docstring):
+    (function, first and end word index, the words it was made from, its
+    cycle sum, `compiles`), or None if no instruction decodes there.
+    `function(regs, words, size, by_mnemonic, alu_out, mdr)` counts the
+    retirements of the exit it takes and returns (cycles, pc, a, b, alu_out,
+    mdr, (instr_pc, ir, decoded)) as the inline pass would leave them, or
+    None if nothing retired."""
+    body, pc = [], entry
+    while pc < 4 * len(words) and len(body) < BLOCK_LENGTH:
+        try:
+            cls, m, rd, rs1, rs2, imm = decoded = decode(words[pc >> 2])
+        except SimError:
+            break
+        body.append((pc, decoded))
+        if cls is InstrClass.JUMP or cls is _BRANCH and not imm:
+            break
+        pc += 4
+    if not body:
+        return None
+    lo, hi = entry >> 2, (entry >> 2) + len(body)
+    names = {f"L{k}": (pc, words[pc >> 2], decoded) for k, (pc, decoded) in enumerate(body)}
+    lines, done = [], []  # generated lines; the mnemonics retired before the next one
+    ab, alu = "", "alu_out"  # the last retired one's a, b and alu_out
+
+    def leave(pc: int) -> str:  # count what retired, go on at `pc`
+        counts = "".join(f"bym[{m!r}] += {done.count(m)}; " for m in dict.fromkeys(done))
+        cycles = sum(len(_NAMES[m]) for m in done)
+        return f"{counts}return {cycles}, {pc}, {ab}, {alu}, mdr, L{len(done) - 1}"
+
+    for k, (pc, (cls, m, rd, rs1, rs2, imm)) in enumerate(body):
+        to, after = f"regs[{rd}] = " if rd else "", pc + 4  # pc < size: no wrap
+        if cls is _LOAD or cls is _STORE:
+            lines.append(f"x{k} = (regs[{rs1}] + {imm}) & 0xFFFFFFFF")
+            lines.append(f"if x{k} >= size or x{k} & 3: {leave(pc) if done else 'return None'}")
+        # a, b as the exits after this one read them: taken before it writes
+        # one of its operands, if a load or store, or the end, follows
+        if rd in (rs1, rs2) and rd and (k + 1 == len(body) or body[k + 1][1][0] in (_LOAD, _STORE)):
+            lines.append(f"a, b = regs[{rs1}], regs[{rs2}]")
+            ab = "a, b"
+        else:
+            ab = f"regs[{rs1}], regs[{rs2}]"
+        if cls is _R_ALU or cls is _I_ALU:
+            operand = f"regs[{rs2}]" if cls is _R_ALU else imm & MASK32
+            lines.append(f"{to}alu_out = " + _ALU_EXPR[m].format(a=f"regs[{rs1}]", b=operand))
+            alu = "alu_out"
+        elif cls is _LOAD:
+            lines.append(f"{to}mdr = words[x{k} >> 2]")
+            alu = f"x{k}"
+        elif cls is _STORE:
+            lines.append(f"words[x{k} >> 2] = regs[{rs2}]")
+            alu = f"x{k}"
+        elif cls is _BRANCH:
+            done.append(m)
+            lines.append(f"if regs[{rs1}] == regs[{rs2}]: {leave((pc + imm) & MASK32)}")
+            continue
+        else:  # jal, the last
+            alu, after = pc + 4, (pc + imm) & MASK32  # the link; the target
+            if rd:
+                lines.append(f"{to}{alu}")
+        done.append(m)
+        if cls is _STORE and k + 1 < len(body):
+            lines.append(f"if {4 * lo} <= x{k} < {4 * hi}: {leave(after)}")
+    lines.append(leave(after))
+    source = "def block(regs, words, size, bym, alu_out, mdr):\n" + "".join(
+        f"    {line}\n" for line in lines)
+    exec(compile(source, f"<block {entry:#x}>", "exec"), names)
+    return names["block"], lo, hi, words[lo:hi], sum(len(_NAMES[m]) for m in done), compiles
 
 
 class RegisterFile:
@@ -184,6 +293,9 @@ class Core:
     def __init__(self) -> None:
         self.regs = RegisterFile()
         self._regs = self.regs._regs  # the engine's direct view; it guards x0 itself
+        # The block route's cache and entry counts, by word address in memory.
+        self._blocks: dict[int, tuple] = {}
+        self._heat: dict[int, int] = {}
         # Power-on: reset, then IE low with writes disabled (observation).
         self.apply_control(ie=0, reset=1)
         self.apply_control(ie=0, reset=0)
@@ -216,8 +328,9 @@ class Core:
         or a retirement meets `stop` (True); `trace` gets a TraceSpan at each
         retirement, and at the return or fault one of any cycles since.
         Memory commits after a MemWrite cycle, and after the first cycle for
-        a write scheduled from outside before it.  Whole instructions and
-        single states run on the same locals, written to the core once."""
+        a write scheduled from outside before it.  Blocks, whole
+        instructions and single states run on the same locals, written to
+        the core once."""
         regs, by_mnemonic, ops, after = self._regs, self.by_mnemonic, _ALU_OPS, _NEXT
         read, write, commit, words = bus.read_word, bus.schedule_write, bus.commit_cycle, bus.words
         size = 4 * len(words)
@@ -225,6 +338,8 @@ class Core:
         a, b, alu_out, mdr, cycle = self.a, self.b, self.alu_out, self.mdr, self.cycle_count
         first = start = cycle + 1  # `start`: the first cycle of the next span
         last = limit - 5  # the last cycle count from which any instruction fits
+        blocks, heat, entered = self._blocks, self._heat, False
+        hot = trace is None and stop != _RETIRE  # blocks may run
         try:
             while cycle < limit:
                 if state is _FETCH and first <= cycle <= last:  # whole instructions
@@ -246,6 +361,7 @@ class Core:
                         elif cls is _BRANCH:
                             if a == b:
                                 pc = (instr_pc + imm) & MASK32
+                                entered = hot
                             cycle += 2
                         elif cls is _LOAD:
                             alu_out = addr = (a + imm) & MASK32
@@ -271,6 +387,7 @@ class Core:
                             if rd:
                                 regs[rd] = alu_out
                             cycle += 3
+                            entered = hot
                         state = _FETCH
                         by_mnemonic[m] += 1
                         if trace is not None:
@@ -279,6 +396,33 @@ class Core:
                         # any class but a jump or taken branch leaves pc at instr_pc + 4
                         if stop == _RETIRE or stop == _HALT and pc == instr_pc:
                             return True
+                        # A taken branch or jump enters the blocks, chained at their exits.
+                        while entered:
+                            entered = False
+                            block = blocks.get(pc)
+                            if block is None:  # cold: count an entry in memory
+                                if pc & 3 or pc >= size:
+                                    break
+                                heat[pc] = entries = heat.get(pc, 0) + 1
+                                if entries != BLOCK_HEAT or not (block := _translate(words, pc, 1)):
+                                    break
+                                blocks[pc] = block
+                            run, lo, hi, snap, cost, compiles = block
+                            if words[lo:hi] != snap:  # rewritten since its translation
+                                del blocks[pc]
+                                if compiles > BLOCK_RECOMPILES or not (
+                                        block := _translate(words, pc, compiles + 1)):
+                                    break
+                                blocks[pc] = block
+                                run, lo, hi, snap, cost, compiles = block
+                            if cycle + cost > last or not (
+                                    out := run(regs, words, size, by_mnemonic, alu_out, mdr)):
+                                break
+                            spent, pc, a, b, alu_out, mdr, (instr_pc, ir, decoded) = out
+                            cycle += spent
+                            if stop == _HALT and pc == instr_pc:
+                                return True
+                            entered = pc != instr_pc + 4  # else it fell through to the next word
                     if cycle > last:  # else a fetch the pass left would re-enter it forever
                         continue
                 # One cycle: the work of `state`; a bus access is stamped at this cycle.

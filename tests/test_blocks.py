@@ -1,0 +1,228 @@
+"""The block route against the inline pass and the oracle.
+
+An untraced `Core.run` translates the code at an entry reached
+`BLOCK_HEAT` times into one generated function and runs it from then on; a
+traced run never does.  So for hot loops, self-modifying code and device
+accesses, an untraced run (blocks), a traced run (the inline pass and the
+per-state branches) and `reference_execute` must agree on every
+architectural effect, and the two engine runs also on the core's
+temporaries, the retirements by mnemonic and the device logs.
+"""
+
+import random
+
+import pytest
+
+from rv32mc import CYCLE_COST, HaltReason, assemble, reference_execute
+from rv32mc import core
+from rv32mc.core import BLOCK_HEAT
+from rv32mc.errors import SimError, UnsupportedInstruction
+from rv32mc.isa import MNEMONIC_CLASS
+from progen import random_loop_program, random_program
+from test_clock import BUSES, MEMORY, SYSTEM, machine_state, started
+
+HOT = BLOCK_HEAT + 16  # loop passes: every loop's entry gets hot
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The sources the block route compiles while the test runs."""
+    sources = []
+    monkeypatch.setattr(core, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    return sources
+
+
+def _agree(image, bus=MEMORY):
+    """Run `image` untraced (blocks), then traced (no blocks); assert that the
+    two runs leave the same machine, and return the untraced simulator and
+    its report, or the type, pc and state of its fault."""
+    runs = []
+    for trace in (None, lambda span: None):
+        sim = started(image, bus)
+        try:
+            outcome = sim.core.run(sim.bus, max_cycles=200_000, trace=trace)
+        except SimError as e:
+            outcome = type(e), e.pc, e.state
+        runs.append((sim, outcome))
+    (blocks, report), (traced, traced_report) = runs
+    assert report == traced_report
+    assert machine_state(blocks) == machine_state(traced)
+    assert blocks.core.by_mnemonic == traced.core.by_mnemonic
+    return blocks, report
+
+
+@pytest.mark.parametrize("bus", BUSES)
+@pytest.mark.parametrize("seed", range(16))
+def test_hot_loops_agree_with_the_traced_run_and_the_oracle(seed, bus, compiled):
+    image = random_loop_program(random.Random(seed), HOT)
+    sim, report = _agree(image, bus)
+    assert compiled and sim.core._blocks  # the route ran
+    oracle = reference_execute(image)
+    assert report.halt_reason is HaltReason.SELF_LOOP and oracle.halted
+    assert (oracle.regs, oracle.memory, oracle.pc, oracle.retired) == (
+        report.final_state.regs, sim.mem.words, report.final_state.pc, report.retired_total)
+    costs = {m: CYCLE_COST[cls] for m, cls in MNEMONIC_CLASS.items()}
+    assert report.total_cycles == sum(n * costs[m] for m, n in sim.core.by_mnemonic.items())
+
+
+LOOP = """
+        addi x5, x0, {n}
+top:    addi x5, x5, -1
+        addi x6, x6, 3
+        beq  x5, x0, done
+        jal  x0, top
+done:   jal  x0, done
+"""
+
+
+def test_an_entry_is_translated_once_at_the_heat_threshold(compiled):
+    # The jal enters `top` n - 1 times; the 64th entry translates it.
+    for entries, translated in ((63, 0), (64, 1), (200, 1)):
+        del compiled[:]
+        sim, report = _agree(assemble(LOOP.format(n=entries + 1)))
+        assert len(compiled) == translated, entries
+        assert sim.core.regs[6] == 3 * (entries + 1)
+    del compiled[:]
+    for seed in range(20):  # straight-line code: no entry repeats
+        _agree(random_program(random.Random(seed)))
+    assert compiled == []
+
+
+# Patches the immediate of its own `addi` at 24, ahead of the pc, on every
+# pass, as traced_mmio's loop does: the entry fails its check each time.
+PATCHED_EVERY_PASS = f"""
+        addi x6, x0, 1
+        slli x6, x6, 20         # 1 << 20: +1 on an I-type immediate
+        addi x2, x0, {HOT}
+        lw   x5, 24(x0)         # the word at patch
+loop:   add  x5, x5, x6
+        sw   x5, 24(x0)
+patch:  addi x4, x4, 0          # immediate = passes before this one
+        addi x2, x2, -1
+        beq  x2, x0, done
+        jal  x0, loop
+done:   jal  x0, done
+"""
+
+
+def test_an_addi_patched_every_pass_is_left_to_the_pass_after_the_recompile_cap(compiled):
+    image = assemble(PATCHED_EVERY_PASS)
+    sim, report = _agree(image)
+    assert len(compiled) == 3 and not sim.core._blocks  # translated, then twice again
+    assert sim.core.regs[4] == sum(range(1, HOT + 1))
+    oracle = reference_execute(image)
+    assert (oracle.regs, oracle.memory) == (report.final_state.regs, sim.mem.words)
+
+
+# From the pass that takes `switch`, x12 raises the immediate of the `addi`
+# at 28 by 2 before each run of it: the block stores into its own words
+# ahead of the pc, the store ends it, and the new encoding runs.
+STORE_AHEAD = f"""
+        addi x5, x0, {HOT + 8}
+        addi x20, x0, 8         # the pass that sets the step
+        lw   x11, 28(x0)        # the word at patch
+        jal  x0, top
+top:    beq  x5, x20, switch
+        add  x11, x11, x12
+        sw   x11, 28(x0)
+patch:  addi x7, x7, 1
+        addi x5, x5, -1
+        beq  x5, x0, done
+        jal  x0, top
+switch: addi x12, x0, 1
+        slli x12, x12, 21       # +2 on an I-type immediate
+        addi x20, x0, -1
+        jal  x0, top
+done:   jal  x0, done
+"""
+
+
+def test_a_store_ahead_into_a_hot_block_runs_the_new_encoding(compiled):
+    image = assemble(STORE_AHEAD)
+    sim, report = _agree(image)
+    assert compiled
+    assert sim.core.regs[7] == HOT + sum(3 + 2 * k for k in range(8))  # 1, then 3, 5, ...
+    oracle = reference_execute(image)
+    assert (oracle.regs, oracle.memory, oracle.retired) == (
+        report.final_state.regs, sim.mem.words, report.retired_total)
+
+
+# On pass `poison`, a word of the hot block becomes 0, which does not
+# decode: the `addi` at 28 through the block's own store ahead of the pc,
+# or the `addi` at 32 from outside, so the block is translated again and
+# ends before it.
+POISON = f"""
+        addi x5, x0, {HOT + 8}
+        addi x12, x0, -1        # all ones until the poison pass
+        lw   x11, 28(x0)        # the word at slot
+        addi x20, x0, 8
+top:    beq  x5, x20, poison
+        and  x11, x11, x12
+        sw   x11, 28(x0)
+slot:   addi x7, x7, 1
+        addi x5, x5, -1
+        beq  x5, x0, done
+        jal  x0, top
+poison: {{poison}}
+        addi x20, x0, -1
+        jal  x0, top
+done:   jal  x0, done
+"""
+
+
+@pytest.mark.parametrize("poison, pc", [("addi x12, x0, 0", 28), ("sw x0, 32(x0)", 32)],
+                         ids=["own-store-ahead", "entry-check"])
+def test_a_stored_unsupported_word_faults_alike_in_both_engine_runs(poison, pc, compiled):
+    image = assemble(POISON.format(poison=poison))
+    sim, report = _agree(image)
+    assert report == (UnsupportedInstruction, pc, "decode") and compiled
+    with pytest.raises(UnsupportedInstruction) as oracle:
+        reference_execute(image)
+    assert oracle.value.pc == pc
+
+
+# Reads sensing DATA and writes pacing DATA on every pass, with the load
+# first in the block or after an instruction that retired in it.
+DEVICE_LOOP = f"""
+        addi x7, x0, 1
+        slli x7, x7, 12         # pacing at 0x1000
+        addi x8, x7, 16         # sensing at 0x1010
+        addi x5, x0, {HOT}
+top:    {{first}}
+        lw   x10, 8(x8)
+        add  x10, x10, x5
+        sw   x10, 8(x7)
+        addi x5, x5, -1
+        beq  x5, x0, done
+        jal  x0, top
+done:   jal  x0, done
+"""
+
+
+@pytest.mark.parametrize("first", ["addi x9, x9, 3", "lw x9, 8(x8)"])
+def test_device_accesses_in_a_hot_loop_are_stamped_as_traced(first, compiled):
+    sim, report = _agree(assemble(DEVICE_LOOP.format(first=first)), SYSTEM)
+    assert report.halt_reason is HaltReason.SELF_LOOP and compiled
+    stamps = [r.cycle for d in sim.peripherals.devices for r in d.event_log]
+    assert len(stamps) == (3 if first.startswith("lw") else 2) * HOT
+
+
+def test_traced_runs_and_single_steps_translate_nothing(compiled):
+    image = random_loop_program(random.Random(1), HOT)
+    sim = started(image)
+    sim.core.run(sim.bus, trace=lambda span: None)
+    while sim.core.cycle_count < 3000:
+        sim.core.step_instruction(sim.bus)
+    assert compiled == [] and not sim.core._blocks and not sim.core._heat
+
+
+def test_blocks_are_kept_per_core_by_word_address_in_memory():
+    image = random_loop_program(random.Random(2), 3 * HOT)
+    sims = [started(image, bus) for bus in BUSES]
+    for sim in sims:
+        sim.core.run(sim.bus)
+        size = len(sim.mem.words)
+        assert sim.core._blocks and set(sim.core._blocks) <= set(sim.core._heat)
+        assert all(pc < 4 * size and not pc & 3 for pc in sim.core._heat)
+    assert sims[0].core._blocks is not sims[1].core._blocks

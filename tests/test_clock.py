@@ -8,7 +8,10 @@ cycle limit, so they must leave the machine in the same state wherever
 they stop, in the middle of an instruction or at a fault.  A span's states
 are not recorded but derived from its class and the state that runs next,
 so traced runs entered and left at every cycle offset must give the
-records that `step_cycle` gives one cycle at a time.
+records that `step_cycle` gives one cycle at a time.  An untraced run
+also runs a hot loop's code as compiled blocks, each only if its whole
+cycle sum fits, so a hot loop cut at every cycle offset and resumed must
+end as one unbroken run does.
 
 The engine reads and writes memory words in place and takes only other
 addresses through its bus, so the tests that compare paths run on both
@@ -25,7 +28,7 @@ import pytest
 from rv32mc import (CYCLE_COST, ControlMode, HaltReason, InstrClass, PeripheralMap, Simulator,
                     TraceRecord, TraceSpan, assemble, decode, image_to_hex)
 from rv32mc.cli import dispatch
-from rv32mc.core import _SEQUENCE
+from rv32mc.core import _SEQUENCE, BLOCK_HEAT
 from rv32mc.errors import MisalignedAccess, OutOfRange, SimError, UnmappedAddress
 from rv32mc.programs import PROGRAMS
 from progen import random_program
@@ -34,6 +37,22 @@ IMAGES = {name: assemble(src) for name, src in PROGRAMS.items()}
 IMAGES.update(
     (f"progen-{seed}", random_program(random.Random(seed), max_body=60)) for seed in range(50)
 )
+# A loop whose entry gets hot, so an untraced run ends it in blocks: a load,
+# a store skipped on every fourth pass by a side exit, and a linking jal.
+IMAGES["hot-loop"] = assemble(f"""
+        addi x5, x0, {BLOCK_HEAT + 8}
+        addi x2, x0, 1
+        slli x2, x2, 11         # 2048: data
+top:    lw   x3, 0(x2)
+        addi x3, x3, 7
+        andi x4, x5, 3
+        beq  x4, x0, skip
+        sw   x3, 0(x2)
+skip:   addi x5, x5, -1
+        beq  x5, x0, done
+        jal  x1, top
+done:   jal  x0, done
+""")
 
 
 SYSTEM, MEMORY = BUSES = ("system", "memory")
@@ -309,7 +328,7 @@ def test_reset_clears_the_retirement_counts():
     assert sim.core.retired_count == 0 and not any(sim.core.by_mnemonic.values())
 
 
-@pytest.mark.parametrize("name", ["demo", "pacer", "progen-7"])
+@pytest.mark.parametrize("name", ["demo", "pacer", "progen-7", "hot-loop"])
 def test_a_run_split_by_its_budget_retires_what_one_run_does(name):
     reference = started(IMAGES[name])
     whole = reference.core.run(reference.bus)
@@ -321,6 +340,22 @@ def test_a_run_split_by_its_budget_retires_what_one_run_does(name):
     assert second.halt_reason is HaltReason.SELF_LOOP
     assert {c: first.retired[c] + second.retired[c] for c in InstrClass} == whole.retired
     assert sim.core.by_mnemonic == reference.core.by_mnemonic and counts_agree(sim.core)
+
+
+@pytest.mark.parametrize("path", [_run, _run_cycles], ids=lambda path: path.__name__.strip("_"))
+def test_a_hot_loop_cut_at_every_offset_and_resumed_ends_as_one_run(path):
+    # The last four passes of the loop (at most 31 cycles each) and its
+    # halt run in blocks, each entered only if its whole cycle sum fits the
+    # budget left.
+    for bus in BUSES:
+        reference = started(IMAGES["hot-loop"], bus)
+        total = _run(reference, 10_000)
+        for cut in range(total - 4 * 31, total):
+            sim = started(IMAGES["hot-loop"], bus)
+            assert path(sim, cut) == cut
+            assert path(sim, total - cut) == total - cut, (bus, cut)
+            assert machine_state(sim) == machine_state(reference), (bus, cut)
+            assert sim.core.by_mnemonic == reference.core.by_mnemonic
 
 
 def test_retired_count_is_derived_and_read_only():

@@ -4,8 +4,9 @@
 `DECODE_CACHE_SIZE` words, so the engine, the oracle and `disassemble`
 decode each distinct word of an image once between them; `format_word`
 keeps no cache, and `disassemble` formats each distinct word of its image
-once.  The engine keeps no cache of its own: it reads each instruction
-from its decode.
+once.  The engine keeps no decode cache of its own: the inline pass and
+the per-state branches read each instruction from its decode, and a hot
+loop's block decodes its words once, when it is translated.
 """
 
 import random
