@@ -34,7 +34,8 @@ when it is 1, every fresh process compiles the modules it imports, as
 perfbench's `setup_s` process does, so the figures include compiling.
 
 The JSON holds both revisions, each with its source size (`src_loc`,
-the newlines in `src/rv32mc/*.py`, as `wc -l` counts them) and its knobs
+the newlines in `src/rv32mc/*.py`, as `wc -l` counts them, and
+`src_loc_by_module`, the same per file name) and its knobs
 (`public_params`: the parameters, less `self` and `cls`, of every
 function in `rv32mc.__all__` and of the constructor and the public
 methods defined on each class there that is not an enum, counted with
@@ -124,15 +125,26 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout
 
 
+def src_loc_by_module(checkout: Path) -> dict[str, int]:
+    """`wc -l src/rv32mc/*.py` of a checkout by file name: newlines, not lines."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted(checkout.glob("src/rv32mc/*.py"))}
+
+
 def src_loc(checkout: Path) -> int:
-    """`wc -l src/rv32mc/*.py` of a checkout: its newlines, not its lines."""
-    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/rv32mc/*.py"))
+    """The total of `src_loc_by_module`, as `wc -l` prints it."""
+    return sum(src_loc_by_module(checkout).values())
 
 
 def public_params(checkout: Path) -> int:
     """The settable public parameters of a checkout's package (see above)."""
     return int(subprocess.run([sys.executable, "-c", _COUNT_PARAMS], cwd=checkout, check=True,
                               capture_output=True, text=True).stdout)
+
+
+def _sizes(checkout: Path) -> dict:
+    return {"src_loc": src_loc(checkout), "src_loc_by_module": src_loc_by_module(checkout),
+            "public_params": public_params(checkout)}
 
 
 def export(rev: str, dest: Path) -> dict:
@@ -144,14 +156,12 @@ def export(rev: str, dest: Path) -> dict:
                 (dest / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(ROOT / name, dest / name)
         return {"rev": WORKTREE, "head": _git("rev-parse", "HEAD").strip(),
-                "modified": _git("status", "--porcelain").splitlines(), "src_loc": src_loc(dest),
-                "public_params": public_params(dest)}
+                "modified": _git("status", "--porcelain").splitlines(), **_sizes(dest)}
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return {"rev": rev, "commit": commit, "src_loc": src_loc(dest),
-            "public_params": public_params(dest)}
+    return {"rev": rev, "commit": commit, **_sizes(dest)}
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -29,8 +29,9 @@ from one table, `_NEXT`, so its mutant goes into that table.
 An untraced run has a third route, the blocks it compiles from hot code:
 their mutants change one generated effect of each class (an ALU op, the
 load, the store, the side-exit beq and the jal's link), drop the check of a
-block's words on entry, compile one entry early, recompile an entry once
-more than the cap, and let a block run past the cycle limit.
+block's words on entry, compile one entry early, keep a block whose words
+changed or whose call retired nothing, keep the blocks across a reset, and
+let a block run past the cycle limit.
 The last mutants reach past the engine: the trace's held flag, a held
 clock that runs the engine, held cycles counted as executing, a device
 map that names one device twice, the retired flag of a span's CSV lines,
@@ -137,8 +138,11 @@ COMMAND_IMPORTS = f"{IMPORTS}::test_a_command_imports_only_what_it_runs"
 UNKNOWN_NAME = f"{IMPORTS}::test_an_unknown_name_raises_attribute_error_naming_it"
 BLOCKS_TWIN = "tests/test_blocks.py::test_hot_loops_agree_with_the_traced_run_and_the_oracle"
 BLOCK_HEAT = "tests/test_blocks.py::test_an_entry_is_translated_once_at_the_heat_threshold"
-BLOCK_CAP = ("tests/test_blocks.py::"
-             "test_an_addi_patched_every_pass_is_left_to_the_pass_after_the_recompile_cap")
+BLOCK_PATCHED = ("tests/test_blocks.py::"
+                 "test_an_addi_patched_every_pass_is_translated_once_then_left_to_the_pass")
+BLOCK_IDLE = "tests/test_blocks.py::test_a_block_that_retires_nothing_is_dropped"
+BLOCK_RESET = "tests/test_blocks.py::test_a_reset_empties_the_block_cache_and_the_entry_counts"
+BLOCK_RELOADS = "tests/test_blocks.py::test_each_reset_translates_a_loaded_image_anew"
 BLOCK_CUTS = f"{CLOCK}::test_a_hot_loop_cut_at_every_offset_and_resumed_ends_as_one_run"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
@@ -285,20 +289,30 @@ MUTANTS = [
              "alu, after = pc + 8, (pc + imm) & MASK32")],
            (BLOCKS_TWIN,)),
     Mutant("block-entry-unchecked", CORE,
-           [("if words[lo:hi] != snap:",
-             "if False:")],
-           (BLOCK_CAP,)),
+           [("if words[lo:hi] != snap or not (",
+             "if not (")],
+           (BLOCK_PATCHED,)),
     Mutant("block-heat-one-entry-early", CORE,
            [("BLOCK_HEAT = 64",
              "BLOCK_HEAT = 63")],
            (BLOCK_HEAT,)),
-    Mutant("block-recompiled-once-more", CORE,
-           [("BLOCK_RECOMPILES = 2",
-             "BLOCK_RECOMPILES = 3")],
-           (BLOCK_CAP,)),
+    Mutant("block-kept-after-its-words-changed", CORE,
+           [("if words[lo:hi] != snap or not (",
+             "if words[lo:hi] != snap:" + DEEP + "break" + INLINE + "if not (")],
+           (BLOCK_PATCHED,)),
+    Mutant("device-first-block-kept", CORE,
+           # a call that retired nothing leaves its words as they were
+           [("del blocks[pc]",
+             "if words[lo:hi] != snap: del blocks[pc]")],
+           (BLOCK_IDLE,)),
+    Mutant("block-cache-kept-across-reset", CORE,
+           [("self._blocks: dict[int, tuple] = {}\n            self._heat: dict[int, int] = {}",
+             "self._blocks: dict[int, tuple] = getattr(self, '_blocks', {})\n"
+             "            self._heat: dict[int, int] = getattr(self, '_heat', {})")],
+           (BLOCK_RESET, BLOCK_RELOADS)),
     Mutant("block-cost-ignored", CORE,
-           [("if cycle + cost > last or not (",
-             "if cycle > last or not (")],
+           [("if cycle + cost > last:",
+             "if cycle > last:")],
            (BLOCK_CUTS,)),
     Mutant("held-inverted", CORE,
            [("return self.mode != _EXECUTING.value",
@@ -347,8 +361,8 @@ MUTANTS = [
            (BLOCKS, GOLDEN)),
     Mutant("decode-cache-keyed-by-address", CORE,
            # a word rewritten in place keeps the decoding of its first value
-           [("\n_NEVER, _RETIRE, _HALT = range(3)",
-             "\n_BY_ADDR = {}\n_NEVER, _RETIRE, _HALT = range(3)"),
+           [("\n_EXECUTING = ControlMode.EXECUTING",
+             "\n_BY_ADDR = {}\n_EXECUTING = ControlMode.EXECUTING"),
             (LOOP + "cls, m, rd, rs1, rs2, imm = decoded = decode(ir)",
              LOOP + "cls, m, rd, rs1, rs2, imm = decoded = " + CACHED),
             (STATE + "cls, m, rd, rs1, rs2, imm = decoded = decode(ir)",

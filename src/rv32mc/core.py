@@ -15,40 +15,39 @@ in-flight instruction's pc) change only at cycle boundaries, and memory
 writes scheduled during a cycle commit at its end.
 
 One private loop, `Core._cycles`, runs executing cycles until a cycle
-limit or its stop rule (every retirement, the halt rule, or none); every
-way of clocking the core goes through it, `Core.run` once per run.  It
-keeps pc, the temporaries and the cycle count in locals and writes them to
-the core once, when it ends or faults.  At Fetch, once a cycle of the call
-has run (so a write scheduled from outside has committed), an inner loop
-runs whole instructions while five cycles remain before the limit (so none
-can cross it), reading and writing an aligned word of the bus's `words` in
-place (a store's write is its commit).  Otherwise one branch per FSM state
-does that state's work for one cycle, and the class's `_SEQUENCE` names the
-state after it: `step_cycle`, the first cycle of a call, a budget that ends
-inside an instruction, and any instruction whose fetch, load or store is
-not an aligned memory word.  Those branches make
-every bus access, and write `cycle_count` before each, so device stamps
-fall as per cycle.
-It counts each retirement by mnemonic, commits memory only after a cycle
-that can leave a write pending, and hands a trace sink one TraceSpan per
+limit or, if asked, the halt rule; every way of clocking the core goes
+through it, `Core.run` once per run.  It keeps pc, the temporaries and the
+cycle count in locals and writes them to the core once, when it ends or
+faults.  At Fetch, once a cycle of the call has run (so a write scheduled
+from outside has committed), an inner loop runs whole instructions while
+five cycles remain before the limit (so none can cross it), reading and
+writing an aligned word of the bus's `words` in place (a store's write is
+its commit).  Otherwise one branch per FSM state does that state's work
+for one cycle, and the class's `_SEQUENCE` names the state after it:
+`step_cycle`, the first cycle of a call, a budget that ends inside an
+instruction, and any instruction whose fetch, load or store is not an
+aligned memory word.  Those branches make every bus access, and write
+`cycle_count` before each, so device stamps fall as per cycle.  It counts
+each retirement by mnemonic, commits memory only after a cycle that can
+leave a write pending, and hands a trace sink one TraceSpan per
 instruction, also for one in flight when the loop stops.
 
-An untraced run that stops at the halt rule or at its limit alone (`run`,
-`Simulator.run_cycles`) has a third route, for hot loops.  The inline
-pass counts the entries to each word address at a taken branch or jump;
-the `BLOCK_HEAT`th entry translates the code there, once, into one Python
-function (`_translate`, by `compile`), a block, kept on the core by its
-entry address.  A block runs straight-line code to a jal, a self-loop
-beq or `BLOCK_LENGTH` instructions, each effect one line with its
-registers, immediate, link and target as constants; a beq is a side exit.
-Each exit counts its retirements by mnemonic and returns the cycle sum,
-and the next block is looked up at the exit's pc, until an exit falls
+An untraced run (`run`, `Simulator.run_cycles`) has a third route, for hot
+loops.  The inline pass counts the entries to each word address at a taken
+branch or jump; the `BLOCK_HEAT`th entry translates the code there, once,
+into one Python function (`_translate`, by `compile`), a block, kept on
+the core by its entry address.  A block runs straight-line code to a jal,
+a self-loop beq or `BLOCK_LENGTH` instructions, each effect one line with
+its registers, immediate, link and target as constants; a beq is a side
+exit.  Each exit counts its retirements by mnemonic and returns the cycle
+sum, and the next block is looked up at the exit's pc, until an exit falls
 through to the next word.  Its contract with the other two routes:
 - a block runs only if its whole cycle sum fits before `limit - 5`, so
   the inline pass's budget rule holds;
 - on every entry it checks that its words still equal those it was made
-  from; an entry whose words changed is translated again, at most
-  `BLOCK_RECOMPILES` times, and then left to the inline pass;
+  from; a block whose words changed, or whose call retired nothing, is
+  dropped, and its entry left to the inline pass until the next reset,
+  which empties the cache and the entry counts;
 - a load or store of anything but an aligned memory word exits before it,
   with every instruction ahead of it retired, so device accesses and their
   stamps stay in the per-state branches; a store into the block's own words
@@ -89,7 +88,6 @@ _EXECUTING = ControlMode.EXECUTING
 _R_ALU, _I_ALU, _LOAD, _STORE, _BRANCH = (
     InstrClass.R_ALU, InstrClass.I_ALU, InstrClass.LOAD, InstrClass.STORE, InstrClass.BRANCH
 )
-_NEVER, _RETIRE, _HALT = range(3)  # where `Core._cycles` may stop before its limit
 
 # Each class's FSM state names in order; a state has one position in every class.
 _SEQUENCE = {cls: (_FETCH, _DECODE, *rest) for cls, rest in {
@@ -130,17 +128,15 @@ _ALU_OPS: dict[str, Callable[[int, int], int]] = {
 
 # The block route.  Entries to one word address, counted at taken branches
 # and jumps, before an untraced run translates the code there into a block;
-# how often an entry whose words changed is translated again before it is
-# left to the inline pass; and the most instructions one block holds.
+# and the most instructions one block holds.
 BLOCK_HEAT = 64
-BLOCK_RECOMPILES = 2
 BLOCK_LENGTH = 64
 
 
-def _translate(words: list[int], entry: int, compiles: int) -> tuple | None:
+def _translate(words: list[int], entry: int) -> tuple | None:
     """The block at word address `entry` (see the module docstring):
     (function, first and end word index, the words it was made from, its
-    cycle sum, `compiles`), or None if no instruction decodes there.
+    cycle sum), or None if no instruction decodes there.
     `function(regs, words, size, by_mnemonic, alu_out, mdr)` counts the
     retirements of the exit it takes and returns (cycles, pc, a, b, alu_out,
     mdr, (instr_pc, ir, decoded)) as the inline pass would leave them, or
@@ -204,7 +200,7 @@ def _translate(words: list[int], entry: int, compiles: int) -> tuple | None:
     source = "def block(regs, words, size, bym, alu_out, mdr):\n" + "".join(
         f"    {line}\n" for line in lines)
     exec(compile(source, f"<block {entry:#x}>", "exec"), names)
-    return names["block"], lo, hi, words[lo:hi], sum(len(_NAMES[m]) for m in done), compiles
+    return names["block"], lo, hi, words[lo:hi], sum(len(_NAMES[m]) for m in done)
 
 
 class RegisterFile:
@@ -293,15 +289,13 @@ class Core:
     def __init__(self) -> None:
         self.regs = RegisterFile()
         self._regs = self.regs._regs  # the engine's direct view; it guards x0 itself
-        # The block route's cache and entry counts, by word address in memory.
-        self._blocks: dict[int, tuple] = {}
-        self._heat: dict[int, int] = {}
         # Power-on: reset, then IE low with writes disabled (observation).
         self.apply_control(ie=0, reset=1)
         self.apply_control(ie=0, reset=0)
 
     def apply_control(self, ie: int, reset: int, write_enable: int = 0) -> ControlMode:
-        """Drive the control lines; reset clears pc, the FSM, and temporaries."""
+        """Drive the control lines; reset clears pc, the FSM, temporaries and
+        the block route's cache and entry counts (by word address in memory)."""
         self.mode = mode_from_lines(ie, reset, write_enable)
         if self.mode is ControlMode.RESET_HOLD:
             self.pc = 0
@@ -310,6 +304,8 @@ class Core:
             self.decoded: DecodedInstruction | None = None
             self.cycle_count = 0
             self.by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)  # retirements
+            self._blocks: dict[int, tuple] = {}
+            self._heat: dict[int, int] = {}
         return self.mode
 
     @property
@@ -322,11 +318,12 @@ class Core:
 
     # --- cycle-level stepping ---
 
-    def _cycles(self, bus: UnifiedMemory, limit: float,
-                trace: Callable[[TraceSpan], None] | None, stop: int = _RETIRE) -> bool:
+    def _cycles(self, bus: UnifiedMemory, limit: int,
+                trace: Callable[[TraceSpan], None] | None, halt: bool = False) -> bool:
         """Run executing cycles until `cycle_count` reaches `limit` (False)
-        or a retirement meets `stop` (True); `trace` gets a TraceSpan at each
-        retirement, and at the return or fault one of any cycles since.
+        or, if `halt`, a retirement meets the halt rule (True); `trace` gets
+        a TraceSpan at each retirement, and at the return or fault one of
+        any cycles since.
         Memory commits after a MemWrite cycle, and after the first cycle for
         a write scheduled from outside before it.  Blocks, whole
         instructions and single states run on the same locals, written to
@@ -339,7 +336,7 @@ class Core:
         first = start = cycle + 1  # `start`: the first cycle of the next span
         last = limit - 5  # the last cycle count from which any instruction fits
         blocks, heat, entered = self._blocks, self._heat, False
-        hot = trace is None and stop != _RETIRE  # blocks may run
+        hot = trace is None  # blocks may run
         try:
             while cycle < limit:
                 if state is _FETCH and first <= cycle <= last:  # whole instructions
@@ -394,7 +391,7 @@ class Core:
                             begin, start = start, cycle + 1  # moved first: a sink may raise
                             trace(_span((begin, instr_pc, ir, _NAMES[m], True)))
                         # any class but a jump or taken branch leaves pc at instr_pc + 4
-                        if stop == _RETIRE or stop == _HALT and pc == instr_pc:
+                        if halt and pc == instr_pc:
                             return True
                         # A taken branch or jump enters the blocks, chained at their exits.
                         while entered:
@@ -404,23 +401,21 @@ class Core:
                                 if pc & 3 or pc >= size:
                                     break
                                 heat[pc] = entries = heat.get(pc, 0) + 1
-                                if entries != BLOCK_HEAT or not (block := _translate(words, pc, 1)):
+                                if entries != BLOCK_HEAT or not (block := _translate(words, pc)):
                                     break
                                 blocks[pc] = block
-                            run, lo, hi, snap, cost, compiles = block
-                            if words[lo:hi] != snap:  # rewritten since its translation
-                                del blocks[pc]
-                                if compiles > BLOCK_RECOMPILES or not (
-                                        block := _translate(words, pc, compiles + 1)):
-                                    break
-                                blocks[pc] = block
-                                run, lo, hi, snap, cost, compiles = block
-                            if cycle + cost > last or not (
+                            run, lo, hi, snap, cost = block
+                            if cycle + cost > last:
+                                break
+                            # rewritten since its translation, or retired nothing:
+                            # left to the pass until a reset (its heat is past the threshold)
+                            if words[lo:hi] != snap or not (
                                     out := run(regs, words, size, by_mnemonic, alu_out, mdr)):
+                                del blocks[pc]
                                 break
                             spent, pc, a, b, alu_out, mdr, (instr_pc, ir, decoded) = out
                             cycle += spent
-                            if stop == _HALT and pc == instr_pc:
+                            if halt and pc == instr_pc:
                                 return True
                             entered = pc != instr_pc + 4  # else it fell through to the next word
                     if cycle > last:  # else a fetch the pass left would re-enter it forever
@@ -470,7 +465,7 @@ class Core:
                 if trace is not None:
                     begin, start = start, cycle + 1
                     trace(_span((begin, instr_pc, ir, _NAMES[m][begin - start:], True)))
-                if stop == _RETIRE or stop == _HALT and pc == instr_pc:
+                if halt and pc == instr_pc:
                     return True
             return False
         except SimError as e:  # raised by the work of `state`
@@ -494,7 +489,7 @@ class Core:
         microarchitectural state changes, so `snapshot()` is unchanged.
         """
         if self.mode is _EXECUTING:
-            self._cycles(bus, self.cycle_count + cycles, None, _NEVER)
+            self._cycles(bus, self.cycle_count + cycles, None)
 
     def step_cycle(self, bus: UnifiedMemory) -> TraceRecord:
         """Advance one clock and describe it; a held cycle changes nothing."""
@@ -513,7 +508,9 @@ class Core:
         if self.mode is not _EXECUTING:
             raise NotExecuting(f"core is in {self.mode.value} mode")
         start_cycles = self.cycle_count
-        self._cycles(bus, float("inf"), None)  # every instruction retires
+        self._clock(bus)
+        while self.fsm is not _FETCH:  # one cycle at a time: never a block
+            self._clock(bus)
         assert self.decoded is not None
         return self.decoded, self.cycle_count - start_cycles
 
@@ -541,7 +538,7 @@ class Core:
             raise NotExecuting(f"core is in {self.mode.value} mode")
         start_cycles = self.cycle_count
         before = dict(self.by_mnemonic)
-        halted = self._cycles(bus, start_cycles + max_cycles, trace, _HALT)
+        halted = self._cycles(bus, start_cycles + max_cycles, trace, True)
         retired = {cls: 0 for cls in InstrClass}
         for m, n in self.by_mnemonic.items():
             retired[MNEMONIC_CLASS[m]] += n - before[m]

@@ -30,11 +30,6 @@ def u32(x: int) -> int:
     return x & MASK32
 
 
-def s32(x: int) -> int:
-    x &= MASK32
-    return x - 0x100000000 if x & 0x80000000 else x
-
-
 class InstrClass(enum.Enum):
     R_ALU = "r_alu"
     I_ALU = "i_alu"

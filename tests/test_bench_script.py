@@ -129,9 +129,12 @@ def test_src_loc_counts_newlines_of_the_package_sources_as_wc_does(bench, tmp_pa
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (pkg / "sub" / "c.py").write_text("not\ncounted\n")
     assert bench.src_loc(tmp_path) == 4
+    assert bench.src_loc_by_module(tmp_path) == {"a.py": 2, "b.py": 2}
     sources = sorted(str(p) for p in (ROOT / "src" / "rv32mc").glob("*.py"))
     total = subprocess.run(["wc", "-l", *sources], capture_output=True, text=True, check=True)
-    assert bench.src_loc(ROOT) == int(total.stdout.splitlines()[-1].split()[0])
+    *files, last = (line.split(None, 1) for line in total.stdout.splitlines())
+    assert bench.src_loc(ROOT) == int(last[0])
+    assert bench.src_loc_by_module(ROOT) == {Path(name).name: int(n) for n, name in files}
 
 
 def test_public_params_counts_functions_constructors_and_public_methods(bench, tmp_path):

@@ -1,19 +1,21 @@
 """The block route against the inline pass and the oracle.
 
 An untraced `Core.run` translates the code at an entry reached
-`BLOCK_HEAT` times into one generated function and runs it from then on; a
-traced run never does.  So for hot loops, self-modifying code and device
-accesses, an untraced run (blocks), a traced run (the inline pass and the
-per-state branches) and `reference_execute` must agree on every
-architectural effect, and the two engine runs also on the core's
-temporaries, the retirements by mnemonic and the device logs.
+`BLOCK_HEAT` times into one generated function and runs it from then on,
+until its words change or a call of it retires nothing, which drops it
+until the next reset; a traced run never does.  So for hot loops,
+self-modifying code and device accesses, an untraced run (blocks), a
+traced run (the inline pass and the per-state branches) and
+`reference_execute` must agree on every architectural effect, and the two
+engine runs also on the core's temporaries, the retirements by mnemonic
+and the device logs.
 """
 
 import random
 
 import pytest
 
-from rv32mc import CYCLE_COST, HaltReason, assemble, reference_execute
+from rv32mc import CYCLE_COST, HaltReason, Simulator, assemble, reference_execute
 from rv32mc import core
 from rv32mc.core import BLOCK_HEAT
 from rv32mc.errors import SimError, UnsupportedInstruction
@@ -90,7 +92,7 @@ def test_an_entry_is_translated_once_at_the_heat_threshold(compiled):
 
 
 # Patches the immediate of its own `addi` at 24, ahead of the pc, on every
-# pass, as traced_mmio's loop does: the entry fails its check each time.
+# pass, as traced_mmio's loop does: the block fails its first entry check.
 PATCHED_EVERY_PASS = f"""
         addi x6, x0, 1
         slli x6, x6, 20         # 1 << 20: +1 on an I-type immediate
@@ -106,10 +108,10 @@ done:   jal  x0, done
 """
 
 
-def test_an_addi_patched_every_pass_is_left_to_the_pass_after_the_recompile_cap(compiled):
+def test_an_addi_patched_every_pass_is_translated_once_then_left_to_the_pass(compiled):
     image = assemble(PATCHED_EVERY_PASS)
     sim, report = _agree(image)
-    assert len(compiled) == 3 and not sim.core._blocks  # translated, then twice again
+    assert len(compiled) == 1 and not sim.core._blocks  # dropped, never translated again
     assert sim.core.regs[4] == sum(range(1, HOT + 1))
     oracle = reference_execute(image)
     assert (oracle.regs, oracle.memory) == (report.final_state.regs, sim.mem.words)
@@ -150,8 +152,8 @@ def test_a_store_ahead_into_a_hot_block_runs_the_new_encoding(compiled):
 
 # On pass `poison`, a word of the hot block becomes 0, which does not
 # decode: the `addi` at 28 through the block's own store ahead of the pc,
-# or the `addi` at 32 from outside, so the block is translated again and
-# ends before it.
+# which ends the block, or the `addi` at 32 from outside, which drops it at
+# its next entry; either way the inline pass fetches the 0 and faults.
 POISON = f"""
         addi x5, x0, {HOT + 8}
         addi x12, x0, -1        # all ones until the poison pass
@@ -206,6 +208,33 @@ def test_device_accesses_in_a_hot_loop_are_stamped_as_traced(first, compiled):
     assert report.halt_reason is HaltReason.SELF_LOOP and compiled
     stamps = [r.cycle for d in sim.peripherals.devices for r in d.event_log]
     assert len(stamps) == (3 if first.startswith("lw") else 2) * HOT
+
+
+def test_a_block_that_retires_nothing_is_dropped(compiled):
+    # Its first instruction loads from a device, so every call exits at once.
+    sim, report = _agree(assemble(DEVICE_LOOP.format(first="lw x9, 8(x8)")), SYSTEM)
+    assert len(compiled) == 1 and not sim.core._blocks
+
+
+def test_each_reset_translates_a_loaded_image_anew(compiled):
+    sim = Simulator()
+    for step in range(1, 5):  # one entry; its loop body's immediate differs
+        # x6 is set from x5 alone: registers outlive a reset, the oracle's start at 0
+        image = assemble(LOOP.format(n=HOT).replace("x6, x6, 3", f"x6, x5, {step}"))
+        sim.program_and_start(image)
+        report = sim.core.run(sim.bus)
+        oracle = reference_execute(image)
+        assert (oracle.regs, oracle.memory, oracle.retired) == (
+            report.final_state.regs, sim.mem.words, report.retired_total)
+        assert len(compiled) == step
+
+
+def test_a_reset_empties_the_block_cache_and_the_entry_counts():
+    sim = started(random_loop_program(random.Random(3), HOT))
+    sim.core.run(sim.bus)
+    assert sim.core._blocks and sim.core._heat
+    sim.pulse_reset()
+    assert not sim.core._blocks and not sim.core._heat
 
 
 def test_traced_runs_and_single_steps_translate_nothing(compiled):

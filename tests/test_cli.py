@@ -471,6 +471,64 @@ def test_generated_device_maps_exit_cleanly(fuzz_dir, config, program):
     assert dispatch_quietly(argv) in {0, 2, 3, 4}
 
 
+# Values at a bound, each spliced in for a token of a line or as a line.
+_BOUNDS = ["2147483648", "4294967292", "0x1000000", "-4", "007", "@00400000", "@3fffffff",
+           ".org 0x1000000", ".org 0xfffffffc"]
+_GOLDEN = Path(__file__).resolve().parent / "golden_outputs"
+_BUNDLED = sorted(_GOLDEN.parent.parent.glob("firmware/*.s")) + sorted(_GOLDEN.glob("*.hex"))
+
+
+@st.composite
+def _mutated(draw):
+    """A bundled source or hex image, as its suffix and its text after one to
+    three edits: drop, duplicate or swap a line, or splice in a bound."""
+    path = draw(st.sampled_from(_BUNDLED))
+    lines = path.read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "splice"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            value, tokens = draw(st.sampled_from(_BOUNDS)), lines[i].split()
+            k = draw(st.integers(-1, len(tokens) - 1))
+            if k < 0:  # a line of its own
+                lines.insert(i, value)
+            else:
+                tokens[k] = value
+                lines[i] = " ".join(tokens)
+    return path.suffix, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_mutated())
+def test_mutated_bundled_inputs_exit_cleanly(fuzz_dir, case):
+    # A budget on both runs: a mutated loop may never park.
+    suffix, text = case
+    path = fuzz_dir / f"mutated{suffix}"
+    path.write_text(text)
+    if suffix == ".s":
+        argvs = [["asm", str(path), "-o", str(fuzz_dir / "mutated-out.hex")]]
+    else:
+        argvs = [["dis", str(path)], ["run", str(path), "--max-cycles", "2000"],
+                 ["run", str(path), "--trace", "--max-cycles", "2000"]]
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        err = err.getvalue()
+        assert code in {0, 2, 3, 4}, argv
+        assert err == "" or err.startswith("error[") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+
+
 def test_script_observe_beyond_memory_exit_code(demo_hex, tmp_path, capsys):
     # 8192 bytes from 0 pass the 4 KiB memory: found before the first step runs.
     script = tmp_path / "far.txt"
