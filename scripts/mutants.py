@@ -30,8 +30,11 @@ An untraced run has a third route, the blocks it compiles from hot code:
 their mutants change one generated effect of each class (an ALU op, the
 load, the store, the side-exit beq and the jal's link), drop the check of a
 block's words on entry, compile one entry early, keep a block whose words
-changed or whose call retired nothing, keep the blocks across a reset, and
-let a block run past the cycle limit.
+changed or whose call retired nothing, keep the blocks across a reset,
+let a block run past the cycle limit, and, for a call that goes round at
+an exit back to its entry, count no pass but the last, go round one pass
+past the budget, go round at a self-loop, start a pass at a device
+access, and leave the previous pass's alu_out stale.
 The last mutants reach past the engine: the trace's held flag, a held
 clock that runs the engine, held cycles counted as executing, a device
 map that names one device twice, the retired flag of a span's CSV lines,
@@ -144,6 +147,10 @@ BLOCK_IDLE = "tests/test_blocks.py::test_a_block_that_retires_nothing_is_dropped
 BLOCK_RESET = "tests/test_blocks.py::test_a_reset_empties_the_block_cache_and_the_entry_counts"
 BLOCK_RELOADS = "tests/test_blocks.py::test_each_reset_translates_a_loaded_image_anew"
 BLOCK_CUTS = f"{CLOCK}::test_a_hot_loop_cut_at_every_offset_and_resumed_ends_as_one_run"
+BLOCK_PASSES = "tests/test_blocks.py::test_one_call_of_a_hot_loop_runs_many_passes"
+BLOCK_DEVICE_PASS = ("tests/test_blocks.py::"
+                     "test_a_later_pass_that_loads_from_a_device_first_leaves_the_block_with_every_pass_counted")
+BLOCK_SELF_LOOP = "tests/test_blocks.py::test_a_translated_self_loop_halts_core_run_at_its_first_retirement"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -281,8 +288,8 @@ MUTANTS = [
              'lines.append(f"words[x{k} >> 2] = regs[{rs1}]")')],
            (BLOCKS_TWIN,)),
     Mutant("block-side-exit-inverted", CORE,
-           [('lines.append(f"if regs[{rs1}] == regs[{rs2}]: {leave((pc + imm) & MASK32)}")',
-             'lines.append(f"if regs[{rs1}] != regs[{rs2}]: {leave((pc + imm) & MASK32)}")')],
+           [('lines.append(f"if regs[{rs1}] == regs[{rs2}]:")',
+             'lines.append(f"if regs[{rs1}] != regs[{rs2}]:")')],
            (BLOCKS_TWIN,)),
     Mutant("block-jal-links-past-the-next-word", CORE,
            [("alu, after = pc + 4, (pc + imm) & MASK32",
@@ -314,6 +321,26 @@ MUTANTS = [
            [("if cycle + cost > last:",
              "if cycle > last:")],
            (BLOCK_CUTS,)),
+    Mutant("block-loop-pass-uncounted", CORE,
+           [('f"bym[{m!r}] += {total(lambda ms: ms.count(m))}; "',
+             'f"bym[{m!r}] += {done.count(m)}; "')],
+           (BLOCK_PASSES,)),
+    Mutant("block-loop-goes-round-past-the-budget", CORE,
+           [(") >= {cost}{fits}: ",
+             ") >= {cost - cycles(done)}{fits}: ")],
+           (BLOCK_CUTS,)),
+    Mutant("block-self-loop-goes-round", CORE,
+           [("if k and cls in (_BRANCH, InstrClass.JUMP)",
+             "if cls in (_BRANCH, InstrClass.JUMP)")],
+           (BLOCK_SELF_LOOP,)),
+    Mutant("block-loop-enters-a-device-access", CORE,
+           [('if first[0] in (_LOAD, _STORE) else "")',
+             'if False else "")')],
+           (BLOCK_DEVICE_PASS,)),
+    Mutant("block-loop-alu-out-stale", CORE,
+           [('again = f"alu_out = {alu}; " if alu != "alu_out" else ""',
+             'again = ""')],
+           (BLOCK_PASSES,)),
     Mutant("held-inverted", CORE,
            [("return self.mode != _EXECUTING.value",
              "return self.mode == _EXECUTING.value")],

@@ -39,20 +39,27 @@ into one Python function (`_translate`, by `compile`), a block, kept on
 the core by its entry address.  A block runs straight-line code to a jal,
 a self-loop beq or `BLOCK_LENGTH` instructions, each effect one line with
 its registers, immediate, link and target as constants; a beq is a side
-exit.  Each exit counts its retirements by mnemonic and returns the cycle
-sum, and the next block is looked up at the exit's pc, until an exit falls
-through to the next word.  Its contract with the other two routes:
-- a block runs only if its whole cycle sum fits before `limit - 5`, so
-  the inline pass's budget rule holds;
+exit.  An exit back to the block's own entry (the closing jal, or a beq)
+goes round again in the same call, counting the pass in a local.  The exit
+that leaves counts the retirements of all the call's passes by mnemonic
+and returns their cycle sum, and the next block is looked up at its pc,
+until an exit falls through to the next word.  Its contract with the
+other two routes:
+- a block runs, and goes round again, only if the cycles spent so far
+  plus its whole cycle sum fit before `limit - 5`, so the inline pass's
+  budget rule holds; a jump or branch to its own address (the halt rule)
+  never goes round, so `run` sees that retirement;
 - on every entry it checks that its words still equal those it was made
   from; a block whose words changed, or whose call retired nothing, is
   dropped, and its entry left to the inline pass until the next reset,
   which empties the cache and the entry counts;
 - a load or store of anything but an aligned memory word exits before it,
   with every instruction ahead of it retired, so device accesses and their
-  stamps stay in the per-state branches; a store into the block's own words
-  exits after it; translation ends before a word that does not decode, so
-  no fault is raised in a block;
+  stamps stay in the per-state branches; a pass whose first instruction
+  would make one does not go round, so such an exit always follows a
+  retirement of the call; a store into the block's own words exits after
+  it, so no pass runs stale words; translation ends before a word that
+  does not decode, so no fault is raised in a block;
 - after a block, ir, instr_pc, decoded, a, b, alu_out and mdr are what
   the inline pass would leave.
 Traced runs and single steps never run blocks, so every trace is the
@@ -137,10 +144,11 @@ def _translate(words: list[int], entry: int) -> tuple | None:
     """The block at word address `entry` (see the module docstring):
     (function, first and end word index, the words it was made from, its
     cycle sum), or None if no instruction decodes there.
-    `function(regs, words, size, by_mnemonic, alu_out, mdr)` counts the
-    retirements of the exit it takes and returns (cycles, pc, a, b, alu_out,
-    mdr, (instr_pc, ir, decoded)) as the inline pass would leave them, or
-    None if nothing retired."""
+    `function(regs, words, size, by_mnemonic, alu_out, mdr, left)` runs
+    passes while the next one fits in the `left` cycles, counts the
+    retirements of all of them at the exit that leaves, and returns (cycles,
+    pc, a, b, alu_out, mdr, (instr_pc, ir, decoded)) as the inline pass would
+    leave them, or None if nothing retired."""
     body, pc = [], entry
     while pc < 4 * len(words) and len(body) < BLOCK_LENGTH:
         try:
@@ -158,10 +166,31 @@ def _translate(words: list[int], entry: int) -> tuple | None:
     lines, done = [], []  # generated lines; the mnemonics retired before the next one
     ab, alu = "", "alu_out"  # the last retired one's a, b and alu_out
 
-    def leave(pc: int) -> str:  # count what retired, go on at `pc`
-        counts = "".join(f"bym[{m!r}] += {done.count(m)}; " for m in dict.fromkeys(done))
-        cycles = sum(len(_NAMES[m]) for m in done)
-        return f"{counts}return {cycles}, {pc}, {ab}, {alu}, mdr, L{len(done) - 1}"
+    def cycles(ms: list[str]) -> int:
+        return sum(len(_NAMES[m]) for m in ms)
+
+    cost = cycles([d[1] for _, d in body])
+    # The exits back to the entry, but a self-loop's (the halt rule's): the
+    # mnemonics of a pass that goes round at each, counted in `n{k}`.
+    rounds = {k: [d[1] for _, d in body[:k + 1]] for k, (pc, (cls, _, _, _, _, imm)) in enumerate(body)
+              if k and cls in (_BRANCH, InstrClass.JUMP) and (pc + imm) & MASK32 == entry}
+
+    def leave(pc: int) -> str:  # count what retired, this pass and the rounds before it; go on at `pc`
+        def total(share: Callable[[list[str]], int]) -> str:
+            return " + ".join([str(share(done))] + [f"{share(ms)} * n{k}" for k, ms in rounds.items()])
+        counts = "".join(f"bym[{m!r}] += {total(lambda ms: ms.count(m))}; "
+                         for m in dict.fromkeys(done + [m for ms in rounds.values() for m in ms]))
+        return f"{counts}return {total(cycles)}, {pc}, {ab}, {alu}, mdr, L{len(done) - 1}"
+
+    def exit_to(pc: int) -> list[str]:  # round again while a pass fits, else leave
+        if pc != entry or len(done) - 1 not in rounds:  # not a round, or a fall-through past one
+            return [leave(pc)]
+        first = body[0][1]  # nor one whose next pass starts with an access of no memory word
+        fits = (f" and (y := (regs[{first[3]}] + {first[5]}) & 0xFFFFFFFF) < size and not y & 3"
+                if first[0] in (_LOAD, _STORE) else "")
+        again = f"alu_out = {alu}; " if alu != "alu_out" else ""
+        return [f"if (left := left - {cycles(done)}) >= {cost}{fits}: "
+                f"n{len(done) - 1} += 1; {again}continue", leave(pc)]
 
     for k, (pc, (cls, m, rd, rs1, rs2, imm)) in enumerate(body):
         to, after = f"regs[{rd}] = " if rd else "", pc + 4  # pc < size: no wrap
@@ -187,7 +216,8 @@ def _translate(words: list[int], entry: int) -> tuple | None:
             alu = f"x{k}"
         elif cls is _BRANCH:
             done.append(m)
-            lines.append(f"if regs[{rs1}] == regs[{rs2}]: {leave((pc + imm) & MASK32)}")
+            lines.append(f"if regs[{rs1}] == regs[{rs2}]:")
+            lines.extend(f"    {line}" for line in exit_to((pc + imm) & MASK32))
             continue
         else:  # jal, the last
             alu, after = pc + 4, (pc + imm) & MASK32  # the link; the target
@@ -196,11 +226,14 @@ def _translate(words: list[int], entry: int) -> tuple | None:
         done.append(m)
         if cls is _STORE and k + 1 < len(body):
             lines.append(f"if {4 * lo} <= x{k} < {4 * hi}: {leave(after)}")
-    lines.append(leave(after))
-    source = "def block(regs, words, size, bym, alu_out, mdr):\n" + "".join(
+    lines.extend(exit_to(after))
+    if rounds:
+        lines = [" = ".join(f"n{k}" for k in rounds) + " = 0", "while True:",
+                 *(f"    {line}" for line in lines)]
+    source = "def block(regs, words, size, bym, alu_out, mdr, left):\n" + "".join(
         f"    {line}\n" for line in lines)
     exec(compile(source, f"<block {entry:#x}>", "exec"), names)
-    return names["block"], lo, hi, words[lo:hi], sum(len(_NAMES[m]) for m in done)
+    return names["block"], lo, hi, words[lo:hi], cost
 
 
 class RegisterFile:
@@ -410,7 +443,7 @@ class Core:
                             # rewritten since its translation, or retired nothing:
                             # left to the pass until a reset (its heat is past the threshold)
                             if words[lo:hi] != snap or not (
-                                    out := run(regs, words, size, by_mnemonic, alu_out, mdr)):
+                                    out := run(regs, words, size, by_mnemonic, alu_out, mdr, last - cycle)):
                                 del blocks[pc]
                                 break
                             spent, pc, a, b, alu_out, mdr, (instr_pc, ir, decoded) = out

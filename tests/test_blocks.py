@@ -3,7 +3,9 @@
 An untraced `Core.run` translates the code at an entry reached
 `BLOCK_HEAT` times into one generated function and runs it from then on,
 until its words change or a call of it retires nothing, which drops it
-until the next reset; a traced run never does.  So for hot loops,
+until the next reset; a traced run never does.  A call goes round again
+at an exit back to its own entry while another whole pass fits, but never
+at a self-loop, where the halt rule stops `Core.run`.  So for hot loops,
 self-modifying code and device accesses, an untraced run (blocks), a
 traced run (the inline pass and the per-state branches) and
 `reference_execute` must agree on every architectural effect, and the two
@@ -15,13 +17,14 @@ import random
 
 import pytest
 
-from rv32mc import CYCLE_COST, HaltReason, Simulator, assemble, reference_execute
+from rv32mc import (CYCLE_COST, HaltReason, MemoryImage, Simulator, assemble, encode, instr,
+                    reference_execute)
 from rv32mc import core
 from rv32mc.core import BLOCK_HEAT
 from rv32mc.errors import SimError, UnsupportedInstruction
 from rv32mc.isa import MNEMONIC_CLASS
 from progen import random_loop_program, random_program
-from test_clock import BUSES, MEMORY, SYSTEM, machine_state, started
+from test_clock import BUSES, IMAGES, MEMORY, SYSTEM, machine_state, started
 
 HOT = BLOCK_HEAT + 16  # loop passes: every loop's entry gets hot
 
@@ -33,6 +36,29 @@ def compiled(monkeypatch):
     monkeypatch.setattr(core, "compile", lambda source, *args: sources.append(source)
                         or compile(source, *args), raising=False)
     return sources
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Each block call while the test runs: its entry, its length in words
+    and the instructions it retired."""
+    log, translate = [], core._translate
+
+    def counted(words, entry):
+        block = translate(words, entry)
+        if block is None:
+            return None
+        run, lo, hi, *rest = block
+
+        def call(regs, words, size, bym, *args):
+            before = sum(bym.values())
+            out = run(regs, words, size, bym, *args)
+            log.append((entry, hi - lo, sum(bym.values()) - before))
+            return out
+        return (call, lo, hi, *rest)
+
+    monkeypatch.setattr(core, "_translate", counted)
+    return log
 
 
 def _agree(image, bus=MEMORY):
@@ -255,3 +281,112 @@ def test_blocks_are_kept_per_core_by_word_address_in_memory():
         assert sim.core._blocks and set(sim.core._blocks) <= set(sim.core._heat)
         assert all(pc < 4 * size and not pc & 3 for pc in sim.core._heat)
     assert sims[0].core._blocks is not sims[1].core._blocks
+
+
+# loop_kernel's shape: a jal closes an inner loop of 64 passes, 4 rounds.
+# Only branches follow the last exit from the inner loop's block, so the
+# run ends with the alu_out that exit left: the inner jal's link.
+KERNEL = """
+        addi x5, x0, 4
+outer:  addi x5, x5, -1
+        addi x1, x0, 0
+        addi x6, x0, 64
+inner:  beq  x6, x0, next
+        lw   x3, 1024(x1)
+        add  x4, x4, x3
+        sw   x4, 1536(x1)
+        addi x1, x1, 4
+        addi x6, x6, -1
+        jal  x0, inner
+next:   beq  x5, x0, done
+        jal  x0, outer
+done:   beq  x0, x0, done
+        .org 0x400
+""" + "".join(f"        .word {(k * 2654435761) & 0xFFFFFFFF}\n" for k in range(64))
+
+LOOPS = {  # an image, and the fewest instructions one call of a block retires at most
+    "kernel": (assemble(KERNEL), 63 * 7),  # rounds 2-4 each in one call
+    "progen": (random_loop_program(random.Random(29), 3 * HOT, loops=1), 6 * 12),  # a beq closes it
+    "hot-loop": (IMAGES["hot-loop"], 3 * 8),  # its block starts with a lw
+}
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_one_call_of_a_hot_loop_runs_many_passes(name, calls):
+    image, most = LOOPS[name]
+    sim, report = _agree(image)
+    oracle = reference_execute(image)
+    assert (oracle.regs, oracle.memory, oracle.pc, oracle.retired) == (
+        report.final_state.regs, sim.mem.words, report.final_state.pc, report.retired_total)
+    assert max(retired for _, _, retired in calls) >= most
+    if name == "kernel":
+        assert len(calls) == 4  # one per round: the 64th entry is the last of round 1
+        assert sim.core.alu_out == 44  # the inner jal's link
+
+
+# Reads sensing DATA on the pass where x5 is 4, and memory on all others.
+# The call that goes round up to that pass leaves before its load, with
+# every pass before it counted; the call chained at once then reaches the
+# device first, retires nothing and is dropped.
+DEVICE_ONE_PASS = f"""
+        addi x12, x0, 1050
+        slli x12, x12, 1        # 2100: memory
+        addi x10, x12, 0
+        addi x13, x0, 2012      # 0x1010 - 2100: sensing
+        addi x5, x0, {HOT + 8}
+top:    lw   x9, 8(x10)
+        add  x20, x20, x9
+        addi x5, x5, -1
+        beq  x5, x0, done
+        addi x11, x5, -4
+        sltiu x11, x11, 1       # 1 on the pass before x5 is 4
+        sub  x11, x0, x11
+        and  x11, x11, x13
+        add  x10, x12, x11
+        jal  x0, top
+done:   jal  x0, done
+"""
+
+
+def test_a_later_pass_that_loads_from_a_device_first_leaves_the_block_with_every_pass_counted(calls):
+    sim, report = _agree(assemble(DEVICE_ONE_PASS), SYSTEM)
+    assert report.halt_reason is HaltReason.SELF_LOOP
+    assert [r.access for r in sim.peripherals.device("sensing").event_log] == ["read"]
+    passes = HOT + 8 - BLOCK_HEAT - 4  # from the 64th entry to the pass where x5 is 4
+    assert calls == [(20, 10, 10 * passes), (20, 10, 0)] and not sim.core._blocks
+
+
+# `halt` spins under `run_cycles` until its block is translated; a load then
+# patches it to jump to `restore`, which stores it back and jumps to it, so
+# `Core.run` enters the translated self-loop from another word.
+SELF_LOOP = """
+        addi x7, x0, {word}
+        jal  x0, halt
+restore: sw  x7, 16(x0)
+        jal  x0, halt
+halt:   {halt}
+"""
+
+
+@pytest.mark.parametrize("halt", ["jal x0, 0", "beq x0, x0, 0"])
+def test_a_translated_self_loop_halts_core_run_at_its_first_retirement(halt, calls):
+    image = assemble(SELF_LOOP.format(word=assemble(halt).words[0], halt=halt))
+    spin, runs = 8 + 4 * (BLOCK_HEAT + 8), []
+    for translated in (True, False):
+        sim = started(image)
+        if translated:
+            sim.run_cycles(spin)
+        else:  # one cycle at a time: never a block
+            for _ in range(spin):
+                sim.core.step_cycle(sim.bus)
+        sim.load(MemoryImage(16, [encode(instr("jal", rd=0, imm=-8))]))
+        sim.start()
+        called = len(calls)
+        runs.append((sim, sim.core.run(sim.bus)))
+        assert (16 in sim.core._blocks, len(calls) > called) == (translated, translated)
+    (sim, report), (reference, reference_report) = runs
+    assert report == reference_report and report.total_cycles == 4 + 4 + 4 + CYCLE_COST[
+        MNEMONIC_CLASS[halt.split()[0]]]
+    assert report.halt_reason is HaltReason.SELF_LOOP and report.retired_total == 4
+    assert machine_state(sim) == machine_state(reference)
+    assert sim.core.by_mnemonic == reference.core.by_mnemonic

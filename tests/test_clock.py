@@ -9,9 +9,9 @@ they stop, in the middle of an instruction or at a fault.  A span's states
 are not recorded but derived from its class and the state that runs next,
 so traced runs entered and left at every cycle offset must give the
 records that `step_cycle` gives one cycle at a time.  An untraced run
-also runs a hot loop's code as compiled blocks, each only if its whole
-cycle sum fits, so a hot loop cut at every cycle offset and resumed must
-end as one unbroken run does.
+also runs a hot loop's code as compiled blocks, each block and each pass
+one goes round only if its whole cycle sum fits, so a hot loop cut at
+every cycle offset and resumed must end as one unbroken run does.
 
 The engine reads and writes memory words in place and takes only other
 addresses through its bus, so the tests that compare paths run on both
@@ -344,13 +344,13 @@ def test_a_run_split_by_its_budget_retires_what_one_run_does(name):
 
 @pytest.mark.parametrize("path", [_run, _run_cycles], ids=lambda path: path.__name__.strip("_"))
 def test_a_hot_loop_cut_at_every_offset_and_resumed_ends_as_one_run(path):
-    # The last four passes of the loop (at most 31 cycles each) and its
-    # halt run in blocks, each entered only if its whole cycle sum fits the
-    # budget left.
+    # The last eight passes of the loop (at most 31 cycles each) and its
+    # halt run in blocks, one call going round for up to four of them, each
+    # entered or gone round only if its whole cycle sum fits the budget left.
     for bus in BUSES:
         reference = started(IMAGES["hot-loop"], bus)
         total = _run(reference, 10_000)
-        for cut in range(total - 4 * 31, total):
+        for cut in range(total - 8 * 31, total):
             sim = started(IMAGES["hot-loop"], bus)
             assert path(sim, cut) == cut
             assert path(sim, total - cut) == total - cut, (bus, cut)
