@@ -28,13 +28,14 @@ the partial span slice theirs.  The per-state branches take each successor
 from one table, `_NEXT`, so its mutant goes into that table.
 An untraced run has a third route, the blocks it compiles from hot code:
 their mutants change one generated effect of each class (an ALU op, the
-load, the store, the side-exit beq and the jal's link), drop the check of a
-block's words on entry, compile one entry early, keep a block whose words
-changed or whose call retired nothing, keep the blocks across a reset,
-let a block run past the cycle limit, and, for a call that goes round at
-an exit back to its entry, count no pass but the last, go round one pass
-past the budget, go round at a self-loop, start a pass at a device
-access, and leave the previous pass's alu_out stale.
+load, the store, the side-exit beq and the jal's link), let a forward
+jump enter a block, drop the check of a block's words on entry, compile
+one entry early, keep a block whose words changed or whose call retired
+nothing, keep the blocks across a reset, let a block run past the cycle
+limit, and, for a call that goes round at its closing exit back to its
+entry, count no pass but the last, go round one pass past the budget, go
+round at a self-loop, start a pass at a device access, and leave the
+previous pass's alu_out stale.
 The last mutants reach past the engine: the trace's held flag, a held
 clock that runs the engine, held cycles counted as executing, a device
 map that names one device twice, the retired flag of a span's CSV lines,
@@ -149,8 +150,9 @@ BLOCK_RELOADS = "tests/test_blocks.py::test_each_reset_translates_a_loaded_image
 BLOCK_CUTS = f"{CLOCK}::test_a_hot_loop_cut_at_every_offset_and_resumed_ends_as_one_run"
 BLOCK_PASSES = "tests/test_blocks.py::test_one_call_of_a_hot_loop_runs_many_passes"
 BLOCK_DEVICE_PASS = ("tests/test_blocks.py::"
-                     "test_a_later_pass_that_loads_from_a_device_first_leaves_the_block_with_every_pass_counted")
+                     "test_a_pass_that_loads_from_a_device_first_runs_inline_and_the_block_is_kept")
 BLOCK_SELF_LOOP = "tests/test_blocks.py::test_a_translated_self_loop_halts_core_run_at_its_first_retirement"
+BLOCK_FORWARD = "tests/test_blocks.py::test_only_a_jump_or_branch_back_to_an_earlier_word_enters_a_block"
 
 # A line break and an indent of `Core._cycles`: the bodies of the per-state
 # branches, of the inline pass's loop, of its class branches and of its
@@ -256,8 +258,8 @@ MUTANTS = [
              "self.ir = state, pc, instr_pc, ir")],
            (STOPS,)),
     Mutant("beq-costs-4-inline", CORE,
-           [("entered = hot" + INLINE + "cycle += 2\n",
-             "entered = hot" + INLINE + "cycle += 3\n")],
+           [("entered = hot and pc < instr_pc" + INLINE + "cycle += 2\n",
+             "entered = hot and pc < instr_pc" + INLINE + "cycle += 3\n")],
            (AGREE,)),
     Mutant("loop-runs-one-cycle-past-limit", CORE,
            [("while cycle < limit:",
@@ -305,7 +307,7 @@ MUTANTS = [
            (BLOCK_HEAT,)),
     Mutant("block-kept-after-its-words-changed", CORE,
            [("if words[lo:hi] != snap or not (",
-             "if words[lo:hi] != snap:" + DEEP + "break" + INLINE + "if not (")],
+             "if words[lo:hi] != snap:" + DEEP + "    pass" + DEEP + "elif not (")],
            (BLOCK_PATCHED,)),
     Mutant("device-first-block-kept", CORE,
            # a call that retired nothing leaves its words as they were
@@ -318,11 +320,11 @@ MUTANTS = [
              "            self._heat: dict[int, int] = getattr(self, '_heat', {})")],
            (BLOCK_RESET, BLOCK_RELOADS)),
     Mutant("block-cost-ignored", CORE,
-           [("if cycle + cost > last:",
-             "if cycle > last:")],
+           [("cycle + block[4] <= last",
+             "cycle <= last")],
            (BLOCK_CUTS,)),
     Mutant("block-loop-pass-uncounted", CORE,
-           [('f"bym[{m!r}] += {total(lambda ms: ms.count(m))}; "',
+           [('f"bym[{m!r}] += {done.count(m)}{per(every.count(m))}; "',
              'f"bym[{m!r}] += {done.count(m)}; "')],
            (BLOCK_PASSES,)),
     Mutant("block-loop-goes-round-past-the-budget", CORE,
@@ -330,9 +332,13 @@ MUTANTS = [
              ") >= {cost - cycles(done)}{fits}: ")],
            (BLOCK_CUTS,)),
     Mutant("block-self-loop-goes-round", CORE,
-           [("if k and cls in (_BRANCH, InstrClass.JUMP)",
-             "if cls in (_BRANCH, InstrClass.JUMP)")],
+           [("loop = entry < last and cls in",
+             "loop = cls in")],
            (BLOCK_SELF_LOOP,)),
+    Mutant("forward-jump-enters-a-block", CORE,
+           [("cycle += 3" + INLINE + "entered = hot and pc < instr_pc",
+             "cycle += 3" + INLINE + "entered = hot")],
+           (BLOCK_FORWARD,)),
     Mutant("block-loop-enters-a-device-access", CORE,
            [('if first[0] in (_LOAD, _STORE) else "")',
              'if False else "")')],

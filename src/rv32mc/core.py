@@ -34,17 +34,16 @@ instruction, also for one in flight when the loop stops.
 
 An untraced run (`run`, `Simulator.run_cycles`) has a third route, for hot
 loops.  The inline pass counts the entries to each word address at a taken
-branch or jump; the `BLOCK_HEAT`th entry translates the code there, once,
-into one Python function (`_translate`, by `compile`), a block, kept on
-the core by its entry address.  A block runs straight-line code to a jal,
-a self-loop beq or `BLOCK_LENGTH` instructions, each effect one line with
-its registers, immediate, link and target as constants; a beq is a side
-exit.  An exit back to the block's own entry (the closing jal, or a beq)
-goes round again in the same call, counting the pass in a local.  The exit
-that leaves counts the retirements of all the call's passes by mnemonic
-and returns their cycle sum, and the next block is looked up at its pc,
-until an exit falls through to the next word.  Its contract with the
-other two routes:
+branch or jump back to it from a later word (a loop's back edge); the
+`BLOCK_HEAT`th translates the code from there through that back edge, or
+to an earlier jal or `BLOCK_LENGTH` instructions, once, into one Python
+function (`_translate`, by `compile`), a block, kept on the core by its
+entry address and called at each entry.  Each effect is one line with its
+registers, immediate, link and target as constants; a beq is a side exit.
+If the last instruction goes back to the entry, the call goes round there,
+counting the pass in a local.  The exit that leaves counts the retirements
+of all the call's passes by mnemonic and returns their cycle sum, and the
+inline pass goes on at its pc.  Its contract with the other two routes:
 - a block runs, and goes round again, only if the cycles spent so far
   plus its whole cycle sum fit before `limit - 5`, so the inline pass's
   budget rule holds; a jump or branch to its own address (the halt rule)
@@ -56,10 +55,10 @@ other two routes:
 - a load or store of anything but an aligned memory word exits before it,
   with every instruction ahead of it retired, so device accesses and their
   stamps stay in the per-state branches; a pass whose first instruction
-  would make one does not go round, so such an exit always follows a
-  retirement of the call; a store into the block's own words exits after
-  it, so no pass runs stale words; translation ends before a word that
-  does not decode, so no fault is raised in a block;
+  would make one is left to the inline pass, so such an exit always
+  follows a retirement of the call; a store into the block's own words
+  exits after it, so no pass runs stale words; translation ends before a
+  word that does not decode, so no fault is raised in a block;
 - after a block, ir, instr_pc, decoded, a, b, alu_out and mdr are what
   the inline pass would leave.
 Traced runs and single steps never run blocks, so every trace is the
@@ -134,29 +133,29 @@ _ALU_OPS: dict[str, Callable[[int, int], int]] = {
 }
 
 # The block route.  Entries to one word address, counted at taken branches
-# and jumps, before an untraced run translates the code there into a block;
-# and the most instructions one block holds.
+# and jumps back to it, before an untraced run translates the code there
+# into a block; and the most instructions one block holds.
 BLOCK_HEAT = 64
 BLOCK_LENGTH = 64
 
 
-def _translate(words: list[int], entry: int) -> tuple | None:
-    """The block at word address `entry` (see the module docstring):
-    (function, first and end word index, the words it was made from, its
-    cycle sum), or None if no instruction decodes there.
+def _translate(words: list[int], entry: int, end: int) -> tuple | None:
+    """The block from word address `entry` through the back edge at `end`
+    (see the module docstring): (function, first and end word index, the
+    words it was made from, its cycle sum), or None if nothing decodes there.
     `function(regs, words, size, by_mnemonic, alu_out, mdr, left)` runs
     passes while the next one fits in the `left` cycles, counts the
     retirements of all of them at the exit that leaves, and returns (cycles,
     pc, a, b, alu_out, mdr, (instr_pc, ir, decoded)) as the inline pass would
     leave them, or None if nothing retired."""
     body, pc = [], entry
-    while pc < 4 * len(words) and len(body) < BLOCK_LENGTH:
+    while pc <= end and len(body) < BLOCK_LENGTH:
         try:
-            cls, m, rd, rs1, rs2, imm = decoded = decode(words[pc >> 2])
+            decoded = decode(words[pc >> 2])
         except SimError:
             break
         body.append((pc, decoded))
-        if cls is InstrClass.JUMP or cls is _BRANCH and not imm:
+        if decoded[0] is InstrClass.JUMP:
             break
         pc += 4
     if not body:
@@ -169,28 +168,27 @@ def _translate(words: list[int], entry: int) -> tuple | None:
     def cycles(ms: list[str]) -> int:
         return sum(len(_NAMES[m]) for m in ms)
 
-    cost = cycles([d[1] for _, d in body])
-    # The exits back to the entry, but a self-loop's (the halt rule's): the
-    # mnemonics of a pass that goes round at each, counted in `n{k}`.
-    rounds = {k: [d[1] for _, d in body[:k + 1]] for k, (pc, (cls, _, _, _, _, imm)) in enumerate(body)
-              if k and cls in (_BRANCH, InstrClass.JUMP) and (pc + imm) & MASK32 == entry}
+    every = [d[1] for _, d in body]  # a whole pass's mnemonics
+    cost = cycles(every)
+    # It goes round at its last instruction if that goes back to the entry
+    # from a later word (a self-loop is the halt rule's), counting passes in `n`.
+    last, (cls, *_, imm) = body[-1]
+    loop = entry < last and cls in (_BRANCH, InstrClass.JUMP) and (last + imm) & MASK32 == entry
+    per = lambda k: f" + {k} * n" if loop else ""  # k times the passes before this one
 
-    def leave(pc: int) -> str:  # count what retired, this pass and the rounds before it; go on at `pc`
-        def total(share: Callable[[list[str]], int]) -> str:
-            return " + ".join([str(share(done))] + [f"{share(ms)} * n{k}" for k, ms in rounds.items()])
-        counts = "".join(f"bym[{m!r}] += {total(lambda ms: ms.count(m))}; "
-                         for m in dict.fromkeys(done + [m for ms in rounds.values() for m in ms]))
-        return f"{counts}return {total(cycles)}, {pc}, {ab}, {alu}, mdr, L{len(done) - 1}"
+    def leave(pc: int) -> str:  # count what retired, this pass and the `n` before it; go on at `pc`
+        counts = "".join(f"bym[{m!r}] += {done.count(m)}{per(every.count(m))}; "
+                         for m in dict.fromkeys(every if loop else done))
+        return f"{counts}return {cycles(done)}{per(cost)}, {pc}, {ab}, {alu}, mdr, L{len(done) - 1}"
 
-    def exit_to(pc: int) -> list[str]:  # round again while a pass fits, else leave
-        if pc != entry or len(done) - 1 not in rounds:  # not a round, or a fall-through past one
+    def exit_to(pc: int) -> list[str]:  # round again at the closing exit while a pass fits, else leave
+        if not loop or pc != entry or len(done) < len(body):
             return [leave(pc)]
         first = body[0][1]  # nor one whose next pass starts with an access of no memory word
         fits = (f" and (y := (regs[{first[3]}] + {first[5]}) & 0xFFFFFFFF) < size and not y & 3"
                 if first[0] in (_LOAD, _STORE) else "")
         again = f"alu_out = {alu}; " if alu != "alu_out" else ""
-        return [f"if (left := left - {cycles(done)}) >= {cost}{fits}: "
-                f"n{len(done) - 1} += 1; {again}continue", leave(pc)]
+        return [f"if (left := left - {cost}) >= {cost}{fits}: n += 1; {again}continue", leave(pc)]
 
     for k, (pc, (cls, m, rd, rs1, rs2, imm)) in enumerate(body):
         to, after = f"regs[{rd}] = " if rd else "", pc + 4  # pc < size: no wrap
@@ -227,9 +225,8 @@ def _translate(words: list[int], entry: int) -> tuple | None:
         if cls is _STORE and k + 1 < len(body):
             lines.append(f"if {4 * lo} <= x{k} < {4 * hi}: {leave(after)}")
     lines.extend(exit_to(after))
-    if rounds:
-        lines = [" = ".join(f"n{k}" for k in rounds) + " = 0", "while True:",
-                 *(f"    {line}" for line in lines)]
+    if loop:
+        lines = ["n = 0", "while True:", *(f"    {line}" for line in lines)]
     source = "def block(regs, words, size, bym, alu_out, mdr, left):\n" + "".join(
         f"    {line}\n" for line in lines)
     exec(compile(source, f"<block {entry:#x}>", "exec"), names)
@@ -391,7 +388,7 @@ class Core:
                         elif cls is _BRANCH:
                             if a == b:
                                 pc = (instr_pc + imm) & MASK32
-                                entered = hot
+                                entered = hot and pc < instr_pc
                             cycle += 2
                         elif cls is _LOAD:
                             alu_out = addr = (a + imm) & MASK32
@@ -417,7 +414,7 @@ class Core:
                             if rd:
                                 regs[rd] = alu_out
                             cycle += 3
-                            entered = hot
+                            entered = hot and pc < instr_pc
                         state = _FETCH
                         by_mnemonic[m] += 1
                         if trace is not None:
@@ -426,31 +423,26 @@ class Core:
                         # any class but a jump or taken branch leaves pc at instr_pc + 4
                         if halt and pc == instr_pc:
                             return True
-                        # A taken branch or jump enters the blocks, chained at their exits.
-                        while entered:
+                        # A taken branch or jump back to an earlier word enters the block there.
+                        if entered:
                             entered = False
                             block = blocks.get(pc)
-                            if block is None:  # cold: count an entry in memory
-                                if pc & 3 or pc >= size:
-                                    break
+                            if block is None and not pc & 3:  # cold: count an entry at a word
                                 heat[pc] = entries = heat.get(pc, 0) + 1
-                                if entries != BLOCK_HEAT or not (block := _translate(words, pc)):
-                                    break
-                                blocks[pc] = block
-                            run, lo, hi, snap, cost = block
-                            if cycle + cost > last:
-                                break
-                            # rewritten since its translation, or retired nothing:
-                            # left to the pass until a reset (its heat is past the threshold)
-                            if words[lo:hi] != snap or not (
-                                    out := run(regs, words, size, by_mnemonic, alu_out, mdr, last - cycle)):
-                                del blocks[pc]
-                                break
-                            spent, pc, a, b, alu_out, mdr, (instr_pc, ir, decoded) = out
-                            cycle += spent
-                            if halt and pc == instr_pc:
-                                return True
-                            entered = pc != instr_pc + 4  # else it fell through to the next word
+                                if entries == BLOCK_HEAT and (block := _translate(words, pc, instr_pc)):
+                                    blocks[pc] = block
+                            if block is not None and cycle + block[4] <= last:  # its cycle sum fits
+                                run, lo, hi, snap, _ = block
+                                # rewritten since its translation, or retired nothing:
+                                # left to the pass until a reset (its heat is past the threshold)
+                                if words[lo:hi] != snap or not (
+                                        out := run(regs, words, size, by_mnemonic, alu_out, mdr, last - cycle)):
+                                    del blocks[pc]
+                                else:
+                                    spent, pc, a, b, alu_out, mdr, (instr_pc, ir, decoded) = out
+                                    cycle += spent
+                                    if halt and pc == instr_pc:
+                                        return True
                     if cycle > last:  # else a fetch the pass left would re-enter it forever
                         continue
                 # One cycle: the work of `state`; a bus access is stamped at this cycle.

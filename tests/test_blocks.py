@@ -1,11 +1,13 @@
 """The block route against the inline pass and the oracle.
 
-An untraced `Core.run` translates the code at an entry reached
-`BLOCK_HEAT` times into one generated function and runs it from then on,
-until its words change or a call of it retires nothing, which drops it
-until the next reset; a traced run never does.  A call goes round again
-at an exit back to its own entry while another whole pass fits, but never
-at a self-loop, where the halt rule stops `Core.run`.  So for hot loops,
+An untraced `Core.run` counts the entries to a word at taken branches and
+jumps back to it from a later word, translates the code there at the
+`BLOCK_HEAT`th into one generated function and runs it at each entry from
+then on, until its words change or a call of it retires nothing, which
+drops it until the next reset; a traced run never does.  A call goes round
+again at its last instruction, the loop's back edge, while another whole
+pass fits, but never at a self-loop, where the halt rule stops `Core.run`;
+at any other exit the inline pass goes on.  So for hot loops,
 self-modifying code and device accesses, an untraced run (blocks), a
 traced run (the inline pass and the per-state branches) and
 `reference_execute` must agree on every architectural effect, and the two
@@ -17,8 +19,7 @@ import random
 
 import pytest
 
-from rv32mc import (CYCLE_COST, HaltReason, MemoryImage, Simulator, assemble, encode, instr,
-                    reference_execute)
+from rv32mc import CYCLE_COST, HaltReason, Simulator, assemble, reference_execute
 from rv32mc import core
 from rv32mc.core import BLOCK_HEAT
 from rv32mc.errors import SimError, UnsupportedInstruction
@@ -44,8 +45,8 @@ def calls(monkeypatch):
     and the instructions it retired."""
     log, translate = [], core._translate
 
-    def counted(words, entry):
-        block = translate(words, entry)
+    def counted(words, entry, end):
+        block = translate(words, entry, end)
         if block is None:
             return None
         run, lo, hi, *rest = block
@@ -325,9 +326,9 @@ def test_one_call_of_a_hot_loop_runs_many_passes(name, calls):
 
 
 # Reads sensing DATA on the pass where x5 is 4, and memory on all others.
-# The call that goes round up to that pass leaves before its load, with
-# every pass before it counted; the call chained at once then reaches the
-# device first, retires nothing and is dropped.
+# The call that goes round up to that pass leaves at the loop's entry,
+# with every pass before it counted; the inline pass runs that pass, its
+# device read included, and its back edge calls the block for the rest.
 DEVICE_ONE_PASS = f"""
         addi x12, x0, 1050
         slli x12, x12, 1        # 2100: memory
@@ -348,45 +349,68 @@ done:   jal  x0, done
 """
 
 
-def test_a_later_pass_that_loads_from_a_device_first_leaves_the_block_with_every_pass_counted(calls):
+def test_a_pass_that_loads_from_a_device_first_runs_inline_and_the_block_is_kept(calls):
     sim, report = _agree(assemble(DEVICE_ONE_PASS), SYSTEM)
     assert report.halt_reason is HaltReason.SELF_LOOP
     assert [r.access for r in sim.peripherals.device("sensing").event_log] == ["read"]
     passes = HOT + 8 - BLOCK_HEAT - 4  # from the 64th entry to the pass where x5 is 4
-    assert calls == [(20, 10, 10 * passes), (20, 10, 0)] and not sim.core._blocks
+    # the passes where x5 is 3 and 2, and the last one's four instructions
+    assert calls == [(20, 10, 10 * passes), (20, 10, 24)] and list(sim.core._blocks) == [20]
 
 
-# `halt` spins under `run_cycles` until its block is translated; a load then
-# patches it to jump to `restore`, which stores it back and jumps to it, so
-# `Core.run` enters the translated self-loop from another word.
+# `halt` jumps ahead until the backward jal at `again` has entered it 63
+# times; then a store patches it into a self-loop, and the 64th entry,
+# from the jal after the store, translates the self-loop and runs it.
 SELF_LOOP = """
         addi x7, x0, {word}
+        addi x5, x0, 64
+halt:   jal  x0, next
+next:   addi x5, x5, -1
+        beq  x5, x0, patch
+again:  jal  x0, halt
+patch:  sw   x7, 8(x0)
         jal  x0, halt
-restore: sw  x7, 16(x0)
-        jal  x0, halt
-halt:   {halt}
 """
 
 
 @pytest.mark.parametrize("halt", ["jal x0, 0", "beq x0, x0, 0"])
 def test_a_translated_self_loop_halts_core_run_at_its_first_retirement(halt, calls):
-    image = assemble(SELF_LOOP.format(word=assemble(halt).words[0], halt=halt))
-    spin, runs = 8 + 4 * (BLOCK_HEAT + 8), []
-    for translated in (True, False):
-        sim = started(image)
-        if translated:
-            sim.run_cycles(spin)
-        else:  # one cycle at a time: never a block
-            for _ in range(spin):
-                sim.core.step_cycle(sim.bus)
-        sim.load(MemoryImage(16, [encode(instr("jal", rd=0, imm=-8))]))
-        sim.start()
-        called = len(calls)
-        runs.append((sim, sim.core.run(sim.bus)))
-        assert (16 in sim.core._blocks, len(calls) > called) == (translated, translated)
-    (sim, report), (reference, reference_report) = runs
-    assert report == reference_report and report.total_cycles == 4 + 4 + 4 + CYCLE_COST[
-        MNEMONIC_CLASS[halt.split()[0]]]
-    assert report.halt_reason is HaltReason.SELF_LOOP and report.retired_total == 4
+    image = assemble(SELF_LOOP.format(word=assemble(halt).words[0]))
+    sim, reference = started(image), started(image)
+    report = sim.core.run(sim.bus)
+    assert [(entry, retired) for entry, _, retired in calls] == [(8, 1)] and 8 in sim.core._blocks
+    while True:  # one cycle at a time: never a block
+        record = reference.core.step_cycle(reference.bus)
+        if record.retired and reference.core.pc == record.pc:
+            break
+    assert report.halt_reason is HaltReason.SELF_LOOP and report.final_state.pc == 8
+    assert (report.total_cycles, report.final_state) == (
+        reference.core.cycle_count, reference.core.snapshot())
     assert machine_state(sim) == machine_state(reference)
     assert sim.core.by_mnemonic == reference.core.by_mnemonic
+
+
+# An if/else in a hot loop: a forward beq to `else`, and a forward jal to
+# `endif`, where both paths join before the closing jal.
+IF_ELSE = f"""
+        addi x5, x0, {HOT}
+top:    andi x6, x5, 1
+        beq  x6, x0, else
+        addi x7, x7, 3
+        jal  x0, endif
+else:   addi x8, x8, 5
+endif:  addi x5, x5, -1
+        beq  x5, x0, done
+        jal  x0, top
+done:   jal  x0, done
+"""
+
+
+def test_only_a_jump_or_branch_back_to_an_earlier_word_enters_a_block(compiled, calls):
+    image = assemble(IF_ELSE)
+    sim, report = _agree(image)
+    oracle = reference_execute(image)
+    assert (oracle.regs, oracle.memory, oracle.pc, oracle.retired) == (
+        report.final_state.regs, sim.mem.words, report.final_state.pc, report.retired_total)
+    assert list(sim.core._heat) == [4] and len(compiled) == 1  # the loop head alone
+    assert calls and {entry for entry, _, _ in calls} == {4}
