@@ -28,14 +28,14 @@ the partial span slice theirs.  The per-state branches take each successor
 from one table, `_NEXT`, so its mutant goes into that table.
 An untraced run has a third route, the blocks it compiles from hot code:
 their mutants change one generated effect of each class (an ALU op, the
-load, the store, the side-exit beq and the jal's link), let a forward
-jump enter a block, drop the check of a block's words on entry, compile
-one entry early, keep a block whose words changed or whose call retired
-nothing, keep the blocks across a reset, let a block run past the cycle
-limit, and, for a call that goes round at its closing exit back to its
-entry, count no pass but the last, go round one pass past the budget, go
-round at a self-loop, start a pass at a device access, and leave the
-previous pass's alu_out stale.
+load, the store, the side-exit beq and the jal's link), let a forward jump
+enter a block, drop the check of a block's words on entry, compile one
+entry early, keep a block whose words changed or whose call retired
+nothing, count a dropped entry again, keep the blocks across a reset, let
+a block run past the cycle limit, and, for a call that goes round at its
+closing exit back to its entry, count no pass but the last, go round one
+pass past the budget, go round at a self-loop, start a pass at a device
+access, and leave the previous pass's alu_out stale.
 The last mutants reach past the engine: the trace's held flag, a held
 clock that runs the engine, held cycles counted as executing, a device
 map that names one device twice, the retired flag of a span's CSV lines,
@@ -45,15 +45,16 @@ by address at both decode sites, the CLI's trace blocks, their size and
 the `finally` that writes the lines before a fault, a `dis` listing
 written in one call, a listing of each distinct word once instead of
 each word of the image, the `--mem-size` bound, the last word address as
-the bound of an empty range, `image_to_hex`'s base check, and the
-assembler's second walk, which must get each branch and jump and each
-statement that raised, an eager import of the bring-up harness at the top
-of the CLI, a record of the harness that is a dataclass again, a
-package that answers a name it does not export, the system bus's memory
-bound one word short, a device write it no longer gates by mode, and a
-device that reaches past the 32-bit address space. The
-codec's mutants each change one fact of its two tables, which both
-directions read, so only the independent golden encodings can see them.
+the bound of an empty range, `image_to_hex`'s base check, an `@` record
+read by its prefix alone, and the assembler's second walk, which must
+get each branch and jump and each statement that raised, an eager import
+of the bring-up harness at the top of the CLI, a record of the harness
+that is a dataclass again, a package that answers a name it does not
+export, the system bus's memory bound one word short, a device write it
+no longer gates by mode, and a device that reaches past the 32-bit
+address space. The codec's mutants each change one fact of its two
+tables, which both directions read, so only the independent golden
+encodings can see them.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ BAD_MEM_SIZE = "tests/test_cli.py::test_run_bad_flag_exit_code"
 ORACLE_MEM_SIZE = "tests/test_oracle.py::test_oracle_refuses_a_memory_size_memory_refuses"
 AT_THE_BOUND = "tests/test_cli.py::test_mem_size_at_the_bound_runs"
 HEX_BASE = "tests/test_hex_fast_path.py::test_image_to_hex_refuses_a_base_the_format_cannot_hold"
+HEX_ADDRESS = "tests/test_asm.py::test_hex_address_record_is_unsigned_hex"
 BUDGET = f"{CLOCK}::test_no_run_spends_more_cycles_than_its_budget"
 SECOND_RUN = "tests/test_trace_blocks.py::test_a_second_traced_run_in_one_process_renders_from_the_cache"
 DIS_EXAMPLES = "tests/test_asm.py::test_disassemble_examples"
@@ -311,13 +313,16 @@ MUTANTS = [
            (BLOCK_PATCHED,)),
     Mutant("device-first-block-kept", CORE,
            # a call that retired nothing leaves its words as they were
-           [("del blocks[pc]",
-             "if words[lo:hi] != snap: del blocks[pc]")],
+           [("blocks[pc] = None",
+             "if words[lo:hi] != snap: blocks[pc] = None")],
            (BLOCK_IDLE,)),
+    Mutant("dropped-entry-counted-again", CORE,
+           [("blocks[pc] = None",
+             "del blocks[pc]")],
+           (BLOCK_PATCHED,)),
     Mutant("block-cache-kept-across-reset", CORE,
-           [("self._blocks: dict[int, tuple] = {}\n            self._heat: dict[int, int] = {}",
-             "self._blocks: dict[int, tuple] = getattr(self, '_blocks', {})\n"
-             "            self._heat: dict[int, int] = getattr(self, '_heat', {})")],
+           [("self._blocks: dict[int, int | tuple | None] = {}",
+             "self._blocks: dict[int, int | tuple | None] = getattr(self, '_blocks', {})")],
            (BLOCK_RESET, BLOCK_RELOADS)),
     Mutant("block-cost-ignored", CORE,
            [("cycle + block[4] <= last",
@@ -427,6 +432,10 @@ MUTANTS = [
            [("if base < 0 or base % 4 or base + 4 * max(len(words), 1) > 1 << 32:",
              "if False:")],
            (HEX_BASE,)),
+    Mutant("hex-address-record-prefix-match", ASM,
+           [("if not _HEX_ADDR_RE.fullmatch(line):",
+             "if not _HEX_ADDR_RE.match(line):")],
+           (HEX_ADDRESS,)),
     Mutant("raised-statement-dropped", ASM,
            [("except (AsmError, EncodeError):  # raised again by the second walk, in line order\n"
              "                deferred.append((lineno, addr, text, runs[-1]))",

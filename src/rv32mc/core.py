@@ -34,24 +34,24 @@ instruction, also for one in flight when the loop stops.
 
 An untraced run (`run`, `Simulator.run_cycles`) has a third route, for hot
 loops.  The inline pass counts the entries to each word address at a taken
-branch or jump back to it from a later word (a loop's back edge); the
-`BLOCK_HEAT`th translates the code from there through that back edge, or
-to an earlier jal or `BLOCK_LENGTH` instructions, once, into one Python
-function (`_translate`, by `compile`), a block, kept on the core by its
-entry address and called at each entry.  Each effect is one line with its
-registers, immediate, link and target as constants; a beq is a side exit.
-If the last instruction goes back to the entry, the call goes round there,
-counting the pass in a local.  The exit that leaves counts the retirements
-of all the call's passes by mnemonic and returns their cycle sum, and the
-inline pass goes on at its pc.  Its contract with the other two routes:
+branch or jump back to it from a later word (a loop's back edge), in one
+table on the core; the `BLOCK_HEAT`th translates the code from there
+through that back edge, or to an earlier jal or `BLOCK_LENGTH`
+instructions, once, into one Python function (`_translate`, by `compile`),
+a block, which takes the count's place and is called at each entry.  Each
+effect is one line with its registers, immediate, link and target as
+constants; a beq is a side exit.  If the last instruction goes back to the
+entry, the call goes round there, counting the pass in a local.  The exit
+that leaves counts the retirements of all the call's passes by mnemonic and
+returns their cycle sum, and the inline pass goes on at its pc.  Its
+contract with the other two routes:
 - a block runs, and goes round again, only if the cycles spent so far
   plus its whole cycle sum fit before `limit - 5`, so the inline pass's
   budget rule holds; a jump or branch to its own address (the halt rule)
   never goes round, so `run` sees that retirement;
 - on every entry it checks that its words still equal those it was made
-  from; a block whose words changed, or whose call retired nothing, is
-  dropped, and its entry left to the inline pass until the next reset,
-  which empties the cache and the entry counts;
+  from; an entry whose words changed, whose call retired nothing, or where
+  nothing decodes is dropped: it holds None, never counted, until a reset;
 - a load or store of anything but an aligned memory word exits before it,
   with every instruction ahead of it retired, so device accesses and their
   stamps stay in the per-state branches; a pass whose first instruction
@@ -76,8 +76,7 @@ from typing import Callable, NamedTuple
 
 from .control import ControlMode, mode_from_lines
 from .errors import MisalignedAccess, NotExecuting, OutOfRange, SimError
-from .isa import (MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass, decode, format_word,
-                  u32)
+from .isa import MASK32, MNEMONIC_CLASS, DecodedInstruction, InstrClass, decode, format_word
 from .memory import DEFAULT_MEM_SIZE, MemoryImage, UnifiedMemory, check_size
 from .metrics import HaltReason, RunReport
 
@@ -244,7 +243,7 @@ class RegisterFile:
 
     def __setitem__(self, i: int, value: int) -> None:
         if i:
-            self._regs[i] = u32(value)
+            self._regs[i] = value & MASK32
 
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self._regs)
@@ -325,7 +324,7 @@ class Core:
 
     def apply_control(self, ie: int, reset: int, write_enable: int = 0) -> ControlMode:
         """Drive the control lines; reset clears pc, the FSM, temporaries and
-        the block route's cache and entry counts (by word address in memory)."""
+        the block route's one table of entry counts, blocks and drops."""
         self.mode = mode_from_lines(ie, reset, write_enable)
         if self.mode is ControlMode.RESET_HOLD:
             self.pc = 0
@@ -334,8 +333,7 @@ class Core:
             self.decoded: DecodedInstruction | None = None
             self.cycle_count = 0
             self.by_mnemonic = dict.fromkeys(MNEMONIC_CLASS, 0)  # retirements
-            self._blocks: dict[int, tuple] = {}
-            self._heat: dict[int, int] = {}
+            self._blocks: dict[int, int | tuple | None] = {}  # a count, a block or None: dropped
         return self.mode
 
     @property
@@ -365,7 +363,7 @@ class Core:
         a, b, alu_out, mdr, cycle = self.a, self.b, self.alu_out, self.mdr, self.cycle_count
         first = start = cycle + 1  # `start`: the first cycle of the next span
         last = limit - 5  # the last cycle count from which any instruction fits
-        blocks, heat, entered = self._blocks, self._heat, False
+        blocks, entered = self._blocks, False
         hot = trace is None  # blocks may run
         try:
             while cycle < limit:
@@ -426,18 +424,16 @@ class Core:
                         # A taken branch or jump back to an earlier word enters the block there.
                         if entered:
                             entered = False
-                            block = blocks.get(pc)
-                            if block is None and not pc & 3:  # cold: count an entry at a word
-                                heat[pc] = entries = heat.get(pc, 0) + 1
-                                if entries == BLOCK_HEAT and (block := _translate(words, pc, instr_pc)):
-                                    blocks[pc] = block
-                            if block is not None and cycle + block[4] <= last:  # its cycle sum fits
+                            block = blocks.get(pc, 0)  # entries so far, a block, or None: dropped
+                            if block.__class__ is int and not pc & 3:  # cold: count an entry at a word
+                                block = blocks[pc] = (block + 1 if block + 1 < BLOCK_HEAT
+                                                      else _translate(words, pc, instr_pc))
+                            if block.__class__ is tuple and cycle + block[4] <= last:  # its cycle sum fits
                                 run, lo, hi, snap, _ = block
-                                # rewritten since its translation, or retired nothing:
-                                # left to the pass until a reset (its heat is past the threshold)
+                                # rewritten since its translation, or retired nothing: dropped until a reset
                                 if words[lo:hi] != snap or not (
                                         out := run(regs, words, size, by_mnemonic, alu_out, mdr, last - cycle)):
-                                    del blocks[pc]
+                                    blocks[pc] = None
                                 else:
                                     spent, pc, a, b, alu_out, mdr, (instr_pc, ir, decoded) = out
                                     cycle += spent

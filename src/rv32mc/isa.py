@@ -26,10 +26,6 @@ from .errors import ImmediateOutOfRange, MisalignedImmediate, UnsupportedInstruc
 MASK32 = 0xFFFFFFFF
 
 
-def u32(x: int) -> int:
-    return x & MASK32
-
-
 class InstrClass(enum.Enum):
     R_ALU = "r_alu"
     I_ALU = "i_alu"

@@ -19,7 +19,7 @@ from .errors import (
     OutOfRange,
     WriteForbiddenInMode,
 )
-from .isa import MASK32, u32
+from .isa import MASK32
 
 DEFAULT_MEM_SIZE = 4096  # bytes
 MAX_MEM_SIZE = 0x1000000  # bytes: 16 MiB, a list of 4M words
@@ -65,7 +65,7 @@ class UnifiedMemory:
         self._check_addr(addr)
         if self.pending_write is not None:
             raise DoubleWritePerCycle("write port already claimed this cycle", addr=addr)
-        self.pending_write = (addr, u32(value))
+        self.pending_write = (addr, value & MASK32)
 
     def commit_cycle(self) -> None:
         if self.pending_write is not None:

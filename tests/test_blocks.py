@@ -4,12 +4,14 @@ An untraced `Core.run` counts the entries to a word at taken branches and
 jumps back to it from a later word, translates the code there at the
 `BLOCK_HEAT`th into one generated function and runs it at each entry from
 then on, until its words change or a call of it retires nothing, which
-drops it until the next reset; a traced run never does.  A call goes round
-again at its last instruction, the loop's back edge, while another whole
-pass fits, but never at a self-loop, where the halt rule stops `Core.run`;
-at any other exit the inline pass goes on.  So for hot loops,
-self-modifying code and device accesses, an untraced run (blocks), a
-traced run (the inline pass and the per-state branches) and
+drops it until the next reset; a traced run never does.  The core keeps
+one table by entry address, `_blocks`: the count while cold, then the
+block, then None once dropped, so a dropped entry is never counted again.
+A call goes round again at its last instruction, the loop's back edge,
+while another whole pass fits, but never at a self-loop, where the halt
+rule stops `Core.run`; at any other exit the inline pass goes on.  So for
+hot loops, self-modifying code and device accesses, an untraced run
+(blocks), a traced run (the inline pass and the per-state branches) and
 `reference_execute` must agree on every architectural effect, and the two
 engine runs also on the core's temporaries, the retirements by mnemonic
 and the device logs.
@@ -86,7 +88,7 @@ def _agree(image, bus=MEMORY):
 def test_hot_loops_agree_with_the_traced_run_and_the_oracle(seed, bus, compiled):
     image = random_loop_program(random.Random(seed), HOT)
     sim, report = _agree(image, bus)
-    assert compiled and sim.core._blocks  # the route ran
+    assert compiled and any(type(b) is tuple for b in sim.core._blocks.values())  # the route ran
     oracle = reference_execute(image)
     assert report.halt_reason is HaltReason.SELF_LOOP and oracle.halted
     assert (oracle.regs, oracle.memory, oracle.pc, oracle.retired) == (
@@ -138,7 +140,7 @@ done:   jal  x0, done
 def test_an_addi_patched_every_pass_is_translated_once_then_left_to_the_pass(compiled):
     image = assemble(PATCHED_EVERY_PASS)
     sim, report = _agree(image)
-    assert len(compiled) == 1 and not sim.core._blocks  # dropped, never translated again
+    assert len(compiled) == 1 and sim.core._blocks == {16: None}  # dropped, never counted again
     assert sim.core.regs[4] == sum(range(1, HOT + 1))
     oracle = reference_execute(image)
     assert (oracle.regs, oracle.memory) == (report.final_state.regs, sim.mem.words)
@@ -240,7 +242,7 @@ def test_device_accesses_in_a_hot_loop_are_stamped_as_traced(first, compiled):
 def test_a_block_that_retires_nothing_is_dropped(compiled):
     # Its first instruction loads from a device, so every call exits at once.
     sim, report = _agree(assemble(DEVICE_LOOP.format(first="lw x9, 8(x8)")), SYSTEM)
-    assert len(compiled) == 1 and not sim.core._blocks
+    assert len(compiled) == 1 and sim.core._blocks == {16: None}
 
 
 def test_each_reset_translates_a_loaded_image_anew(compiled):
@@ -259,9 +261,9 @@ def test_each_reset_translates_a_loaded_image_anew(compiled):
 def test_a_reset_empties_the_block_cache_and_the_entry_counts():
     sim = started(random_loop_program(random.Random(3), HOT))
     sim.core.run(sim.bus)
-    assert sim.core._blocks and sim.core._heat
+    assert any(type(b) is tuple for b in sim.core._blocks.values())
     sim.pulse_reset()
-    assert not sim.core._blocks and not sim.core._heat
+    assert sim.core._blocks == {}
 
 
 def test_traced_runs_and_single_steps_translate_nothing(compiled):
@@ -270,7 +272,7 @@ def test_traced_runs_and_single_steps_translate_nothing(compiled):
     sim.core.run(sim.bus, trace=lambda span: None)
     while sim.core.cycle_count < 3000:
         sim.core.step_instruction(sim.bus)
-    assert compiled == [] and not sim.core._blocks and not sim.core._heat
+    assert compiled == [] and sim.core._blocks == {}
 
 
 def test_blocks_are_kept_per_core_by_word_address_in_memory():
@@ -279,8 +281,8 @@ def test_blocks_are_kept_per_core_by_word_address_in_memory():
     for sim in sims:
         sim.core.run(sim.bus)
         size = len(sim.mem.words)
-        assert sim.core._blocks and set(sim.core._blocks) <= set(sim.core._heat)
-        assert all(pc < 4 * size and not pc & 3 for pc in sim.core._heat)
+        assert any(type(b) is tuple for b in sim.core._blocks.values())
+        assert all(pc < 4 * size and not pc & 3 for pc in sim.core._blocks)
     assert sims[0].core._blocks is not sims[1].core._blocks
 
 
@@ -355,7 +357,8 @@ def test_a_pass_that_loads_from_a_device_first_runs_inline_and_the_block_is_kept
     assert [r.access for r in sim.peripherals.device("sensing").event_log] == ["read"]
     passes = HOT + 8 - BLOCK_HEAT - 4  # from the 64th entry to the pass where x5 is 4
     # the passes where x5 is 3 and 2, and the last one's four instructions
-    assert calls == [(20, 10, 10 * passes), (20, 10, 24)] and list(sim.core._blocks) == [20]
+    assert calls == [(20, 10, 10 * passes), (20, 10, 24)]
+    assert list(sim.core._blocks) == [20] and type(sim.core._blocks[20]) is tuple
 
 
 # `halt` jumps ahead until the backward jal at `again` has entered it 63
@@ -378,7 +381,8 @@ def test_a_translated_self_loop_halts_core_run_at_its_first_retirement(halt, cal
     image = assemble(SELF_LOOP.format(word=assemble(halt).words[0]))
     sim, reference = started(image), started(image)
     report = sim.core.run(sim.bus)
-    assert [(entry, retired) for entry, _, retired in calls] == [(8, 1)] and 8 in sim.core._blocks
+    assert [(entry, retired) for entry, _, retired in calls] == [(8, 1)]
+    assert type(sim.core._blocks[8]) is tuple
     while True:  # one cycle at a time: never a block
         record = reference.core.step_cycle(reference.bus)
         if record.retired and reference.core.pc == record.pc:
@@ -412,5 +416,5 @@ def test_only_a_jump_or_branch_back_to_an_earlier_word_enters_a_block(compiled, 
     oracle = reference_execute(image)
     assert (oracle.regs, oracle.memory, oracle.pc, oracle.retired) == (
         report.final_state.regs, sim.mem.words, report.final_state.pc, report.retired_total)
-    assert list(sim.core._heat) == [4] and len(compiled) == 1  # the loop head alone
+    assert list(sim.core._blocks) == [4] and len(compiled) == 1  # the loop head alone
     assert calls and {entry for entry, _, _ in calls} == {4}
