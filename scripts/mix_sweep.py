@@ -20,9 +20,8 @@ from rv32mc import (
     InstrClass,
     MemoryImage,
     Simulator,
-    compute_cpi,
+    attach_metrics,
     encode,
-    estimate_energy,
     instr,
 )
 from rv32mc.memory import DEFAULT_MEM_SIZE
@@ -101,15 +100,13 @@ def main() -> None:
         image = build_workload(mix, args.reps, args.mem_size)
         sim = Simulator(args.mem_size)
         sim.program_and_start(image)
-        report = sim.core.run(sim.bus, max_cycles=10_000_000)
-        cpi = compute_cpi(report)
-        energy_pj, power = estimate_energy(report, model)
+        report = attach_metrics(sim.core.run(sim.bus, max_cycles=10_000_000), model)
         # analytic value ignores the prologue and halt; report both
-        per_1k = energy_pj / report.retired_total * 1000 / 1e6
+        per_1k = report.energy_pj / report.retired_total * 1000 / 1e6
         print(f"{name:<14} {report.retired_total:>7} {report.total_cycles:>7} "
-              f"{float(cpi):>7.3f} {float(analytic_cpi(mix)):>9.3f} "
-              f"{energy_pj:>10.1f} {per_1k:>11.3f}")
-    print(f"\navg power at {model.freq_hz / 1e6:.0f} MHz: {power:.1f} uW "
+              f"{float(report.cpi):>7.3f} {float(analytic_cpi(mix)):>9.3f} "
+              f"{report.energy_pj:>10.1f} {per_1k:>11.3f}")
+    print(f"\navg power at {model.freq_hz / 1e6:.0f} MHz: {report.avg_power_uw:.1f} uW "
           f"({model.pj_per_cycle} pJ/cycle)")
 
 

@@ -31,9 +31,11 @@ their mutants change one generated effect of each class (an ALU op, the
 load, the store, the side-exit beq and the jal's link), let a forward jump
 enter a block, drop the check of a block's words on entry, compile one
 entry early, keep a block whose words changed or whose call retired
-nothing, count a dropped entry again, keep the blocks across a reset, let
-a block run past the cycle limit, and, for a call that goes round at its
-closing exit back to its entry, count no pass but the last, go round one
+nothing, count a dropped entry again, drop a block at a word that does not
+decode instead of ending it there, translate an entry where nothing
+decodes, keep the blocks across a reset, let a block run past the cycle
+limit, and, for a call that goes round at its closing exit back to its
+entry, count no pass but the last, go round one
 pass past the budget, go round at a self-loop, start a pass at a device
 access, and leave the previous pass's alu_out stale.
 The last mutants reach past the engine: the trace's held flag, a held
@@ -46,8 +48,9 @@ the `finally` that writes the lines before a fault, a `dis` listing
 written in one call, a listing of each distinct word once instead of
 each word of the image, the `--mem-size` bound, the last word address as
 the bound of an empty range, `image_to_hex`'s base check, an `@` record
-read by its prefix alone, and the assembler's second walk, which must
-get each branch and jump and each statement that raised, an eager import
+read by its prefix alone, the 16 MiB span bound of a hex image and of an
+assembled one, and the assembler's second walk, which must get each
+branch and jump and each statement that raised, an eager import
 of the bring-up harness at the top of the CLI, a record of the harness
 that is a dataclass again, a package that answers a name it does not
 export, the system bus's memory bound one word short, a device write it
@@ -127,6 +130,7 @@ ORACLE_MEM_SIZE = "tests/test_oracle.py::test_oracle_refuses_a_memory_size_memor
 AT_THE_BOUND = "tests/test_cli.py::test_mem_size_at_the_bound_runs"
 HEX_BASE = "tests/test_hex_fast_path.py::test_image_to_hex_refuses_a_base_the_format_cannot_hold"
 HEX_ADDRESS = "tests/test_asm.py::test_hex_address_record_is_unsigned_hex"
+SPAN = "tests/test_asm.py::test_an_image_may_span_the_largest_memory_and_no_more"
 BUDGET = f"{CLOCK}::test_no_run_spends_more_cycles_than_its_budget"
 SECOND_RUN = "tests/test_trace_blocks.py::test_a_second_traced_run_in_one_process_renders_from_the_cache"
 DIS_EXAMPLES = "tests/test_asm.py::test_disassemble_examples"
@@ -147,6 +151,9 @@ BLOCK_HEAT = "tests/test_blocks.py::test_an_entry_is_translated_once_at_the_heat
 BLOCK_PATCHED = ("tests/test_blocks.py::"
                  "test_an_addi_patched_every_pass_is_translated_once_then_left_to_the_pass")
 BLOCK_IDLE = "tests/test_blocks.py::test_a_block_that_retires_nothing_is_dropped"
+BLOCK_DATA_WORD = "tests/test_blocks.py::test_a_block_ends_before_a_word_that_does_not_decode"
+BLOCK_ENTRY_UNDECODABLE = ("tests/test_blocks.py::"
+                           "test_an_entry_that_no_longer_decodes_is_dropped_and_its_fetch_faults")
 BLOCK_RESET = "tests/test_blocks.py::test_a_reset_empties_the_block_cache_and_the_entry_counts"
 BLOCK_RELOADS = "tests/test_blocks.py::test_each_reset_translates_a_loaded_image_anew"
 BLOCK_CUTS = f"{CLOCK}::test_a_hot_loop_cut_at_every_offset_and_resumed_ends_as_one_run"
@@ -320,6 +327,14 @@ MUTANTS = [
            [("blocks[pc] = None",
              "del blocks[pc]")],
            (BLOCK_PATCHED,)),
+    Mutant("undecodable-word-drops-block", CORE,
+           [("        except SimError:\n            break\n",
+             "        except SimError:\n            return None\n")],
+           (BLOCK_DATA_WORD,)),
+    Mutant("empty-block-translated", CORE,
+           [("if not body:",
+             "if False:")],
+           (BLOCK_ENTRY_UNDECODABLE,)),
     Mutant("block-cache-kept-across-reset", CORE,
            [("self._blocks: dict[int, int | tuple | None] = {}",
              "self._blocks: dict[int, int | tuple | None] = getattr(self, '_blocks', {})")],
@@ -436,6 +451,14 @@ MUTANTS = [
            [("if not _HEX_ADDR_RE.fullmatch(line):",
              "if not _HEX_ADDR_RE.match(line):")],
            (HEX_ADDRESS,)),
+    Mutant("hex-span-bound-dropped", ASM,
+           [("if end - lo > MAX_MEM_SIZE:",
+             "if False:")],
+           (SPAN,)),
+    Mutant("asm-span-bound-dropped", ASM,
+           [("if end - start > MAX_MEM_SIZE:",
+             "if False:")],
+           (SPAN,)),
     Mutant("raised-statement-dropped", ASM,
            [("except (AsmError, EncodeError):  # raised again by the second walk, in line order\n"
              "                deferred.append((lineno, addr, text, runs[-1]))",

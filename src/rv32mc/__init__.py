@@ -26,8 +26,8 @@ _EXPORTS = {
                 "execute_script", "parse_script"),
     "isa": ("CYCLE_COST", "DecodedInstruction", "InstrClass", "decode", "encode", "instr"),
     "memory": ("MemoryImage", "UnifiedMemory"),
-    "metrics": ("EnergyModel", "HaltReason", "RunReport", "attach_metrics", "compute_cpi",
-                "estimate_energy", "render_kv", "render_text"),
+    "metrics": ("EnergyModel", "HaltReason", "RunReport", "attach_metrics", "render_kv",
+                "render_text"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

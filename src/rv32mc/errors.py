@@ -118,9 +118,5 @@ class NotExecuting(SimError):
     pass
 
 
-class NoInstructionsRetired(SimError):
-    pass
-
-
 class ScriptError(SimError):
     """Bring-up script parse or validation failure."""

@@ -316,7 +316,7 @@ def parse_script(
             values = tuple(_script_int(tok, lineno) for tok in args)
         try:
             if cmd == "load":
-                sim.mem.check_fits(values[0])
+                sim.mem.check_range(values[0].base_address, 4 * len(values[0].words), "image")
             elif cmd == "observe":
                 sim.mem.check_range(*values, "observe range")
         except SimError as e:

@@ -86,15 +86,11 @@ class UnifiedMemory:
                      else "the last word address 0xfffffffc")
             raise OutOfRange(f"{what} beyond {bound}", addr=addr)
 
-    def check_fits(self, image: MemoryImage) -> None:
-        """check_range over the bytes the image covers."""
-        self.check_range(image.base_address, 4 * len(image.words), "image")
-
     def load_image(self, image: MemoryImage, mode: ControlMode) -> int:
         """Write a whole image through the free write port; programming mode only."""
         if mode is not ControlMode.PROGRAMMING:
             raise WriteForbiddenInMode(f"image load while in {mode.value} mode")
-        self.check_fits(image)
+        self.check_range(image.base_address, 4 * len(image.words), "image")
         if image.words and self.pending_write is not None:
             raise DoubleWritePerCycle("write port already claimed this cycle", addr=image.base_address)
         start = image.base_address >> 2

@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import NoInstructionsRetired
 from .isa import CYCLE_COST, InstrClass
 
 if TYPE_CHECKING:
@@ -61,24 +60,13 @@ class RunReport:
         return sum(self.retired.values())
 
 
-def compute_cpi(report: RunReport) -> Fraction:
-    """Executing cycles per retired instruction, exact."""
-    retired = report.retired_total
-    if retired == 0:
-        raise NoInstructionsRetired("no instructions retired; CPI undefined")
-    return Fraction(report.total_cycles, retired)
-
-
-def estimate_energy(report: RunReport, model: EnergyModel) -> tuple[float, float]:
-    """(energy in pJ over executing cycles, average power in uW at the model's frequency)."""
-    energy_pj = report.total_cycles * model.pj_per_cycle
-    avg_power_uw = model.pj_per_cycle * model.freq_hz * 1e-6
-    return energy_pj, avg_power_uw
-
-
 def attach_metrics(report: RunReport, model: EnergyModel) -> RunReport:
-    report.cpi = compute_cpi(report) if report.retired_total else None
-    report.energy_pj, report.avg_power_uw = estimate_energy(report, model)
+    """Fill the report's figures: exact CPI (None if nothing retired), energy
+    in pJ over executing cycles, and average power in uW at the model's clock."""
+    retired = report.retired_total
+    report.cpi = Fraction(report.total_cycles, retired) if retired else None
+    report.energy_pj = report.total_cycles * model.pj_per_cycle
+    report.avg_power_uw = model.pj_per_cycle * model.freq_hz * 1e-6
     return report
 
 

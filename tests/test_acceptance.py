@@ -18,11 +18,10 @@ from rv32mc import (
     MemoryImage,
     Simulator,
     assemble,
-    compute_cpi,
+    attach_metrics,
     decode,
     disassemble,
     encode,
-    estimate_energy,
     instr,
     reference_execute,
 )
@@ -68,8 +67,7 @@ def test_criterion_2_power_reproduction():
     """Default constants reproduce the reference average power figure."""
     sim = Simulator()
     sim.program_and_start(assemble("addi x1, x0, 5\njal x0, 0\n"))
-    report = sim.core.run(sim.bus)
-    _, power_uw = estimate_energy(report, EnergyModel())
+    power_uw = attach_metrics(sim.core.run(sim.bus), EnergyModel()).avg_power_uw
     assert math.isclose(power_uw, 859.0, rel_tol=1e-3)
     assert power_uw == 859.0
     _pass(2, f"17.18 pJ/cycle x 50 MHz -> {power_uw} uW (within 0.1% of 859)")
@@ -83,7 +81,7 @@ def test_criterion_3_cpi_envelope():
         sim.program_and_start(random_program(rng))
         report = sim.core.run(sim.bus, max_cycles=200_000)
         assert report.halt_reason is HaltReason.SELF_LOOP
-        cpi = compute_cpi(report)
+        cpi = attach_metrics(report, EnergyModel()).cpi
         assert 3 <= cpi <= 5
         assert cpi == Fraction(
             sum(CYCLE_COST[c] * n for c, n in report.retired.items()),

@@ -245,6 +245,29 @@ def test_a_block_that_retires_nothing_is_dropped(compiled):
     assert len(compiled) == 1 and sim.core._blocks == {16: None}
 
 
+def test_a_block_ends_before_a_word_that_does_not_decode(calls):
+    # Translation stops at the data word at 12, so the block from `loop`
+    # holds two words, and each call leaves at the taken beq at 8.
+    image = IMAGES["data-word-loop"]
+    sim, report = _agree(image)
+    block = sim.core._blocks[4]
+    assert list(sim.core._blocks) == [4] and type(block) is tuple and block[2] - block[1] == 2
+    assert calls and set(calls) == {(4, 2, 2)}
+    oracle = reference_execute(image)
+    assert (report.halt_reason, report.total_cycles, report.retired_total) == (
+        HaltReason.SELF_LOOP, 2804, oracle.retired) and oracle.retired == 801
+
+
+def test_an_entry_that_no_longer_decodes_is_dropped_and_its_fetch_faults(compiled):
+    # A store overwrites the loop's entry just before its 64th entry.
+    sim, report = _agree(IMAGES["patched-entry"])
+    assert report == (UnsupportedInstruction, 0xC, "decode") and sim.core.cycle_count == 721
+    assert sim.core._blocks == {12: None} and compiled == []
+    with pytest.raises(UnsupportedInstruction) as oracle:
+        reference_execute(IMAGES["patched-entry"])
+    assert oracle.value.pc == 0xC
+
+
 def test_each_reset_translates_a_loaded_image_anew(compiled):
     sim = Simulator()
     for step in range(1, 5):  # one entry; its loop body's immediate differs

@@ -13,7 +13,8 @@ also runs a hot loop's code as compiled blocks, each block and each pass
 one goes round only if its whole cycle sum fits, so a hot loop cut at
 every cycle offset and resumed must end as one unbroken run does; and
 generated loops, run whole, split by their budget or ended by a fault,
-run in blocks too.
+run in blocks too, as do a loop whose block stops short at a word that
+does not decode and one whose entry stops decoding as it gets hot.
 
 The engine reads and writes memory words in place and takes only other
 addresses through its bus, so the tests that compare paths run on both
@@ -59,6 +60,29 @@ done:   jal  x0, done
 HOT_LOOPS = [f"progen-loop-{seed}" for seed in range(4)]
 IMAGES.update((name, random_loop_program(random.Random(seed), BLOCK_HEAT + 8, max_body=12))
               for seed, name in enumerate(HOT_LOOPS))
+# The two ways a hot entry's translation comes up short.  A loop over a
+# word that does not decode: the block ends before it, after two words.
+IMAGES["data-word-loop"] = assemble("""
+        addi x1, x0, 200
+loop:   addi x1, x1, -1
+        beq  x0, x0, skip
+        .word 0xffffffff
+skip:   beq  x1, x0, done
+        jal  x0, loop
+done:   jal  x0, done
+""")
+# A loop whose entry word is overwritten with one that does not decode just
+# before its 64th entry: nothing is translated, and the fetch there faults.
+IMAGES["patched-entry"] = assemble("""
+        addi x1, x0, 0
+        addi x2, x0, 64
+        addi x5, x0, -1
+loop:   addi x1, x1, 1
+        beq  x1, x2, patch
+        jal  x0, loop
+patch:  sw   x5, 12(x0)
+        jal  x0, loop
+""")
 
 
 SYSTEM, MEMORY = BUSES = ("system", "memory")
@@ -193,6 +217,7 @@ FAULTS = {name: (assemble(source), *rest) for name, (source, *rest) in {
 FAULTS.update((f"{name}-unsupported", (MemoryImage(0, IMAGES[name].words[:-1] + [0xFFFFFFFF]),
                                         4 * len(IMAGES[name].words) - 4, "decode", None))
               for name in HOT_LOOPS[:2])
+FAULTS["patched-entry"] = (IMAGES["patched-entry"], 0xC, "decode", 721)
 
 
 @pytest.mark.parametrize("name", list(FAULTS))
@@ -341,7 +366,8 @@ def test_reset_clears_the_retirement_counts():
     assert sim.core.retired_count == 0 and not any(sim.core.by_mnemonic.values())
 
 
-@pytest.mark.parametrize("name", ["demo", "pacer", "progen-7", "hot-loop", HOT_LOOPS[0]])
+@pytest.mark.parametrize("name", ["demo", "pacer", "progen-7", "hot-loop", HOT_LOOPS[0],
+                                  "data-word-loop"])
 def test_a_run_split_by_its_budget_retires_what_one_run_does(name):
     reference = started(IMAGES[name])
     whole = reference.core.run(reference.bus)

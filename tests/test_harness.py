@@ -192,7 +192,8 @@ def test_observe_dump_and_fit_share_one_range_rule(addr, nbytes):
     if nbytes % 4 == 0:
         count = nbytes // 4
         assert _range_outcome(sim.mem.dump_image, addr, count) == expected
-        assert _range_outcome(sim.mem.check_fits, MemoryImage(addr, [0] * count)) == expected
+        image = MemoryImage(addr, [0] * count)
+        assert _range_outcome(sim.mem.load_image, image, ControlMode.PROGRAMMING) == expected
 
 
 # --- peripherals ---

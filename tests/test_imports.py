@@ -47,7 +47,7 @@ def test_every_export_is_the_object_its_module_defines_and_is_kept():
         "             if m.startswith('rv32mc.') and vars(mod).get(name, None) is value]\n"
         "    out[name] = [getattr(value, '__module__', None), homes, vars(rv32mc)[name] is value]\n"
         "print(json.dumps(out))")
-    assert len(facts) == 38
+    assert len(facts) == 36
     for name, (owner, homes, kept) in facts.items():
         assert homes and kept, name
         assert owner is None or not owner.startswith("rv32mc") or owner in homes, name

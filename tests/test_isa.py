@@ -142,19 +142,28 @@ def test_encode_inverts_decode(ins):
     assert encode(decode(word)) == word
 
 
-def test_decode_total_over_random_words():
+SELECTOR_BITS = 0xFE00707F  # funct7, funct3 and opcode: what decode dispatches on
+
+
+def test_decode_total_over_every_selector():
     # Decode must either produce a re-encodable instruction or reject the
-    # word; it may never crash or round-trip inconsistently.
+    # word; it may never crash or round-trip inconsistently.  Every
+    # (opcode, funct3, funct7) selector is tried with two random fillings
+    # of the register and immediate bits.
     rng = random.Random(0xBD)
     accepted = 0
-    for _ in range(1_000_000):
-        word = rng.getrandbits(32)
-        try:
-            d = decode(word)
-        except UnsupportedInstruction:
-            continue
-        accepted += 1
-        assert encode(d) == word
+    for funct7 in range(128):
+        for funct3 in range(8):
+            for opcode in range(128):
+                selector = funct7 << 25 | funct3 << 12 | opcode
+                for _ in range(2):
+                    word = selector | rng.getrandbits(32) & ~SELECTOR_BITS
+                    try:
+                        d = decode(word)
+                    except UnsupportedInstruction:
+                        continue
+                    accepted += 1
+                    assert encode(d) == word
     assert accepted > 0
 
 

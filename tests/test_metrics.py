@@ -10,12 +10,9 @@ from rv32mc import (
     InstrClass,
     RunReport,
     attach_metrics,
-    compute_cpi,
-    estimate_energy,
     render_kv,
     render_text,
 )
-from rv32mc.errors import NoInstructionsRetired
 
 
 def make_report(retired, total_cycles):
@@ -28,14 +25,13 @@ def make_report(retired, total_cycles):
     )
 
 
+def metrics(retired, total_cycles, model=None):
+    """A report with `attach_metrics`' figures filled in."""
+    return attach_metrics(make_report(retired, total_cycles), model or EnergyModel())
+
+
 def test_cpi_all_loads_is_five():
-    report = make_report({InstrClass.LOAD: 100}, 500)
-    assert compute_cpi(report) == 5
-
-
-def test_cpi_undefined_without_retirements():
-    with pytest.raises(NoInstructionsRetired):
-        compute_cpi(make_report({}, 0))
+    assert metrics({InstrClass.LOAD: 100}, 500).cpi == 5
 
 
 def test_cpi_mixed_classes():
@@ -45,45 +41,42 @@ def test_cpi_mixed_classes():
         InstrClass.BRANCH: 10,
         InstrClass.I_ALU: 10,
     }
-    report = make_report(retired, 10 * 5 + 10 * 4 + 10 * 3 + 10 * 4)
-    assert compute_cpi(report) == Fraction(160, 40) == 4
+    report = metrics(retired, 10 * 5 + 10 * 4 + 10 * 3 + 10 * 4)
+    assert report.cpi == Fraction(160, 40) == 4
 
 
 def test_cpi_is_exact_rational():
-    report = make_report({InstrClass.LOAD: 2, InstrClass.BRANCH: 1}, 13)
-    assert compute_cpi(report) == Fraction(13, 3)
+    report = metrics({InstrClass.LOAD: 2, InstrClass.BRANCH: 1}, 13)
+    assert report.cpi == Fraction(13, 3)
 
 
 def test_default_constants_reproduce_reference_power():
-    _, power = estimate_energy(make_report({InstrClass.JUMP: 1}, 4), EnergyModel())
-    assert power == 859.0  # 17.18 pJ/cycle at 50 MHz
+    assert metrics({InstrClass.JUMP: 1}, 4).avg_power_uw == 859.0  # 17.18 pJ/cycle at 50 MHz
 
 
 def test_zero_cycles_zero_energy():
-    energy, _ = estimate_energy(make_report({}, 0), EnergyModel())
-    assert energy == 0.0
+    assert metrics({}, 0).energy_pj == 0.0
 
 
 def test_thousand_cycles_by_hand():
     # 1000 cycles x 17.18 pJ/cycle, multiplied out by hand
-    energy, _ = estimate_energy(make_report({InstrClass.LOAD: 200}, 1000), EnergyModel())
+    energy = metrics({InstrClass.LOAD: 200}, 1000).energy_pj
     assert math.isclose(energy, 17180.0, rel_tol=0, abs_tol=1e-9)
 
 
 def test_energy_linear_in_cycles():
     model = EnergyModel()
-    e1, _ = estimate_energy(make_report({InstrClass.JUMP: 10}, 40), model)
-    e7, _ = estimate_energy(make_report({InstrClass.JUMP: 70}, 280), model)
+    e1 = metrics({InstrClass.JUMP: 10}, 40, model).energy_pj
+    e7 = metrics({InstrClass.JUMP: 70}, 280, model).energy_pj
     assert math.isclose(e7, 7 * e1, rel_tol=1e-12)
 
 
 def test_unit_algebra_consistency():
     model = EnergyModel()
-    report = make_report({InstrClass.LOAD: 123}, 615)
-    energy, power = estimate_energy(report, model)
+    report = metrics({InstrClass.LOAD: 123}, 615, model)
     # uW x seconds x 1e6 = pJ
-    back = power * (report.total_cycles / model.freq_hz) * 1e6
-    assert math.isclose(back, energy, rel_tol=1e-9)
+    back = report.avg_power_uw * (report.total_cycles / model.freq_hz) * 1e6
+    assert math.isclose(back, report.energy_pj, rel_tol=1e-9)
 
 
 def test_model_validation():
@@ -115,11 +108,11 @@ def test_report_totals_match_engine():
 
     sim = Simulator()
     sim.program_and_start(assemble("lw x1, 64(x0)\nsw x1, 64(x0)\njal x0, 0\n"))
-    report = sim.core.run(sim.bus)
+    report = attach_metrics(sim.core.run(sim.bus), EnergyModel())
     assert report.total_cycles == sum(
         CYCLE_COST[c] * n for c, n in report.retired.items()
     )
-    assert compute_cpi(report) == Fraction(13, 3)
+    assert report.cpi == Fraction(13, 3)
 
 
 def _text_labels(report):
